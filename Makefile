@@ -62,7 +62,7 @@ bench-smoke:
 # against the committed baseline with cmd/benchdiff. Fails when a gated
 # benchmark regresses past BENCH_THRESHOLD percent. Refresh the
 # baseline after an intentional perf change with `make bench-baseline`.
-BENCH_GATE ?= FastPathBilatR5|FastPathVolrend|BilateralStepR5|BitLayout
+BENCH_GATE ?= FastPathBilatR5|FastPathVolrend|BilateralR5|BitLayout
 BENCH_THRESHOLD ?= 15
 bench-regression:
 	$(GO) test -run='^$$' -bench='$(BENCH_GATE)' -benchtime=3x -count=3 -benchmem . > bench_fresh.txt

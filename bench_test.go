@@ -383,44 +383,48 @@ func BenchmarkFastPathVolrend(b *testing.B) {
 	}
 }
 
-// --- A8: neighbor-stepping stencil walk ablation -----------------------
+// --- A8: row-cached bilateral kernel per layout and dtype --------------
 
-// BenchmarkBilateralStepR5 measures what walking the curve buys over
-// per-tap offset-table lookups inside the flat fast path, on the
-// heaviest bilateral configuration (r5, 11³ stencil): step advances the
-// stencil by neighbor increments (stride adds on array order,
-// dilated-bit Morton arithmetic on Z order, intra-brick Morton walks on
-// Z-tiled), table pins Options.NoStepper so every tap resolves through
-// the per-axis offset tables. DESIGN.md §13 records the numbers.
-func BenchmarkBilateralStepR5(b *testing.B) {
-	for _, kind := range []core.Kind{core.ArrayKind, core.ZKind, core.ZTiledKind} {
-		benchBilatStep[uint8](b, kind)
-		benchBilatStep[float32](b, kind)
+// BenchmarkBilateralR5 runs the heaviest bilateral configuration (r5,
+// 11³ stencil) on the flat fast path for each layout family the
+// kernels workload filters in — array, Z order, Z-tiled and a
+// generalized interleave (4³ row-major bricks on a Morton spine) — at
+// two element widths. The row-cached kernel pays the layout once per
+// gathered row, so the four layouts should land close together; a cell
+// drifting away from the others is a gather or row-reuse regression.
+// DESIGN.md §13 records the numbers.
+func BenchmarkBilateralR5(b *testing.B) {
+	const n = 32
+	bit, err := core.NewBitLayout(n, n, n, "xxyyzz"+"xyzxyzxyz")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, l := range []struct {
+		name   string
+		layout core.Layout
+	}{
+		{"array", core.NewArrayOrder(n, n, n)},
+		{"zorder", core.NewZOrder(n, n, n)},
+		{"ztiled", core.NewZTiled(n, n, n, 8)},
+		{"bit", bit},
+	} {
+		benchBilatR5[float32](b, l.name, l.layout)
+		benchBilatR5[uint8](b, l.name, l.layout)
 	}
 }
 
-func benchBilatStep[T grid.Scalar](b *testing.B, kind core.Kind) {
-	const n = 32
-	dtype := grid.DtypeFor[T]().String()
-	for _, path := range []struct {
-		name   string
-		noStep bool
-	}{{"step", false}, {"table", true}} {
-		b.Run(kind.String()+"/"+dtype+"/"+path.name, func(b *testing.B) {
-			src := grid.ConvertGrid[T](mriFor(b, kind, n))
-			dst := grid.NewOf[T](core.New(kind, n, n, n))
-			opts := filter.Options{
-				Radius: 5, Axis: parallel.AxisX, Order: filter.XYZ,
-				Workers: 4, NoStepper: path.noStep,
+func benchBilatR5[T grid.Scalar](b *testing.B, name string, l core.Layout) {
+	b.Run(name+"/"+grid.DtypeFor[T]().String(), func(b *testing.B) {
+		src := volume.MRIPhantomOf[T](l, 1, 0.05)
+		dst := grid.NewOf[T](l)
+		opts := filter.Options{Radius: 5, Axis: parallel.AxisX, Order: filter.XYZ, Workers: 4}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := filter.ApplyOf[T](src, dst, opts); err != nil {
+				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := filter.ApplyOf[T](src, dst, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // A sanity assertion disguised as a test so bench runs that include
@@ -536,9 +540,8 @@ func BenchmarkBitLayoutIndex(b *testing.B) {
 }
 
 // BenchmarkBitLayoutBilatR5 runs the heavyweight bilateral configuration
-// over BitLayout through the masked neighbor-stepping walk — the cost a
-// tuned interleave pays at kernel time, comparable against
-// BilateralStepR5's zorder/step cell.
+// over BitLayout on the flat fast path — the cost a tuned interleave
+// pays at kernel time, comparable against BilateralR5's zorder cell.
 func BenchmarkBitLayoutBilatR5(b *testing.B) {
 	const n = 32
 	for _, spec := range []struct {

@@ -69,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ivy         = fs.String("ivy-threads", "", "override IvyBridge thread sweep, e.g. 2,8,24")
 		mic         = fs.String("mic-threads", "", "override MIC thread sweep, e.g. 59,118")
 		noFastPath  = fs.Bool("no-fastpath", false, "disable the kernels' flat-access fast path (ablation; wall-clock runs only)")
-		noStep      = fs.Bool("no-step", false, "keep the flat fast path on per-tap table lookups instead of the neighbor-stepping walk (ablation; wall-clock runs only)")
 		dtypes      = fs.String("dtype", "", "element dtypes for the fig 11 sweep, e.g. uint8,float32; default all")
 		verbose     = fs.Bool("v", false, "print progress for each cell")
 	)
@@ -103,7 +102,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Seed = *seed
 	}
 	cfg.NoFastPath = *noFastPath
-	cfg.NoStepper = *noStep
 	if *dtypes != "" {
 		for _, part := range strings.Split(*dtypes, ",") {
 			cfg.Dtypes = append(cfg.Dtypes, strings.TrimSpace(part))

@@ -17,6 +17,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sfcmem/internal/obs"
 )
 
 // logSink is a concurrency-safe writer capturing the access-log stream.
@@ -482,3 +484,61 @@ func benchRender(b *testing.B, obsOff bool) {
 
 func BenchmarkRenderObsOn(b *testing.B)  { benchRender(b, false) }
 func BenchmarkRenderObsOff(b *testing.B) { benchRender(b, true) }
+
+// TestFilterTraceKeepsStages filters a 64³ volume: its 4096 pencil
+// spans overflow the trace's item-span cap, but stage spans have their
+// own region, so the cache, kernel and encode stages — all recorded
+// after the pencils, when their stages end — survive in the trace and
+// the access log, while the lost pencils are counted as dropped.
+func TestFilterTraceKeepsStages(t *testing.T) {
+	sink := &logSink{}
+	cfg := testConfig()
+	cfg.accessLog = sink
+	cfg.cacheBytes = 1 << 20
+	a, _, _ := startApp(t, cfg)
+	api := "http://" + a.apiAddr()
+
+	resp := postJSON(t, api+"/volumes", createVolumeRequest{Name: "big", Dataset: "phantom", Size: 64, Layout: "zorder"})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create volume: status %d", resp.StatusCode)
+	}
+	resp = postJSON(t, api+"/filter", filterRequest{Src: "big", Radius: 1, Workers: 1})
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("filter: status %d", resp.StatusCode)
+	}
+
+	var tr *obs.Trace
+	for _, rt := range a.srv.hub.Ring().Recent(0) {
+		if rt.Route == "filter" {
+			tr = rt
+			break
+		}
+	}
+	if tr == nil {
+		t.Fatal("filter trace not in the ring")
+	}
+	if tr.Dropped() == 0 {
+		t.Error("Dropped() = 0: 4096 pencil spans should overflow the item cap")
+	}
+	for _, stage := range []string{"cache", "kernel", "encode"} {
+		if tr.StageDur(stage) == 0 {
+			t.Errorf("filter trace lost its %q stage", stage)
+		}
+	}
+	var access map[string]any
+	for _, l := range sink.lines(t) {
+		if l["msg"] == "request" && l["route"] == "filter" {
+			access = l
+		}
+	}
+	stages, _ := access["stages"].(map[string]any)
+	if stages["cache"] == nil {
+		t.Errorf("access log stage breakdown lost %q: %v", "cache", access)
+	}
+	if access["spans_dropped"] == nil {
+		t.Errorf("access log does not report the dropped pencil spans: %v", access)
+	}
+}

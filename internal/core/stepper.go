@@ -2,9 +2,9 @@ package core
 
 import "sfcmem/internal/morton"
 
-// Neighbor stepping: the O(1)-amortized walk that lets stencil kernels
-// advance the flat index to an axis neighbor instead of re-resolving it
-// through the per-axis offset tables (Holzmüller 2017's incremental
+// Neighbor stepping: the O(1)-amortized walk that advances a flat index
+// to an axis neighbor instead of re-resolving it through the per-axis
+// offset tables (Holzmüller 2017's incremental
 // neighbor finding, generalized to ±x/±y/±z).
 //
 // Three layout families support it:
@@ -30,7 +30,7 @@ import "sfcmem/internal/morton"
 // step, returning the index unchanged and false, instead of corrupting.
 
 // StepMode classifies how a layout's flat index walks to an axis
-// neighbor on the kernels' stepping fast path.
+// neighbor.
 type StepMode int
 
 const (
@@ -52,8 +52,8 @@ const (
 	StepMasked
 )
 
-// StepSpec carries the parameters a kernel inner loop needs to inline a
-// layout's neighbor walk, resolved once per flat view.
+// StepSpec carries the parameters an inner loop needs to inline a
+// layout's neighbor walk, resolved once per layout.
 type StepSpec struct {
 	Mode StepMode
 	// Sx, Sy, Sz are the constant per-axis strides (StepStride only).
@@ -68,8 +68,8 @@ type StepSpec struct {
 }
 
 // StepSpecFor resolves the neighbor-stepping recipe for a layout.
-// Layouts without a walk (Tiled, Hilbert, HZ) get StepNone, which tells
-// the kernels to stay on the offset-table fast path.
+// Layouts without a walk (Tiled, Hilbert, HZ) get StepNone: callers
+// resolve neighbors through the offset tables or Index instead.
 func StepSpecFor(l Layout) StepSpec {
 	switch t := l.(type) {
 	case *ArrayOrder:

@@ -32,7 +32,6 @@ import (
 	"math"
 	"strings"
 
-	"sfcmem/internal/core"
 	"sfcmem/internal/grid"
 	"sfcmem/internal/parallel"
 )
@@ -100,11 +99,6 @@ type Options struct {
 	// by the fast-path ablation benches and cross-check tests; traced
 	// views always take the interface path regardless.
 	NoFastPath bool
-	// NoStepper keeps the flat fast path on per-tap offset-table
-	// lookups, disabling the neighbor-stepping stencil walk for layouts
-	// that support one (array, Z order, ZTiled). Used by the stepper
-	// ablation benches and the step-vs-table cross-check tests.
-	NoStepper bool
 }
 
 func (o Options) withDefaults() Options {
@@ -156,15 +150,10 @@ const rangeLUTSpan = 4.0
 type kernel struct {
 	opt      Options
 	spatial  []float64 // (2R+1)³ geometric weights, indexed [dz][dy][dx]
-	rangeLUT []float64
+	rangeLUT [rangeLUTSize]float64
 	invBin   float64 // 1 / LUT bin width
 	scale    float64 // dtype normalization scale (1 for float dtypes)
 	invScale float64 // 1 / scale; multiplying by exactly 1 preserves bits
-	// dilX[t] / dilZ[t] are the x- and z-lane dilated forms of the tap
-	// offset t (Part1By2, shifted into the lane), sized to the stencil
-	// edge. The Morton stepping kernels add them to a row code to
-	// address taps independently of one another (bilateral_step.go).
-	dilX, dilZ []uint64
 }
 
 func newKernel(o Options, scale float64) *kernel {
@@ -183,30 +172,30 @@ func newKernel(o Options, scale float64) *kernel {
 			}
 		}
 	}
-	k.rangeLUT = make([]float64, rangeLUTSize)
 	span := rangeLUTSpan * o.SigmaRange
 	for i := range k.rangeLUT {
 		x := float64(i) / rangeLUTSize * span
 		k.rangeLUT[i] = math.Exp(-x * x / (2 * o.SigmaRange * o.SigmaRange))
 	}
 	k.invBin = rangeLUTSize / span
-	k.dilX, k.dilZ = dilatedOffsets(side)
 	return k
 }
 
 // rangeWeight returns the quantized photometric weight for a value
 // difference dv, rounding to the nearest LUT knot. (Flooring would
 // systematically read the weight of a larger difference — off by up to
-// a whole bin, and rangeWeight(0) would not be 1.)
+// a whole bin, and rangeWeight(0) would not be 1.) A NaN difference
+// converts to a negative bin, which the unsigned compare sends to the
+// zero tail along with differences past the table.
 func (k *kernel) rangeWeight(dv float64) float64 {
 	// math.Abs is a branchless bit-clear; an `if dv < 0` here is a
 	// data-dependent branch the predictor gets wrong about half the
 	// time, and this runs once per stencil tap on every path.
 	bin := int(math.Abs(dv)*k.invBin + 0.5)
-	if bin >= rangeLUTSize {
-		return 0
+	if uint(bin) < rangeLUTSize {
+		return k.rangeLUT[bin]
 	}
-	return k.rangeLUT[bin]
+	return 0
 }
 
 // voxelOf computes the filtered value at (i,j,k), iterating the stencil
@@ -276,54 +265,131 @@ func voxelOf[T grid.Scalar](k *kernel, src grid.ReaderOf[T], i, j, kk int) T {
 	return grid.FromNorm[T](num/den, k.scale)
 }
 
-// voxelFlatOf is voxelOf on the flat fast path: the stencil loops run
-// over the raw buffer through the layout's per-axis offset tables,
-// resolved once per view instead of two interface dispatches per
-// access. The out-of-bounds `continue` skips become clamped loop
-// bounds, which visit exactly the same in-bounds neighbors in the same
-// order — the accumulation sequence, and therefore the result, is
-// bit-identical to the interface path for every dtype.
-func voxelFlatOf[T grid.Scalar](k *kernel, f *grid.Flat[T], i, j, kk int) T {
+// onPencil permutes per-axis values (coordinates, offsets or a view's
+// offset tables) from x, y, z order into pencil order: a along the
+// pencil, then its two off-axis companions b and c.
+func onPencil[E any](axis parallel.Axis, x, y, z E) (a, b, c E) {
+	switch axis {
+	case parallel.AxisY:
+		return y, x, z
+	case parallel.AxisZ:
+		return z, x, y
+	}
+	return x, y, z
+}
+
+// tap is one stencil tap of the flat fast path, resolved for the
+// current pencil: off addresses the tap's row in the worker's row
+// cache plus its offset da along the pencil (add the voxel's pencil
+// position to get the sample), and w is its spatial weight.
+type tap struct {
+	off, da int
+	w       float64
+}
+
+// rows is one worker's window onto the source for the flat fast path:
+// (2R+1)² rows along the pencil axis, each a full row of normalized
+// samples gathered once through the layout's offset tables. The row
+// with off-axis coordinates (b, c) lives in slot (b mod side)·side +
+// (c mod side), so the rows under one pencil's stencil never share a
+// slot and a pencil refills only the rows its worker's previous
+// pencil did not already hold.
+type rows struct {
+	data []float64 // side² rows of n samples; slot s at data[s*n:]
+	tag  []int     // per slot: b*nc + c of the held row, or -1
+	taps []tap     // the current pencil's taps whose rows lie in the volume, in stencil order
+}
+
+// newRows returns an empty row cache for pencils of length n.
+func newRows(side, n int) *rows {
+	cache := &rows{data: make([]float64, side*side*n), tag: make([]int, side*side)}
+	for s := range cache.tag {
+		cache.tag[s] = -1
+	}
+	return cache
+}
+
+// pencilFlatOf filters the pencil at off-axis coordinates (b, c) on the
+// flat fast path. The layout is paid once per row, not once per tap:
+// the stencil reads every tap from the row cache, which holds the
+// sample float64(raw)·invScale that voxelOf computes, and visits the
+// in-bounds taps in voxelOf's order with voxelOf's float operations —
+// so the result is bit-identical to the interface path for every
+// layout and dtype. Taps outside the volume off the pencil axis are
+// dropped when the pencil's tap list is built; along the pencil they
+// are skipped only for the R voxels at either end.
+func pencilFlatOf[T grid.Scalar](k *kernel, cache *rows, fsrc, fdst *grid.Flat[T], axis parallel.Axis, b, c int) {
 	r := k.opt.Radius
 	side := 2*r + 1
-	rawCenter := f.Data[f.X[i]+f.Y[j]+f.Z[kk]]
-	center := float64(rawCenter) * k.invScale
-	xlo, xhi := max(-r, -i), min(r, f.Nx-1-i)
-	ylo, yhi := max(-r, -j), min(r, f.Ny-1-j)
-	zlo, zhi := max(-r, -kk), min(r, f.Nz-1-kk)
-	var num, den float64
-	if k.opt.Order == XYZ {
-		for dz := zlo; dz <= zhi; dz++ {
-			zoff := f.Z[kk+dz]
-			for dy := ylo; dy <= yhi; dy++ {
-				yzoff := f.Y[j+dy] + zoff
-				base := ((dz+r)*side + (dy + r)) * side
-				for dx := xlo; dx <= xhi; dx++ {
-					v := float64(f.Data[f.X[i+dx]+yzoff]) * k.invScale
-					w := k.spatial[base+dx+r] * k.rangeWeight(v-center)
-					num += w * v
-					den += w
-				}
+	sa, sb, sc := onPencil(axis, fsrc.X, fsrc.Y, fsrc.Z)
+	n, nb, nc := len(sa), len(sb), len(sc)
+	slot := func(rb, rc int) int { return rb%side*side + rc%side }
+	for rb := max(b-r, 0); rb <= min(b+r, nb-1); rb++ {
+		for rc := max(c-r, 0); rc <= min(c+r, nc-1); rc++ {
+			s := slot(rb, rc)
+			if cache.tag[s] == rb*nc+rc {
+				continue
 			}
-		}
-	} else {
-		for dx := xlo; dx <= xhi; dx++ {
-			xoff := f.X[i+dx]
-			for dy := ylo; dy <= yhi; dy++ {
-				xyoff := xoff + f.Y[j+dy]
-				for dz := zlo; dz <= zhi; dz++ {
-					v := float64(f.Data[xyoff+f.Z[kk+dz]]) * k.invScale
-					w := k.spatial[((dz+r)*side+(dy+r))*side+dx+r] * k.rangeWeight(v-center)
-					num += w * v
-					den += w
-				}
+			cache.tag[s] = rb*nc + rc
+			row, base := cache.data[s*n:s*n+n], sb[rb]+sc[rc]
+			for a, off := range sa {
+				row[a] = float64(fsrc.Data[off+base]) * k.invScale
 			}
 		}
 	}
-	if den == 0 {
-		return rawCenter
+	// Tap list: XYZ runs dz outermost and dx innermost, ZYX the reverse.
+	cache.taps = cache.taps[:0]
+	for d1 := -r; d1 <= r; d1++ {
+		for dy := -r; dy <= r; dy++ {
+			for d3 := -r; d3 <= r; d3++ {
+				dx, dz := d1, d3
+				if k.opt.Order == XYZ {
+					dx, dz = d3, d1
+				}
+				da, db, dc := onPencil(axis, dx, dy, dz)
+				rb, rc := b+db, c+dc
+				if rb < 0 || rb >= nb || rc < 0 || rc >= nc {
+					continue
+				}
+				cache.taps = append(cache.taps, tap{
+					off: slot(rb, rc)*n + da,
+					da:  da,
+					w:   k.spatial[((dz+r)*side+(dy+r))*side+dx+r],
+				})
+			}
+		}
 	}
-	return grid.FromNorm[T](num/den, k.scale)
+	data, taps := cache.data, cache.taps
+	ctr := slot(b, c) * n
+	da, db, dc := onPencil(axis, fdst.X, fdst.Y, fdst.Z)
+	dbase := db[b] + dc[c]
+	for p := 0; p < n; p++ {
+		center := data[ctr+p]
+		var num, den float64
+		if p >= r && p < n-r {
+			for _, t := range taps {
+				v := data[t.off+p]
+				w := t.w * k.rangeWeight(v-center)
+				num += w * v
+				den += w
+			}
+		} else {
+			for _, t := range taps {
+				if uint(p+t.da) >= uint(n) {
+					continue
+				}
+				v := data[t.off+p]
+				w := t.w * k.rangeWeight(v-center)
+				num += w * v
+				den += w
+			}
+		}
+		if den == 0 { // only a non-finite center leaves the stencil weightless
+			fdst.Data[da[p]+dbase] = fsrc.Data[sa[p]+sb[b]+sc[c]]
+			continue
+		}
+		fdst.Data[da[p]+dbase] = grid.FromNorm[T](num/den, k.scale)
+	}
 }
 
 // Apply runs the bilateral filter from src into dst with all workers
@@ -420,20 +486,16 @@ func ApplyViewsCtxOf[T grid.Scalar](ctx context.Context, srcs []grid.ReaderOf[T]
 	}
 	pencils := parallel.PencilCount(nx, ny, nz, o.Axis)
 	di, dj, dk := parallel.PencilStep(o.Axis)
+	side := 2*o.Radius + 1
+	caches := make([]*rows, o.Workers) // worker w alone touches caches[w]
 	pencil := func(w, p int) {
 		i, j, kk, length := parallel.PencilStart(nx, ny, nz, o.Axis, p)
 		if fsrc, fdst := fsrcs[w], fdsts[w]; fsrc != nil && fdst != nil {
-			// Prefer the neighbor-stepping walk when the source layout
-			// exposes one; Tiled (StepNone) and the NoStepper ablation
-			// stay on the per-tap table path.
-			if !o.NoStepper && fsrc.Step.Mode != core.StepNone {
-				stepPencilOf(k, fsrc, fdst, i, j, kk, di, dj, dk, length)
-				return
+			if caches[w] == nil {
+				caches[w] = newRows(side, length)
 			}
-			for s := 0; s < length; s++ {
-				fdst.Data[fdst.X[i]+fdst.Y[j]+fdst.Z[kk]] = voxelFlatOf(k, fsrc, i, j, kk)
-				i, j, kk = i+di, j+dj, kk+dk
-			}
+			_, b, c := onPencil(o.Axis, i, j, kk)
+			pencilFlatOf(k, caches[w], fsrc, fdst, o.Axis, b, c)
 			return
 		}
 		src, dst := srcs[w], dsts[w]
@@ -611,9 +673,11 @@ func gaussVoxelOf[T grid.Scalar](k *kernel, src grid.ReaderOf[T], i, j, kk int) 
 	return grid.FromNorm[T](num/den, k.scale)
 }
 
-// gaussVoxelFlatOf is gaussVoxelOf on the flat fast path; same
-// clamped-bounds transformation as voxelFlatOf, bit-identical
-// accumulation.
+// gaussVoxelFlatOf is gaussVoxelOf on the flat fast path: the stencil
+// loops run over the raw buffer through the layout's per-axis offset
+// tables, and the out-of-bounds `continue` skips become clamped loop
+// bounds, which visit the same in-bounds neighbors in the same order —
+// bit-identical accumulation.
 func gaussVoxelFlatOf[T grid.Scalar](k *kernel, f *grid.Flat[T], i, j, kk int) T {
 	r := k.opt.Radius
 	side := 2*r + 1

@@ -28,12 +28,6 @@ type Flat[T Scalar] struct {
 	X, Y, Z []int
 	// Nx, Ny, Nz are the logical grid extents (= len(X), len(Y), len(Z)).
 	Nx, Ny, Nz int
-	// Step is the layout's neighbor-stepping recipe (core.StepSpecFor):
-	// stencil kernels that support it walk the flat index to axis
-	// neighbors by stride adds or dilated-bit arithmetic instead of
-	// re-resolving through the tables per tap. Mode core.StepNone means
-	// the layout has no walk and kernels stay on the tables.
-	Step core.StepSpec
 }
 
 // Flat returns a flat view of the grid, or ok == false when the grid's
@@ -46,7 +40,7 @@ func (g *Grid[T]) Flat() (Flat[T], bool) {
 	}
 	xs, ys, zs := sep.AxisOffsets()
 	nx, ny, nz := g.layout.Dims()
-	return Flat[T]{Data: g.data, X: xs, Y: ys, Z: zs, Nx: nx, Ny: ny, Nz: nz, Step: core.StepSpecFor(g.layout)}, true
+	return Flat[T]{Data: g.data, X: xs, Y: ys, Z: zs, Nx: nx, Ny: ny, Nz: nz}, true
 }
 
 // Flatten returns a flat view when r is a plain *Grid with a separable

@@ -84,14 +84,13 @@ func (c *CountingSink) Access(_ uint64, write bool) {
 func (c *CountingSink) Total() uint64 { return c.Reads + c.Writes }
 
 // TracedTables is a Traced view that additionally replays the per-axis
-// offset-table loads the table-lookup flat kernel issues to resolve
-// each access: the innermost x-table load per element, and the hoisted
-// y-/z-table loads once per (j) / (k) change, matching the hoisting in
-// the real kernel's loop nest (filter.voxelFlatOf). The stepping
-// kernels issue none of these — comparing the two streams through the
-// cache simulator isolates the table traffic that curve walking
-// removes. Table entries are 8 bytes (int offsets) and live at
-// tableBase, laid out X then Y then Z.
+// offset-table loads a kernel issues when it resolves every access
+// through the tables: the innermost x-table load per element, and the
+// hoisted y-/z-table loads once per (j) / (k) change. A walk that keeps
+// its index in registers issues none of these — comparing the two
+// streams through the cache simulator isolates the index traffic.
+// Table entries are 8 bytes (int offsets) and live at tableBase, laid
+// out X then Y then Z.
 //
 // The view is sequential like every traced view: one simulated thread
 // per view, accesses replayed in program order.

@@ -41,9 +41,6 @@ type BilatInput struct {
 	// NoFastPath forces wall-clock runs onto the generic interface path
 	// (set from Config.NoFastPath by the grid runners).
 	NoFastPath bool
-	// NoStepper keeps the flat fast path on per-tap table lookups
-	// instead of the neighbor-stepping walk (set from Config.NoStepper).
-	NoStepper bool
 }
 
 // NewBilatInput generates the MRI phantom once and relayouts it into
@@ -79,7 +76,6 @@ func timeBilat(ctx context.Context, in *BilatInput, kind core.Kind, row BilatRow
 	o.Stats = st
 	o.Observer = obs
 	o.NoFastPath = in.NoFastPath
-	o.NoStepper = in.NoStepper
 	start := time.Now()
 	if err := filter.ApplyCtx(ctx, src, dst, o); err != nil {
 		return 0, err
@@ -185,7 +181,6 @@ func RunBilatGridCtx(ctx context.Context, cfg Config, threadList []int, platform
 	progress func(msg string), ins *Instruments) (map[string][]Cell, error) {
 	wall := NewBilatInput(cfg.BilatSize, cfg.Seed)
 	wall.NoFastPath = cfg.NoFastPath
-	wall.NoStepper = cfg.NoStepper
 	sim := NewBilatInput(cfg.BilatSimSize, cfg.Seed)
 	out := make(map[string][]Cell)
 	for _, row := range cfg.BilatRows() {

@@ -62,11 +62,6 @@ type Config struct {
 	// numbers. Counter runs are unaffected (traced views never take the
 	// fast path).
 	NoFastPath bool `json:"no_fastpath,omitempty"`
-	// NoStepper keeps the bilateral filter's flat fast path on per-tap
-	// offset-table lookups instead of the neighbor-stepping stencil walk
-	// — the ablation that isolates what curve stepping contributes on
-	// top of devirtualization. Wall-clock runs only.
-	NoStepper bool `json:"no_stepper,omitempty"`
 	// Radii maps the paper's row labels to stencil radii.
 	Radii []RadiusSpec `json:"radii"`
 	// Dtypes is the element-type sweep axis for the dtype extension

@@ -102,7 +102,6 @@ func fig11(cfg Config, progress func(string), ins *Instruments) (FigureResult, e
 	row := BilatRow{Label: radius.Label + " px xyz", Radius: radius.Radius}
 	o := row.options(cfg.FixedThreads)
 	o.NoFastPath = cfg.NoFastPath
-	o.NoStepper = cfg.NoStepper
 	kinds := []core.Kind{core.ArrayKind, core.ZKind, core.TiledKind, core.HilbertKind}
 
 	in := NewBilatInput(size, cfg.Seed)

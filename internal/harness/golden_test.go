@@ -73,6 +73,13 @@ func mustBit(t *testing.T, nx, ny, nz int, spec string) core.Layout {
 	return l
 }
 
+// accessPaths are the bilateral filter's two access paths: the
+// row-cached flat kernel and the generic interface path.
+var accessPaths = []struct {
+	label  string
+	noFast bool
+}{{"flat", false}, {"iface", true}}
+
 func TestGoldenFloat32Bilateral(t *testing.T) {
 	const nx, ny, nz = 40, 36, 28
 	base := volume.MRIPhantom(core.NewArrayOrder(nx, ny, nz), 7, 0.05)
@@ -83,8 +90,8 @@ func TestGoldenFloat32Bilateral(t *testing.T) {
 		core.New(core.ZTiledKind, nx, ny, nz),
 		core.New(core.HilbertKind, nx, ny, nz),
 		// A generalized interleave (4×4×4 row-major-ish bricks on a
-		// Morton spine) — the masked stepping kernel must land on the
-		// same digest as every other layout/path combination.
+		// Morton spine) — it must land on the same digest as every
+		// other layout/path combination.
 		mustBit(t, nx, ny, nz, "xxyyzzxyzxyzxyzxy"),
 	}
 	for _, layout := range layouts {
@@ -100,21 +107,14 @@ func TestGoldenFloat32Bilateral(t *testing.T) {
 			{"px-xyz", parallel.AxisX, filter.XYZ},
 			{"pz-zyx", parallel.AxisZ, filter.ZYX},
 		} {
-			// Three access paths share one digest: the neighbor-stepping
-			// walk (default), the per-tap table path (NoStepper), and
-			// the generic interface path (NoFastPath).
-			for _, path := range []struct {
-				label          string
-				noFast, noStep bool
-			}{
-				{"step", false, false},
-				{"table", false, true},
-				{"iface", true, false},
-			} {
+			// Both access paths share one digest: the row-cached flat
+			// kernel (default) and the generic interface path
+			// (NoFastPath).
+			for _, path := range accessPaths {
 				dst := grid.New(layout)
 				err := filter.Apply(src, dst, filter.Options{
 					Radius: 2, Axis: cfg.axis, Order: cfg.order, Workers: 3,
-					NoFastPath: path.noFast, NoStepper: path.noStep,
+					NoFastPath: path.noFast,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -162,10 +162,9 @@ func gridDigestOf[T grid.Scalar](g *grid.Grid[T]) string {
 }
 
 // goldenBilatDtype pins the bilateral filter's exact output per element
-// type, captured on the revision that introduced the neighbor-stepping
-// kernels. checkGoldenBilatDtype verifies all three access paths against
-// it, so integer rounding, normalization, and the stepping walk are all
-// locked per dtype.
+// type. checkGoldenBilatDtype verifies both access paths against it,
+// so integer rounding, normalization, and the flat kernel's row cache
+// are all locked per dtype.
 var goldenBilatDtype = map[grid.Dtype]string{
 	grid.U8:  "2d62755cd234c65e0241dc351e695508129b178b34da02a5a8f1d6bce78e086e",
 	grid.U16: "910863f2f50bae02cc314b583313af90d22b1d902bc5b95ec1ee5338e583e8c9",
@@ -177,18 +176,11 @@ func checkGoldenBilatDtype[T grid.Scalar](t *testing.T, layout core.Layout) {
 	t.Helper()
 	want := goldenBilatDtype[grid.DtypeFor[T]()]
 	src := volume.MRIPhantomOf[T](layout, 7, 0.05)
-	for _, path := range []struct {
-		label          string
-		noFast, noStep bool
-	}{
-		{"step", false, false},
-		{"table", false, true},
-		{"iface", true, false},
-	} {
+	for _, path := range accessPaths {
 		dst := grid.NewOf[T](layout)
 		err := filter.ApplyOf[T](src, dst, filter.Options{
 			Radius: 2, Axis: parallel.AxisX, Order: filter.XYZ, Workers: 3,
-			NoFastPath: path.noFast, NoStepper: path.noStep,
+			NoFastPath: path.noFast,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -201,10 +193,9 @@ func checkGoldenBilatDtype[T grid.Scalar](t *testing.T, layout core.Layout) {
 }
 
 // TestGoldenBilateralDtypes pins the per-dtype bilateral output across
-// the stepping, table, and interface paths on the curve layouts the
-// stepper walks hardest (whole-volume Morton, Morton-in-bricks, and a
-// generalized interleave on the masked walk) plus the stride layout.
-// One digest per dtype across all of it.
+// the flat and interface paths on the curve layouts (whole-volume
+// Morton, Morton-in-bricks, and a generalized interleave) plus the
+// stride layout. One digest per dtype across all of it.
 func TestGoldenBilateralDtypes(t *testing.T) {
 	const nx, ny, nz = 40, 36, 28
 	layouts := []core.Layout{

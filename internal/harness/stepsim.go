@@ -1,13 +1,14 @@
 package harness
 
-// Cache-simulated ablation for the neighbor-stepping stencil kernels
-// (DESIGN.md §13): the stepping and table-lookup flat paths touch the
-// same data elements in the same order, so their wall-clock difference
-// is pure index-resolution cost. What the simulator can add is the
-// memory-system view of that cost: the table path streams per-axis
-// offset-table loads alongside the data stream, the stepping path does
-// not. SimBilatStepTraffic replays the identical bilateral access
-// pattern both ways and reports the two cache Reports side by side.
+// Cache-simulated index traffic of the bilateral stencil (DESIGN.md
+// §13). The model runs through traced views, so it replays the
+// interface path's per-tap access pattern, not the flat kernel's row
+// gathers: once as data accesses alone (the stream an index walk that
+// keeps its position in registers issues) and once with the per-axis
+// offset-table loads that resolving every tap through the tables adds.
+// Both replays touch the same data elements in the same order, so the
+// difference between the two reports is the index traffic alone.
+// SimBilatStepTraffic returns the two cache Reports side by side.
 
 import (
 	"context"
@@ -27,18 +28,17 @@ const (
 )
 
 // StepTraffic pairs the simulated reports for one bilateral
-// configuration replayed as the stepping kernel issues it (Step: data
-// accesses only) and as the table kernel issues it (Table: data plus
-// offset-table loads, with the y/z lookups hoisted per row/plane just
-// like the real loop nest).
+// configuration replayed as data accesses only (Step) and as data plus
+// offset-table loads (Table, with the y/z lookups hoisted per
+// row/plane and the x lookup per tap).
 type StepTraffic struct {
 	Step, Table cache.Report
 }
 
 // SimBilatStepTraffic replays one bilateral configuration through the
-// cache simulator twice — once per kernel flavor — and returns both
-// reports. The data access streams are identical by construction
-// (bit-identical kernels); only the table loads differ.
+// cache simulator twice — without and with the table loads — and
+// returns both reports. The data access streams are identical by
+// construction; only the table loads differ.
 func SimBilatStepTraffic(in *BilatInput, kind core.Kind, row BilatRow, threads int, platform cache.Platform) (StepTraffic, error) {
 	var out StepTraffic
 	src := in.Src[kind]

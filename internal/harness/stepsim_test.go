@@ -7,9 +7,9 @@ import (
 	"sfcmem/internal/parallel"
 )
 
-// TestStepperTableTraffic pins the structure of the simulated stepping
-// ablation and, run with -v, prints the counter deltas recorded in
-// DESIGN.md §13 (repro command in EXPERIMENTS.md).
+// TestStepperTableTraffic pins the structure of the simulated
+// index-traffic model and, run with -v, prints the counter deltas
+// recorded in DESIGN.md §13 (repro command in EXPERIMENTS.md).
 func TestStepperTableTraffic(t *testing.T) {
 	cfg := QuickConfig()
 	in := NewBilatInput(32, cfg.Seed)

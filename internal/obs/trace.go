@@ -27,10 +27,17 @@ import (
 	"time"
 )
 
-// maxSpans bounds the spans one trace stores. A 4K-tile render under a
-// per-tile observer is the worst realistic case; past the cap the trace
-// counts drops so a pathological request cannot balloon memory.
-const maxSpans = 512
+// maxSpans bounds the kernel item spans one trace stores, and
+// maxStageSpans its stage spans: 512 slots in all. The two regions fill
+// independently: a stage span is recorded only when its stage ends, so
+// in a shared region the items of a big kernel (4096 pencils of a 64³
+// filter) would crowd out the stages still open around them. Past
+// either cap the trace counts drops so a pathological request cannot
+// balloon memory.
+const (
+	maxSpans      = 256
+	maxStageSpans = 256
+)
 
 // A Span is one completed region of a request: a serial handler stage
 // (Worker < 0) or one kernel work item on a worker lane (Worker >= 0).
@@ -47,9 +54,10 @@ type Span struct {
 
 // Trace is one request's span recorder plus its identity: the request
 // ID the service minted (or honored), and the W3C trace-context IDs.
-// Stage spans are recorded by the handler goroutine only; kernel item
-// spans arrive concurrently from worker goroutines via Observer, which
-// is why the span array is claimed with an atomic index.
+// Stage spans are recorded by the handler goroutine (or StageAt's
+// caller); kernel item spans arrive concurrently from worker goroutines
+// via Observer, which is why each span region is claimed with an atomic
+// index.
 type Trace struct {
 	// RequestID is the value emitted as X-Request-Id.
 	RequestID string
@@ -73,9 +81,12 @@ type Trace struct {
 	// touch it.
 	depth int
 
-	next    atomic.Int64 // span slots claimed (may exceed maxSpans)
-	spans   [maxSpans]Span
-	dropped atomic.Uint64
+	// nextStage and nextItem count the slots claimed in each region;
+	// they may exceed the region's capacity.
+	nextStage, nextItem atomic.Int64
+	stages              [maxStageSpans]Span
+	items               [maxSpans]Span
+	dropped             atomic.Uint64
 
 	// stage is the most recently entered live stage, for the in-flight
 	// listing. Stored atomically because /ops/requests reads it from
@@ -228,16 +239,22 @@ func (t *Trace) Observer(name string) func(worker, item int, start time.Time, du
 // that keeps them out of top-level stage sums.
 func (t *Trace) kernelDepth() int { return 1 << 8 }
 
+// addSpan stores s in its region: stage spans (Worker < 0) apart from
+// kernel item spans.
 func (t *Trace) addSpan(s Span) {
-	i := t.next.Add(1) - 1
-	if i >= maxSpans {
+	next, region := &t.nextItem, t.items[:]
+	if s.Worker < 0 {
+		next, region = &t.nextStage, t.stages[:]
+	}
+	i := next.Add(1) - 1
+	if i >= int64(len(region)) {
 		t.dropped.Add(1)
 		return
 	}
-	t.spans[i] = s
+	region[i] = s
 }
 
-// Dropped returns how many spans the cap discarded.
+// Dropped returns how many spans the caps discarded.
 func (t *Trace) Dropped() uint64 { return t.dropped.Load() }
 
 // CurrentStage returns the most recently entered stage name, or "" if
@@ -259,16 +276,22 @@ func (t *Trace) Finish(status int, bytes int64, cache string) {
 	t.Total = time.Since(t.Start)
 }
 
-// Spans returns the recorded spans in record order. The result aliases
-// the trace's storage; callers must treat it as read-only and only call
-// Spans after the request finished (exporters do — the ring hands out
-// finished traces only).
+// Spans returns the recorded stage spans in record order, then the
+// kernel item spans in record order. The result may alias the trace's
+// storage; callers must treat it as read-only and only call Spans after
+// the request finished (exporters do — the ring hands out finished
+// traces only).
 func (t *Trace) Spans() []Span {
-	n := t.next.Load()
-	if n > maxSpans {
-		n = maxSpans
-	}
-	return t.spans[:n]
+	items := t.items[:min(t.nextItem.Load(), maxSpans)]
+	return append(t.stageSpans(), items...)
+}
+
+// stageSpans returns the recorded stage spans in record order. The
+// result aliases the trace's storage (with no spare capacity, so an
+// append copies); treat it as read-only.
+func (t *Trace) stageSpans() []Span {
+	n := min(t.nextStage.Load(), maxStageSpans)
+	return t.stages[:n:n]
 }
 
 // StageBreakdown sums the top-level (depth 0) stage durations by name,
@@ -277,8 +300,8 @@ func (t *Trace) Spans() []Span {
 // summed durations approximate (and never double-count) the total.
 func (t *Trace) StageBreakdown() (names []string, durs []time.Duration) {
 	idx := make(map[string]int)
-	for _, s := range t.Spans() {
-		if s.Worker >= 0 || s.Depth != 0 {
+	for _, s := range t.stageSpans() {
+		if s.Depth != 0 {
 			continue
 		}
 		i, ok := idx[s.Name]
@@ -297,8 +320,8 @@ func (t *Trace) StageBreakdown() (names []string, durs []time.Duration) {
 // queue wait regardless of where admission ran.
 func (t *Trace) StageDur(name string) time.Duration {
 	var d time.Duration
-	for _, s := range t.Spans() {
-		if s.Worker < 0 && s.Name == name {
+	for _, s := range t.stageSpans() {
+		if s.Name == name {
 			d += s.Dur
 		}
 	}

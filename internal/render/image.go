@@ -63,23 +63,65 @@ func MaxDiff(a, b *Image) float64 {
 	return m
 }
 
+// bg is the dark background the 8-bit encoders composite frames over.
+const bg = 0.02
+
+// gamma8 is the reference 8-bit gamma encoder for v >= 0: v^(1/2.2),
+// clamped to [0, 1] and rounded half up. to8 reproduces it without
+// math.Pow. (Below 0 and at NaN, math.Pow returns NaN, whose uint8
+// conversion is platform-defined.)
+func gamma8(v float32) uint8 {
+	f := math.Pow(float64(v), 1/2.2)
+	if f < 0 {
+		f = 0
+	}
+	if f > 1 {
+		f = 1
+	}
+	return uint8(f*255 + 0.5)
+}
+
+// gammaThresholds[k-1] is the smallest float32 that gamma8 encodes as k
+// or more, found by bisecting gamma8 over the float32 bit patterns of
+// [0, 1] (their order is the order of the values, and gamma8 is
+// monotone there). gamma8(1) = 255, so every threshold is at most 1.
+var gammaThresholds = func() (th [255]float32) {
+	one := math.Float32bits(1)
+	for k := range th {
+		lo, hi := uint32(0), one // gamma8(lo) <= k < gamma8(hi)
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			if int(gamma8(math.Float32frombits(mid))) > k {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		th[k] = math.Float32frombits(hi)
+	}
+	return th
+}()
+
+// to8 gamma-encodes a linear channel value to 8 bits: the number of
+// thresholds at or below v, by an eight-step binary search. It equals
+// gamma8 for every v >= 0 (1 and above encode as 255); NaN and
+// negative values encode as 0.
+func to8(v float32) uint8 {
+	n := 0
+	for step := 128; step > 0; step >>= 1 {
+		if gammaThresholds[n+step-1] <= v {
+			n += step
+		}
+	}
+	return uint8(n)
+}
+
 // WritePPM writes the image as a binary PPM (P6) over a dark
 // background, clamping and gamma-correcting to 8-bit.
 func (im *Image) WritePPM(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "P6\n%d %d\n255\n", im.W, im.H); err != nil {
 		return err
-	}
-	const bg = 0.02
-	to8 := func(v float32) byte {
-		f := math.Pow(float64(v), 1/2.2)
-		if f < 0 {
-			f = 0
-		}
-		if f > 1 {
-			f = 1
-		}
-		return byte(f*255 + 0.5)
 	}
 	buf := make([]byte, 0, im.W*3)
 	for y := 0; y < im.H; y++ {
@@ -113,17 +155,6 @@ func (im *Image) SavePPM(path string) error {
 // background with gamma correction, for PNG export.
 func (im *Image) ToNRGBA() *image.NRGBA {
 	out := image.NewNRGBA(image.Rect(0, 0, im.W, im.H))
-	const bg = 0.02
-	to8 := func(v float32) uint8 {
-		f := math.Pow(float64(v), 1/2.2)
-		if f < 0 {
-			f = 0
-		}
-		if f > 1 {
-			f = 1
-		}
-		return uint8(f*255 + 0.5)
-	}
 	for y := 0; y < im.H; y++ {
 		for x := 0; x < im.W; x++ {
 			p := im.At(x, y)

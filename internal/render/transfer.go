@@ -68,8 +68,9 @@ func evalPiecewise(pts []ControlPoint, v float64) RGBA {
 }
 
 // Eval maps a scalar value (clamped to [0,1]) through the baked table.
+// NaN maps like 0, so a NaN sample in a volume is treated as empty.
 func (tf *TransferFunc) Eval(v float32) RGBA {
-	if v < 0 {
+	if !(v >= 0) {
 		v = 0
 	}
 	if v > 1 {
