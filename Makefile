@@ -98,7 +98,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzZOrderRoundTrip -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzHilbertRoundTrip -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzStepRoundTrip -fuzztime=$(FUZZTIME) ./internal/morton
-	$(GO) test -run='^$$' -fuzz=FuzzStepperWalk -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzBitLayoutRoundTrip -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzManifestRoundTrip -fuzztime=$(FUZZTIME) ./internal/volume
 	$(GO) test -run='^$$' -fuzz=FuzzBrickHeaderRoundTrip -fuzztime=$(FUZZTIME) ./internal/volume

@@ -830,6 +830,18 @@ func (s *server) respondStored(w http.ResponseWriter, v *store.Volume) {
 // 256 MiB (a 512³ uint16 volume, or 256³ float64 with headroom).
 const maxUploadBytes = 256 << 20
 
+// checkBufferBytes refuses a layout whose buffer would take more than
+// limit bytes at the dtype's width. The buffer is Len() elements,
+// padding included, so the logical voxel count bounds nothing on its
+// own: "bit:yz" + 25 y's + "x" addresses a 2³ volume through a
+// 2²⁷-element buffer. Run it before anything is allocated.
+func checkBufferBytes(l sfcmem.Layout, dt sfcmem.Dtype, limit int64) error {
+	if int64(l.Len()) > limit/int64(dt.Size()) {
+		return fmt.Errorf("layout %s needs %d %s elements, past the %d-byte limit", l.Name(), l.Len(), dt, limit)
+	}
+	return nil
+}
+
 // handleUploadVolume stores a client-supplied raw volume:
 //
 //	PUT /volumes/{name}?dtype=uint8&layout=zorder&nx=64&ny=64&nz=64
@@ -870,15 +882,15 @@ func (s *server) handleUploadVolume(w http.ResponseWriter, r *http.Request) {
 		}
 		dims[i] = n
 	}
-	if int64(dims[0])*int64(dims[1])*int64(dims[2])*int64(dt.Size()) > maxUploadBytes {
-		http.Error(w, fmt.Sprintf("volume exceeds the %d-byte upload limit", maxUploadBytes), http.StatusRequestEntityTooLarge)
-		return
-	}
 	// Spec-aware parse after the dims are known: a bit-interleave layout
 	// ("bit:yxzyxz…") validates against the extents it must address.
 	l, err := sfcmem.ParseLayoutSpec(layoutName, dims[0], dims[1], dims[2])
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if err := checkBufferBytes(l, dt, maxUploadBytes); err != nil {
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
 		return
 	}
 	g, err := sfcmem.LoadRawAny(http.MaxBytesReader(w, r.Body, maxUploadBytes), dt, l)

@@ -456,3 +456,47 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 	t.Fatalf("timed out waiting for %s", what)
 }
+
+// TestPaddedBufferBounded checks that both volume-creating endpoints
+// bound the buffer a layout pads to, not just the logical voxel count:
+// a 2³ volume whose x bit sits at index bit 27 asks for a 2²⁷-element
+// buffer (512 MiB of float32, 128 MiB of uint8), and must be refused
+// before anything is allocated — by the upload cap (256 MiB) and by the
+// create cap (512³ elements).
+func TestPaddedBufferBounded(t *testing.T) {
+	a, _, _ := startApp(t, testConfig())
+	base := "http://" + a.apiAddr()
+	spec := "bit:yz" + strings.Repeat("y", 25) + "x"
+
+	req, err := http.NewRequest(http.MethodPut,
+		base+"/volumes/pad?dtype=float32&nx=2&ny=2&nz=2&layout="+spec, bytes.NewReader(make([]byte, 8*4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), "limit") {
+		t.Errorf("padded upload: status %d body %s, want 413 naming the limit", resp.StatusCode, body)
+	}
+
+	resp = postJSON(t, base+"/volumes", createVolumeRequest{Name: "pad", Dataset: "plume", Size: 2, Layout: spec, Dtype: "uint8"})
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "limit") {
+		t.Errorf("padded create: status %d body %s, want 400 naming the limit", resp.StatusCode, body)
+	}
+	if _, err := a.srv.store.Get("pad"); err == nil {
+		t.Error("a refused volume reached the store")
+	}
+
+	// The same small volume under a compact layout is still welcome.
+	resp = postJSON(t, base+"/volumes", createVolumeRequest{Name: "pad", Dataset: "plume", Size: 2, Layout: "bit:xyz", Dtype: "uint8"})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Errorf("compact create: status %d, want 201", resp.StatusCode)
+	}
+}

@@ -19,6 +19,10 @@ import (
 // (and the CI smoke job) render identical frames.
 const datasetSeed = 1
 
+// maxCreateVoxels bounds a synthesized volume's buffer, padding
+// included: the elements of the largest cube a request may name, 512³.
+const maxCreateVoxels = 512 * 512 * 512
+
 // synthesizeVolume builds a named volume from a dataset name, cube edge,
 // layout name and dtype name — the shared backend of the -volume flag
 // and the POST /volumes handler. An empty dtype means float32.
@@ -38,6 +42,9 @@ func synthesizeVolume(name, dataset string, size int, layout, dtype string) (*st
 	}
 	dt, err := sfcmem.ParseDtype(dtype)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkBufferBytes(l, dt, maxCreateVoxels*int64(dt.Size())); err != nil {
 		return nil, err
 	}
 	var g *sfcmem.AnyGrid

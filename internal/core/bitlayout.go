@@ -20,18 +20,19 @@ import (
 // The spec string is read LSB first: spec[b] ∈ {x,y,z} names the axis
 // whose next coordinate bit (the axis's b'-th occurrence, counting
 // occurrences of that letter from the front) occupies bit b of the
-// index. "xyzxyzxyz…" therefore reproduces Z order exactly, "xxxxyy…zz"
-// is row-major on power-of-two extents, and "xxyyzzxyz" packs 4×4×4
-// row-major-ish bricks along a Morton curve.
+// index. "xyzxyzxyz…" therefore is Z order (ZOrder is exactly this
+// layout under its own name), "xxxxyy…zz" is row-major on power-of-two
+// extents, and "xxyyzzxyz" packs 4×4×4 row-major-ish bricks along a
+// Morton curve.
 //
-// Like ZOrder, indexing is table-driven — three per-axis tables of
-// deposited coordinate contributions, so Index is three loads and two
-// adds and the paper's equal-footing comparison holds — and because the
-// per-axis contributions occupy disjoint bit lanes their sum equals
-// their OR, so BitLayout is Separable and rides every flat fast path
-// unchanged. Neighbor stepping works too: a step is the same masked
-// carry/borrow arithmetic as Morton's, just over the axis's own mask
-// (morton.IncMask), dispatched as core.StepMasked.
+// Indexing is table-driven — three per-axis tables of deposited
+// coordinate contributions, the paper's dilated-bit tables generalized,
+// so Index is three loads and two adds and the paper's equal-footing
+// comparison holds — and because the per-axis contributions occupy
+// disjoint bit lanes their sum equals their OR, so BitLayout is
+// Separable and rides every flat fast path unchanged. A +x neighbor
+// step is a masked carry over the axis's own lane (morton.IncMask),
+// described by core.StepMasked.
 type BitLayout struct {
 	spec       string // canonical (lower-case) interleave, LSB first
 	mx, my, mz uint64 // per-axis bit lanes; disjoint, covering spec
@@ -145,8 +146,8 @@ func RoundRobinSpec(nx, ny, nz int) string {
 }
 
 // Index returns the interleaved offset of (i,j,k) via three table loads
-// and two adds — the same cost shape as ZOrder.Index, per the paper's
-// equal-footing requirement.
+// and two adds — the same cost shape as ArrayOrder.Index, per the
+// paper's equal-footing requirement.
 func (b *BitLayout) Index(i, j, k int) int { return b.xi[i] + b.yi[j] + b.zi[k] }
 
 // Dims returns the logical grid extents.
@@ -170,7 +171,8 @@ func (b *BitLayout) Spec() string { return b.spec }
 func (b *BitLayout) Masks() (mx, my, mz uint64) { return b.mx, b.my, b.mz }
 
 // Overhead reports the fraction of the buffer wasted by interleave
-// padding: Len()/ideal - 1, the same accounting as ZOrder.Overhead.
+// padding: Len()/ideal - 1, the same accounting as ZTiled.Overhead.
+// Zero for cubic power-of-two Z order.
 func (b *BitLayout) Overhead() float64 {
 	ideal := float64(b.nx) * float64(b.ny) * float64(b.nz)
 	return float64(b.length)/ideal - 1

@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"sfcmem/internal/morton"
 )
 
 // TestBitLayoutReproducesZOrder pins the search space's anchor point:
@@ -92,13 +94,14 @@ func TestBitLayoutInjective(t *testing.T) {
 }
 
 // TestBitLayoutSteppers walks every cell of a padded grid under an
-// irregular interleave: each masked step must agree with Index, exactly
-// as the ZOrder and ZTiled stepper tests require.
+// irregular interleave: StepX, and the masked y/z increments over the
+// layout's own lanes, must agree with Index.
 func TestBitLayoutSteppers(t *testing.T) {
 	b, err := NewBitLayout(12, 9, 5, "zxyxzyxyzxyx") // surplus x occurrence included
 	if err != nil {
 		t.Fatalf("NewBitLayout: %v", err)
 	}
+	_, my, mz := b.Masks()
 	for k := 0; k < 5; k++ {
 		for j := 0; j < 9; j++ {
 			for i := 0; i < 12; i++ {
@@ -106,59 +109,14 @@ func TestBitLayoutSteppers(t *testing.T) {
 				if i+1 < 12 && b.StepX(idx) != b.Index(i+1, j, k) {
 					t.Fatalf("StepX broken at (%d,%d,%d)", i, j, k)
 				}
-				if j+1 < 9 && b.StepY(idx) != b.Index(i, j+1, k) {
-					t.Fatalf("StepY broken at (%d,%d,%d)", i, j, k)
+				if j+1 < 9 && int(morton.IncMask(uint64(idx), my)) != b.Index(i, j+1, k) {
+					t.Fatalf("+y step broken at (%d,%d,%d)", i, j, k)
 				}
-				if k+1 < 5 && b.StepZ(idx) != b.Index(i, j, k+1) {
-					t.Fatalf("StepZ broken at (%d,%d,%d)", i, j, k)
-				}
-				if i > 0 && b.BackX(idx) != b.Index(i-1, j, k) {
-					t.Fatalf("BackX broken at (%d,%d,%d)", i, j, k)
-				}
-				if j > 0 && b.BackY(idx) != b.Index(i, j-1, k) {
-					t.Fatalf("BackY broken at (%d,%d,%d)", i, j, k)
-				}
-				if k > 0 && b.BackZ(idx) != b.Index(i, j, k-1) {
-					t.Fatalf("BackZ broken at (%d,%d,%d)", i, j, k)
+				if k+1 < 5 && int(morton.IncMask(uint64(idx), mz)) != b.Index(i, j, k+1) {
+					t.Fatalf("+z step broken at (%d,%d,%d)", i, j, k)
 				}
 			}
 		}
-	}
-}
-
-// TestBitLayoutTrySteppersRefuse pins the checked walkers' edge
-// behavior at logical extents interior to the padded index space — the
-// same hazard the ZOrder Try forms guard.
-func TestBitLayoutTrySteppersRefuse(t *testing.T) {
-	b, err := NewBitLayout(5, 6, 7, RoundRobinSpec(5, 6, 7))
-	if err != nil {
-		t.Fatalf("NewBitLayout: %v", err)
-	}
-	edge := b.Index(4, 5, 6)
-	if _, ok := b.TryStepX(edge); ok {
-		t.Error("TryStepX stepped into x padding")
-	}
-	if _, ok := b.TryStepY(edge); ok {
-		t.Error("TryStepY stepped into y padding")
-	}
-	if _, ok := b.TryStepZ(edge); ok {
-		t.Error("TryStepZ stepped into z padding")
-	}
-	if got, ok := b.TryBackX(edge); !ok || got != b.Index(3, 5, 6) {
-		t.Errorf("TryBackX = %d, %v", got, ok)
-	}
-	origin := b.Index(0, 0, 0)
-	if _, ok := b.TryBackX(origin); ok {
-		t.Error("TryBackX stepped below zero")
-	}
-	if _, ok := b.TryBackY(origin); ok {
-		t.Error("TryBackY stepped below zero")
-	}
-	if _, ok := b.TryBackZ(origin); ok {
-		t.Error("TryBackZ stepped below zero")
-	}
-	if got, ok := b.TryStepX(origin); !ok || got != b.Index(1, 0, 0) {
-		t.Errorf("TryStepX(origin) = %d, %v", got, ok)
 	}
 }
 

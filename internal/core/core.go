@@ -9,15 +9,22 @@
 //   - array order: a yoffset table (yoffset[j] = j*nx) and a zoffset
 //     table (zoffset[k] = k*nx*ny); Index is two loads and two adds.
 //   - Z order: three per-axis tables of dilated (bit-spread) coordinate
-//     contributions; Index is three loads and two ORs.
+//     contributions; Index is three loads and two adds (the lanes are
+//     disjoint, so the adds are the paper's ORs).
 //
 // So the measured runtime difference between the two reflects memory
 // locality, not indexing arithmetic.
 //
-// Two further layouts support the paper's related-work comparisons:
-// Tiled (cache blocking, §II-A) and Hilbert (Reissmann et al. 2014,
-// §II-B). Applications access all of them through the Layout interface,
-// exactly as the paper's getIndex(i,j,k) call.
+// Z order is not a separate implementation: it is the round-robin
+// instance ("xyzxyz…") of BitLayout, the generalized-Morton layout
+// whose interleave string assigns every index bit to an axis and which
+// the autotuner (internal/tune) searches.
+//
+// Further layouts support the paper's related-work comparisons: Tiled
+// (cache blocking, §II-A), Hilbert (Reissmann et al. 2014, §II-B),
+// ZTiled (Morton inside bricks, §V) and HZOrder (Pascucci & Frank 2001).
+// Applications access all of them through the Layout interface, exactly
+// as the paper's getIndex(i,j,k) call.
 package core
 
 import (
@@ -201,55 +208,40 @@ func (a *ArrayOrder) Len() int { return a.nx * a.ny * a.nz }
 // Name returns "array".
 func (a *ArrayOrder) Name() string { return "array" }
 
-// ZOrder is the Z-order (Morton) space-filling curve layout.
-type ZOrder struct {
-	t          *morton.Table3
-	xi, yi, zi []int // the Table3 dilated contributions as ints (AxisOffsets)
-	nx, ny, nz int
-	length     int
-}
+// ZOrder is the Z-order (Morton) space-filling curve layout: the
+// BitLayout whose interleave is the round-robin spec "xyzxyz…", so bit n
+// of i lands at index bit 3n, of j at 3n+1 and of k at 3n+2 — exactly
+// morton.Encode3. Its tables are the paper's three per-axis tables of
+// dilated coordinate bits (§III-C); Index, Len, Overhead, AxisOffsets,
+// Coords and StepX are BitLayout's. Non-power-of-two extents pad the
+// buffer to the far corner's code plus one (paper §V).
+type ZOrder struct{ BitLayout }
 
-// NewZOrder builds a Z-order layout for an nx×ny×nz grid. Non-power-of-
-// two extents are supported by padding the buffer (paper §V).
+// NewZOrder builds a Z-order layout for an nx×ny×nz grid. Every axis
+// gets as many interleave slots as the largest extent needs, so the
+// code is the plain Morton code; extents past morton.Max3+1 (21 bits
+// per axis) do not fit the 63-bit index and panic.
 func NewZOrder(nx, ny, nz int) *ZOrder {
 	checkDims(nx, ny, nz)
-	t := morton.NewTable3(nx, ny, nz)
-	z := &ZOrder{t: t, nx: nx, ny: ny, nz: nz, length: t.PaddedLen()}
-	z.xi = make([]int, nx)
-	z.yi = make([]int, ny)
-	z.zi = make([]int, nz)
-	for i := 0; i < nx; i++ {
-		z.xi[i] = int(t.Index(i, 0, 0))
+	for _, n := range [3]int{nx, ny, nz} {
+		if n > morton.Max3+1 {
+			panic(fmt.Sprintf("core: zorder extent %d out of range [1, %d]", n, morton.Max3+1))
+		}
 	}
-	for j := 0; j < ny; j++ {
-		z.yi[j] = int(t.Index(0, j, 0))
+	spec := "x" // 1×1×1 grid: any single-letter spec addresses it
+	if b := max(bitsFor(nx), bitsFor(ny), bitsFor(nz)); b > 0 {
+		spec = strings.Repeat("xyz", b)
 	}
-	for k := 0; k < nz; k++ {
-		z.zi[k] = int(t.Index(0, 0, k))
+	bl, err := NewBitLayout(nx, ny, nz, spec)
+	if err != nil {
+		panic(err) // unreachable: the spec addresses every extent in range
 	}
-	return z
+	return &ZOrder{*bl}
 }
 
-// Index returns the Morton code of (i,j,k) via three table loads and two
-// ORs.
-func (z *ZOrder) Index(i, j, k int) int { return int(z.t.Index(i, j, k)) }
-
-// Dims returns the logical grid extents.
-func (z *ZOrder) Dims() (nx, ny, nz int) { return z.nx, z.ny, z.nz }
-
-// Len returns the padded buffer length required by the interleaved
-// indices; equal to nx*ny*nz when the extents are equal powers of two.
-func (z *ZOrder) Len() int { return z.length }
-
-// Name returns "zorder".
+// Name returns "zorder", not the BitLayout's "bit:xyz…" spec name:
+// Z order keeps its registry name in manifests and responses.
 func (z *ZOrder) Name() string { return "zorder" }
-
-// Overhead reports the fraction of the buffer wasted by power-of-two
-// padding: Len()/ideal - 1. Zero for cubic power-of-two grids.
-func (z *ZOrder) Overhead() float64 {
-	ideal := float64(z.nx) * float64(z.ny) * float64(z.nz)
-	return float64(z.length)/ideal - 1
-}
 
 // DefaultTile is the default tile edge for the Tiled layout: 64 float32
 // elements per tile row would overshoot, 8³ tiles (2KB of float32) sit
@@ -340,7 +332,7 @@ type Hilbert struct {
 // NewHilbert builds a Hilbert layout for an nx×ny×nz grid.
 func NewHilbert(nx, ny, nz int) *Hilbert {
 	checkDims(nx, ny, nz)
-	side := morton.NextPow2(max3(nx, ny, nz))
+	side := morton.NextPow2(max(nx, ny, nz))
 	bits := morton.Log2(side)
 	if bits == 0 {
 		bits = 1
@@ -362,13 +354,3 @@ func (h *Hilbert) Len() int { return h.length }
 
 // Name returns "hilbert".
 func (h *Hilbert) Name() string { return "hilbert" }
-
-func max3(a, b, c int) int {
-	if b > a {
-		a = b
-	}
-	if c > a {
-		a = c
-	}
-	return a
-}

@@ -130,5 +130,17 @@ func FuzzBitLayoutRoundTrip(f *testing.F) {
 			t.Fatalf("NewBitLayout(%d,%d,%d,%q): %v", nx, ny, nz, spec, err)
 		}
 		checkLayoutRoundTrip(t, l, nx, ny, nz, iRaw, jRaw, kRaw)
+
+		// The +x step, for the shuffled spec and for Z order (the
+		// round-robin spec) alike, lands where Index puts the neighbor.
+		i, j, k := fuzzCoord(iRaw, nx), fuzzCoord(jRaw, ny), fuzzCoord(kRaw, nz)
+		if i+1 == nx {
+			return
+		}
+		for _, b := range []*BitLayout{l, &NewZOrder(nx, ny, nz).BitLayout} {
+			if got, want := b.StepX(b.Index(i, j, k)), b.Index(i+1, j, k); got != want {
+				t.Fatalf("%s %dx%dx%d: StepX at (%d,%d,%d) = %d, want %d", b.Name(), nx, ny, nz, i, j, k, got, want)
+			}
+		}
 	})
 }

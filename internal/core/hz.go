@@ -21,7 +21,7 @@ import (
 // The cost is a slightly heavier Index (a Morton lookup plus trailing-
 // zero arithmetic) and the same power-of-two cube padding as Hilbert.
 type HZOrder struct {
-	t          *morton.Table3
+	z          *ZOrder // the Morton code (and its inverse) of a sample
 	nx, ny, nz int
 	totalBits  uint
 	length     int
@@ -31,10 +31,10 @@ type HZOrder struct {
 // enclosing power-of-two cube.
 func NewHZOrder(nx, ny, nz int) *HZOrder {
 	checkDims(nx, ny, nz)
-	side := morton.NextPow2(max3(nx, ny, nz))
+	side := morton.NextPow2(max(nx, ny, nz))
 	b := uint(morton.Log2(side))
 	return &HZOrder{
-		t:  morton.NewTable3(nx, ny, nz),
+		z:  NewZOrder(nx, ny, nz),
 		nx: nx, ny: ny, nz: nz,
 		totalBits: 3 * b,
 		length:    1 << (3 * b),
@@ -43,7 +43,7 @@ func NewHZOrder(nx, ny, nz int) *HZOrder {
 
 // Index returns the HZ index of (i,j,k).
 func (h *HZOrder) Index(i, j, k int) int {
-	m := h.t.Index(i, j, k)
+	m := uint64(h.z.Index(i, j, k))
 	if m == 0 {
 		return 0
 	}
@@ -60,9 +60,7 @@ func (h *HZOrder) Coords(idx int) (i, j, k int, ok bool) {
 		t := h.totalBits - hb - 1
 		m = (uint64(idx)-1<<hb)<<(t+1) | 1<<t
 	}
-	x, y, z := morton.Decode3(m)
-	i, j, k = int(x), int(y), int(z)
-	return i, j, k, i < h.nx && j < h.ny && k < h.nz
+	return h.z.Coords(int(m))
 }
 
 // Dims returns the logical grid extents.

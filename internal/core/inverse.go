@@ -40,14 +40,6 @@ func (a *ArrayOrder) Coords(idx int) (i, j, k int, ok bool) {
 	return i, j, k, true
 }
 
-// Coords inverts the Morton code; offsets in the power-of-two padding
-// (coordinates outside the logical extents) report ok == false.
-func (z *ZOrder) Coords(idx int) (i, j, k int, ok bool) {
-	x, y, zz := morton.Decode3(uint64(idx))
-	i, j, k = int(x), int(y), int(zz)
-	return i, j, k, i < z.nx && j < z.ny && k < z.nz
-}
-
 // Coords inverts tiled indexing; offsets inside partial-tile padding
 // report ok == false.
 func (t *Tiled) Coords(idx int) (i, j, k int, ok bool) {

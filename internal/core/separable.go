@@ -45,11 +45,6 @@ func (a *ArrayOrder) AxisOffsets() (xs, ys, zs []int) { return a.xoffset, a.yoff
 // arithmetic degenerates to.
 func (a *ArrayOrder) Strides() (sx, sy, sz int) { return 1, a.nx, a.nx * a.ny }
 
-// AxisOffsets returns the dilated per-axis Morton tables as ints. The
-// three tables occupy disjoint bit lanes (bits 3n, 3n+1, 3n+2), so
-// summing them equals ORing them.
-func (z *ZOrder) AxisOffsets() (xs, ys, zs []int) { return z.xi, z.yi, z.zi }
-
 // AxisOffsets returns per-axis tables combining each coordinate's brick
 // base and intra-brick offset (xb[i]+xr[i], ...): both depend only on
 // their own coordinate, so the tiled index is their plain sum.

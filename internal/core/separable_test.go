@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"sfcmem/internal/morton"
+)
 
 // separableKinds are the layouts that must implement Separable; Hilbert
 // and HZ order are excluded by design (cross-coordinate dependencies).
@@ -62,10 +66,12 @@ func TestArrayOrderStrides(t *testing.T) {
 	}
 }
 
+// TestZOrderSteppers walks a padded Z-order grid: StepX, and the masked
+// y/z increments its StepSpec describes, must agree with Index on every
+// in-grid step.
 func TestZOrderSteppers(t *testing.T) {
-	// Include a non-power-of-two extent: steppers operate on the padded
-	// index space, so any in-grid step must still agree with Index.
 	z := NewZOrder(12, 8, 5)
+	s := StepSpecFor(z)
 	for k := 0; k < 5; k++ {
 		for j := 0; j < 8; j++ {
 			for i := 0; i < 12; i++ {
@@ -73,11 +79,11 @@ func TestZOrderSteppers(t *testing.T) {
 				if i+1 < 12 && z.StepX(idx) != z.Index(i+1, j, k) {
 					t.Fatalf("StepX broken at (%d,%d,%d)", i, j, k)
 				}
-				if j+1 < 8 && z.StepY(idx) != z.Index(i, j+1, k) {
-					t.Fatalf("StepY broken at (%d,%d,%d)", i, j, k)
+				if j+1 < 8 && int(morton.IncMask(uint64(idx), s.MY)) != z.Index(i, j+1, k) {
+					t.Fatalf("+y step broken at (%d,%d,%d)", i, j, k)
 				}
-				if k+1 < 5 && z.StepZ(idx) != z.Index(i, j, k+1) {
-					t.Fatalf("StepZ broken at (%d,%d,%d)", i, j, k)
+				if k+1 < 5 && int(morton.IncMask(uint64(idx), s.MZ)) != z.Index(i, j, k+1) {
+					t.Fatalf("+z step broken at (%d,%d,%d)", i, j, k)
 				}
 			}
 		}

@@ -82,73 +82,3 @@ func (c *CountingSink) Access(_ uint64, write bool) {
 
 // Total returns Reads+Writes.
 func (c *CountingSink) Total() uint64 { return c.Reads + c.Writes }
-
-// TracedTables is a Traced view that additionally replays the per-axis
-// offset-table loads a kernel issues when it resolves every access
-// through the tables: the innermost x-table load per element, and the
-// hoisted y-/z-table loads once per (j) / (k) change. A walk that keeps
-// its index in registers issues none of these — comparing the two
-// streams through the cache simulator isolates the index traffic.
-// Table entries are 8 bytes (int offsets) and live at tableBase, laid
-// out X then Y then Z.
-//
-// The view is sequential like every traced view: one simulated thread
-// per view, accesses replayed in program order.
-type TracedTables[T Scalar] struct {
-	tr        *Traced[T]
-	sink      Sink
-	tableBase uint64
-	yBase     uint64
-	zBase     uint64
-	lastJ     int
-	lastK     int
-}
-
-// NewTracedTables wraps g like NewTraced and places the per-axis offset
-// tables at tableBase in the simulated address space.
-func NewTracedTables[T Scalar](g *Grid[T], base, tableBase uint64, sink Sink) *TracedTables[T] {
-	nx, ny, _ := g.Dims()
-	return &TracedTables[T]{
-		tr:        NewTraced(g, base, sink),
-		sink:      sink,
-		tableBase: tableBase,
-		yBase:     tableBase + uint64(nx)*8,
-		zBase:     tableBase + uint64(nx+ny)*8,
-		lastJ:     -1,
-		lastK:     -1,
-	}
-}
-
-// At replays the table loads for (i,j,k), then the element read.
-func (t *TracedTables[T]) At(i, j, k int) T {
-	t.sink.Access(t.tableBase+uint64(i)*8, false)
-	if j != t.lastJ {
-		t.sink.Access(t.yBase+uint64(j)*8, false)
-		t.lastJ = j
-	}
-	if k != t.lastK {
-		t.sink.Access(t.zBase+uint64(k)*8, false)
-		t.lastK = k
-	}
-	return t.tr.At(i, j, k)
-}
-
-// Set replays the destination's table loads, then the element write.
-func (t *TracedTables[T]) Set(i, j, k int, v T) {
-	t.sink.Access(t.tableBase+uint64(i)*8, false)
-	if j != t.lastJ {
-		t.sink.Access(t.yBase+uint64(j)*8, false)
-		t.lastJ = j
-	}
-	if k != t.lastK {
-		t.sink.Access(t.zBase+uint64(k)*8, false)
-		t.lastK = k
-	}
-	t.tr.Set(i, j, k, v)
-}
-
-// Dims returns the underlying grid's extents.
-func (t *TracedTables[T]) Dims() (nx, ny, nz int) { return t.tr.Dims() }
-
-// Grid returns the wrapped grid.
-func (t *TracedTables[T]) Grid() *Grid[T] { return t.tr.Grid() }

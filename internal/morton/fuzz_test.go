@@ -2,87 +2,43 @@ package morton
 
 import "testing"
 
-// FuzzStepRoundTrip drives the dilated-bit neighbor steps with arbitrary
-// Morton codes and pins the stepper contract the kernel walks rely on:
+// FuzzStepRoundTrip drives IncMask with arbitrary codes over arbitrary
+// disjoint axis lanes and checks it against the deposit/extract model
+// of an interleaved index: the step rewrites only the stepped lane,
+// whose coordinate goes up by exactly one, so
 //
-//   - round trip: Dec•(Inc•(c)) == c and Inc•(Dec•(c)) == c wherever the
-//     step is legal,
-//   - lane isolation: stepping one axis never disturbs the other two
-//     decoded coordinates,
-//   - bounded edges: the checked variants refuse exactly at the extent
-//     edge (x+1 == limit) and at zero, returning the code unchanged.
+//	IncMask(c, m) == c&^m | Deposit(Extract(c, m)+1, m)
 //
-// Arbitrary codes (not just Encode3 outputs) matter: any 63-bit value is
-// a valid code for some (x,y,z), and the masked add/subtract must confine
-// carries and borrows to one lane for all of them.
+// (Deposit drops the carry out of the top, so past the lane's largest
+// coordinate the lane wraps to zero instead of spilling into another).
+// Stepping one lane leaves every other lane's coordinate as it was.
+//
+// The Morton lanes (XMask, YMask, ZMask) seed the corpus; any three
+// disjoint masks describe some core.BitLayout, and the masked carry
+// must stay inside its lane for all of them.
 func FuzzStepRoundTrip(f *testing.F) {
-	f.Add(uint64(0))
-	f.Add(Encode3(1, 1, 1))
-	f.Add(Encode3(Max3, Max3, Max3))
-	f.Add(Encode3(7, 0, 15))    // x lane saturated below bit 3
-	f.Add(Encode3(0, 1<<20, 0)) // single high y bit
-	f.Add(XMask)                // all-ones x lane
-	f.Fuzz(func(t *testing.T, raw uint64) {
-		c := raw & (XMask | YMask | ZMask) // 63 usable bits
-		x, y, z := Decode3(c)
-
-		type axis struct {
-			name     string
-			coord    uint32
-			inc, dec func(uint64) uint64
-			incB     func(uint64, uint32) (uint64, bool)
-			decB     func(uint64) (uint64, bool)
-		}
-		axes := []axis{
-			{"x", x, IncX, DecX, IncXBounded, DecXBounded},
-			{"y", y, IncY, DecY, IncYBounded, DecYBounded},
-			{"z", z, IncZ, DecZ, IncZBounded, DecZBounded},
-		}
-		for n, a := range axes {
-			if a.coord < Max3 {
-				up := a.inc(c)
-				// Lane isolation: only this axis moved, by exactly one.
-				ux, uy, uz := Decode3(up)
-				got := [3]uint32{ux, uy, uz}
-				want := [3]uint32{x, y, z}
-				want[n]++
-				if got != want {
-					t.Fatalf("Inc%s(%#x): decoded %v, want %v", a.name, c, got, want)
-				}
-				if back := a.dec(up); back != c {
-					t.Fatalf("Dec%s(Inc%s(%#x)) = %#x", a.name, a.name, c, back)
-				}
+	f.Add(uint64(0), XMask, YMask, ZMask)
+	f.Add(Encode3(1, 1, 1), XMask, YMask, ZMask)
+	f.Add(Encode3(Max3, Max3, Max3), XMask, YMask, ZMask)
+	f.Add(Encode3(7, 0, 15), XMask, YMask, ZMask)    // x lane saturated below bit 3
+	f.Add(Encode3(0, 1<<20, 0), XMask, YMask, ZMask) // single high y bit
+	f.Add(XMask, XMask, YMask, ZMask)                // all-ones x lane
+	f.Add(uint64(0b101101), uint64(0b000011), uint64(0b001100), uint64(0b110000))
+	f.Add(^uint64(0), uint64(1)<<63, uint64(0xff), uint64(0xff00))
+	f.Fuzz(func(t *testing.T, code, mx, my, mz uint64) {
+		// Make the lanes disjoint, x taking precedence.
+		my &^= mx
+		mz &^= mx | my
+		lanes := [3]uint64{mx, my, mz}
+		for n, m := range lanes {
+			up := IncMask(code, m)
+			if want := code&^m | Deposit(Extract(code, m)+1, m); up != want {
+				t.Fatalf("IncMask(%#x, %#x) = %#x, want %#x", code, m, up, want)
 			}
-			if a.coord > 0 {
-				down := a.dec(c)
-				dx, dy, dz := Decode3(down)
-				got := [3]uint32{dx, dy, dz}
-				want := [3]uint32{x, y, z}
-				want[n]--
-				if got != want {
-					t.Fatalf("Dec%s(%#x): decoded %v, want %v", a.name, c, got, want)
+			for o, other := range lanes {
+				if o != n && Extract(up, other) != Extract(code, other) {
+					t.Fatalf("IncMask(%#x, %#x) moved lane %#x", code, m, other)
 				}
-				if back := a.inc(down); back != c {
-					t.Fatalf("Inc%s(Dec%s(%#x)) = %#x", a.name, a.name, c, back)
-				}
-			}
-
-			// Bounded steps: refuse exactly at the edge, agree with the
-			// unchecked step inside it.
-			if got, ok := a.incB(c, a.coord+1); ok || got != c {
-				t.Fatalf("Inc%sBounded(%#x, %d) = %#x, %v; want refusal", a.name, c, a.coord+1, got, ok)
-			}
-			if a.coord < Max3 {
-				if got, ok := a.incB(c, a.coord+2); !ok || got != a.inc(c) {
-					t.Fatalf("Inc%sBounded(%#x, %d) = %#x, %v; want step", a.name, c, a.coord+2, got, ok)
-				}
-			}
-			if a.coord == 0 {
-				if got, ok := a.decB(c); ok || got != c {
-					t.Fatalf("Dec%sBounded(%#x) = %#x, %v; want refusal at zero", a.name, c, got, ok)
-				}
-			} else if got, ok := a.decB(c); !ok || got != a.dec(c) {
-				t.Fatalf("Dec%sBounded(%#x) = %#x, %v; want step", a.name, c, got, ok)
 			}
 		}
 	})

@@ -1,19 +1,17 @@
 package morton
 
-// Generic dilated-bit arithmetic over arbitrary axis masks. The fixed
-// Morton helpers (IncX over XMask = …001001001…) are the special case
-// where each axis owns every third bit; a generalized bit-interleave
-// layout (core.BitLayout) assigns axes to bit positions freely, so its
-// per-axis masks are arbitrary — but the same carry/borrow trick works
-// for any mask: flood the non-mask bits with ones so an add carries
-// straight through them, or subtract within the mask so a borrow rolls
-// through, then splice the untouched axes back in.
+// Dilated-bit arithmetic over arbitrary axis masks. Z order is the
+// special case where each axis owns every third bit (XMask, YMask,
+// ZMask); a generalized bit-interleave layout (core.BitLayout) assigns
+// axes to bit positions freely, so its per-axis masks are arbitrary —
+// but the same carry trick works for any mask: flood the non-mask bits
+// with ones so an add carries straight through them, then splice the
+// untouched axes back in.
 //
 // Deposit/Extract are the software forms of the BMI2 PDEP/PEXT
 // instructions; they are O(popcount(mask)) loops and are used at layout
-// construction and on boundary checks, never in kernel inner loops
-// (those use the O(1) IncMask/DecMask forms, or precomputed deposit
-// tables).
+// construction and in inversion, never in kernel inner loops (those use
+// precomputed deposit tables).
 
 // Deposit scatters the low bits of v into the set positions of mask
 // (software PDEP): bit b of v lands at the position of the b-th set bit
@@ -51,15 +49,7 @@ func Extract(v, mask uint64) uint64 {
 // mask's lowest bit carries through any gap between the lane's bits,
 // then the other axes' bits are spliced back unchanged. The caller must
 // ensure the lane is not already at its maximum coordinate (the carry
-// would escape the lane); see the Bounded forms and core.BitLayout's
-// TrySteppers for the checked variants.
+// would escape the lane).
 func IncMask(code, mask uint64) uint64 {
 	return (((code | ^mask) + (mask & -mask)) & mask) | (code &^ mask)
-}
-
-// DecMask is the subtraction half of IncMask: the borrow rolls through
-// the lane's cleared bits. The caller must ensure the lane coordinate
-// is positive (code&mask != 0).
-func DecMask(code, mask uint64) uint64 {
-	return (((code & mask) - (mask & -mask)) & mask) | (code &^ mask)
 }

@@ -8,12 +8,15 @@
 // is nearby in (i,j,k) is likely nearby in physical memory regardless of
 // which axis varies.
 //
-// Three implementations are provided, all producing identical codes:
+// Two encoders are provided, producing identical codes:
 //
-//   - magic-bit (parallel-prefix) dilation: Encode2, Encode3
-//   - 8-bit lookup tables: LUTEncode2, LUTEncode3
+//   - magic-bit (parallel-prefix) dilation: Encode2, Encode3 — the
+//     reference the layouts are tested against;
 //   - per-axis precomputed tables sized to a specific grid (the scheme
-//     the paper adopts from Pascucci & Frank 2001): Table2, Table3
+//     the paper adopts from Pascucci & Frank 2001): Table2 for 2D
+//     planes. The 3D tables are core.ZOrder's: Deposit of each
+//     coordinate into its round-robin lane (XMask, YMask, ZMask, cut to
+//     the grid's bits).
 //
 // The table form is what the memory-layout library uses at run time,
 // because it puts the Z-order index computation (three loads and two ORs)
@@ -112,106 +115,6 @@ const (
 	YMask = XMask << 1
 	ZMask = XMask << 2
 )
-
-// IncX returns the Morton code of (x+1, y, z) given the code of (x, y, z),
-// without decoding. It works by isolating the x bit-lanes, adding one in
-// that dilated domain, and re-merging. The caller must ensure x+1 does
-// not overflow 21 bits; stepping a code whose x lane is saturated within
-// the caller's extent carries into higher x-lane bits (see IncXBounded
-// for the checked form). The carry can never leave the x lane.
-func IncX(code uint64) uint64 {
-	x := (code | ^XMask) + 1
-	return (x & XMask) | (code & ^XMask)
-}
-
-// IncY returns the Morton code of (x, y+1, z) given the code of (x, y, z).
-func IncY(code uint64) uint64 {
-	y := (code | ^YMask) + 2
-	return (y & YMask) | (code & ^YMask)
-}
-
-// IncZ returns the Morton code of (x, y, z+1) given the code of (x, y, z).
-func IncZ(code uint64) uint64 {
-	z := (code | ^ZMask) + 4
-	return (z & ZMask) | (code & ^ZMask)
-}
-
-// DecX returns the Morton code of (x-1, y, z) given the code of (x, y, z):
-// the subtraction half of the dilated-bit recipe (Holzmüller 2017). The
-// isolated x lane is decremented — the borrow runs through the cleared
-// y/z positions and is masked back out — and re-merged with the untouched
-// lanes. The caller must ensure x > 0; decrementing at x == 0 underflows
-// the lane (see DecXBounded for the checked form).
-func DecX(code uint64) uint64 {
-	x := (code & XMask) - 1
-	return (x & XMask) | (code & ^XMask)
-}
-
-// DecY returns the Morton code of (x, y-1, z) given the code of (x, y, z).
-func DecY(code uint64) uint64 {
-	y := (code & YMask) - 2
-	return (y & YMask) | (code & ^YMask)
-}
-
-// DecZ returns the Morton code of (x, y, z-1) given the code of (x, y, z).
-func DecZ(code uint64) uint64 {
-	z := (code & ZMask) - 4
-	return (z & ZMask) | (code & ^ZMask)
-}
-
-// IncXBounded is the boundary-checked IncX: it returns the code of
-// (x+1, y, z) and true when x+1 < limit, and (code, false) otherwise —
-// the case where the unchecked form would carry into x-lane bits beyond
-// the caller's extent. limit is the exclusive x bound (the grid or
-// padded extent).
-func IncXBounded(code uint64, limit uint32) (uint64, bool) {
-	if x := uint32(Compact1By2(code)); x+1 >= limit {
-		return code, false
-	}
-	return IncX(code), true
-}
-
-// IncYBounded is the boundary-checked IncY; see IncXBounded.
-func IncYBounded(code uint64, limit uint32) (uint64, bool) {
-	if y := uint32(Compact1By2(code >> 1)); y+1 >= limit {
-		return code, false
-	}
-	return IncY(code), true
-}
-
-// IncZBounded is the boundary-checked IncZ; see IncXBounded.
-func IncZBounded(code uint64, limit uint32) (uint64, bool) {
-	if z := uint32(Compact1By2(code >> 2)); z+1 >= limit {
-		return code, false
-	}
-	return IncZ(code), true
-}
-
-// DecXBounded is the boundary-checked DecX: it returns the code of
-// (x-1, y, z) and true when x > 0, and (code, false) at the x == 0 edge
-// where the unchecked form would underflow the lane.
-func DecXBounded(code uint64) (uint64, bool) {
-	if code&XMask == 0 {
-		return code, false
-	}
-	return DecX(code), true
-}
-
-// DecYBounded is the boundary-checked DecY; see DecXBounded.
-func DecYBounded(code uint64) (uint64, bool) {
-	if code&YMask == 0 {
-		return code, false
-	}
-	return DecY(code), true
-}
-
-// DecZBounded is the boundary-checked DecZ; see DecXBounded.
-func DecZBounded(code uint64) (uint64, bool) {
-	if code&ZMask == 0 {
-		return code, false
-	}
-	return DecZ(code), true
-}
 
 // NextPow2 returns the smallest power of two >= n, with NextPow2(0) == 1.
 // Z-order indexing requires each grid extent to be padded to a power of

@@ -86,24 +86,6 @@ func TestDecodeEncodeRoundtrip3(t *testing.T) {
 	}
 }
 
-func TestLUTMatchesMagicBits3(t *testing.T) {
-	f := func(x, y, z uint32) bool {
-		return LUTEncode3(x, y, z) == Encode3(x&Max3, y&Max3, z&Max3)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLUTMatchesMagicBits2(t *testing.T) {
-	f := func(x, y uint32) bool {
-		return LUTEncode2(x, y) == Encode2(x, y)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPartCompactInverse(t *testing.T) {
 	f1 := func(x uint32) bool {
 		return Compact1By1(Part1By1(uint64(x))) == uint64(x)
@@ -120,15 +102,17 @@ func TestPartCompactInverse(t *testing.T) {
 	}
 }
 
+// TestIncXYZ steps a Morton code one unit along each axis through
+// IncMask over the axis's dilated lane, without decoding.
 func TestIncXYZ(t *testing.T) {
 	f := func(x, y, z uint32) bool {
 		x &= Max3 - 1
 		y &= Max3 - 1
 		z &= Max3 - 1
 		c := Encode3(x, y, z)
-		return IncX(c) == Encode3(x+1, y, z) &&
-			IncY(c) == Encode3(x, y+1, z) &&
-			IncZ(c) == Encode3(x, y, z+1)
+		return IncMask(c, XMask) == Encode3(x+1, y, z) &&
+			IncMask(c, YMask) == Encode3(x, y+1, z) &&
+			IncMask(c, ZMask) == Encode3(x, y, z+1)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -166,68 +150,6 @@ func TestMortonCodesAreUnique(t *testing.T) {
 		if _, ok := seen[c]; !ok {
 			t.Fatalf("code %d missing: Morton codes not dense on %d^3 grid", c, n)
 		}
-	}
-}
-
-func TestTable3MatchesEncode3(t *testing.T) {
-	tbl := NewTable3(17, 8, 33) // deliberately non-power-of-two, unequal
-	for k := 0; k < 33; k++ {
-		for j := 0; j < 8; j++ {
-			for i := 0; i < 17; i++ {
-				want := Encode3(uint32(i), uint32(j), uint32(k))
-				if got := tbl.Index(i, j, k); got != want {
-					t.Fatalf("Table3.Index(%d,%d,%d)=%d, want %d", i, j, k, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestTable3PaddedLen(t *testing.T) {
-	cases := []struct {
-		nx, ny, nz int
-	}{
-		{8, 8, 8}, {16, 16, 16}, {5, 5, 5}, {17, 8, 33}, {1, 1, 1}, {2, 1, 1},
-	}
-	for _, c := range cases {
-		tbl := NewTable3(c.nx, c.ny, c.nz)
-		n := tbl.PaddedLen()
-		// Every index must fit.
-		maxIdx := tbl.Index(c.nx-1, c.ny-1, c.nz-1)
-		if int(maxIdx) != n-1 {
-			t.Errorf("%dx%dx%d: PaddedLen=%d but max index=%d", c.nx, c.ny, c.nz, n, maxIdx)
-		}
-		// For cubic power-of-two grids the padding is free.
-		if c.nx == c.ny && c.ny == c.nz && NextPow2(c.nx) == c.nx {
-			if n != c.nx*c.ny*c.nz {
-				t.Errorf("%d^3: PaddedLen=%d, want dense %d", c.nx, n, c.nx*c.ny*c.nz)
-			}
-		}
-	}
-}
-
-func TestTable3Dims(t *testing.T) {
-	tbl := NewTable3(5, 6, 7)
-	nx, ny, nz := tbl.Dims()
-	if nx != 5 || ny != 6 || nz != 7 {
-		t.Errorf("Dims = %d,%d,%d, want 5,6,7", nx, ny, nz)
-	}
-	px, py, pz := tbl.PaddedDims()
-	if px != 8 || py != 8 || pz != 8 {
-		t.Errorf("PaddedDims = %d,%d,%d, want 8,8,8", px, py, pz)
-	}
-}
-
-func TestNewTable3Panics(t *testing.T) {
-	for _, bad := range [][3]int{{0, 1, 1}, {1, -1, 1}, {1, 1, Max3 + 2}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewTable3(%v) did not panic", bad)
-				}
-			}()
-			NewTable3(bad[0], bad[1], bad[2])
-		}()
 	}
 }
 
@@ -305,23 +227,6 @@ func BenchmarkEncode3Magic(b *testing.B) {
 	benchSink = sink
 }
 
-func BenchmarkEncode3LUT(b *testing.B) {
-	var sink uint64
-	for n := 0; n < b.N; n++ {
-		sink += LUTEncode3(uint32(n)&511, uint32(n>>9)&511, uint32(n>>18)&511)
-	}
-	benchSink = sink
-}
-
-func BenchmarkEncode3Table(b *testing.B) {
-	tbl := NewTable3(512, 512, 512)
-	var sink uint64
-	for n := 0; n < b.N; n++ {
-		sink += tbl.Index(n&511, n>>9&511, n>>18&511)
-	}
-	benchSink = sink
-}
-
 func BenchmarkDecode3(b *testing.B) {
 	var sink uint32
 	for n := 0; n < b.N; n++ {
@@ -332,70 +237,3 @@ func BenchmarkDecode3(b *testing.B) {
 }
 
 var benchSink uint64
-
-func TestDecXYZ(t *testing.T) {
-	f := func(x, y, z uint32) bool {
-		x = x&Max3 | 1 // keep every coordinate >= 1 so the decrement is legal
-		y = y&Max3 | 1
-		z = z&Max3 | 1
-		c := Encode3(x, y, z)
-		return DecX(c) == Encode3(x-1, y, z) &&
-			DecY(c) == Encode3(x, y-1, z) &&
-			DecZ(c) == Encode3(x, y, z-1)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestIncDecRoundTrip(t *testing.T) {
-	f := func(x, y, z uint32) bool {
-		x &= Max3 - 1
-		y &= Max3 - 1
-		z &= Max3 - 1
-		c := Encode3(x, y, z)
-		return DecX(IncX(c)) == c && DecY(IncY(c)) == c && DecZ(IncZ(c)) == c
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBoundedStepsRefuseAtEdges(t *testing.T) {
-	c := Encode3(7, 3, 0)
-	if _, ok := IncXBounded(c, 8); ok {
-		t.Error("IncXBounded stepped past its limit")
-	}
-	if got, ok := IncXBounded(c, 9); !ok || got != Encode3(8, 3, 0) {
-		t.Errorf("IncXBounded(%d, 9) = %d, %v", c, got, ok)
-	}
-	if _, ok := IncYBounded(c, 4); ok {
-		t.Error("IncYBounded stepped past its limit")
-	}
-	if got, ok := IncYBounded(c, 5); !ok || got != Encode3(7, 4, 0) {
-		t.Errorf("IncYBounded = %d, %v", got, ok)
-	}
-	if _, ok := IncZBounded(c, 1); ok {
-		t.Error("IncZBounded stepped past its limit")
-	}
-	if got, ok := IncZBounded(c, 2); !ok || got != Encode3(7, 3, 1) {
-		t.Errorf("IncZBounded = %d, %v", got, ok)
-	}
-	if _, ok := DecZBounded(c); ok {
-		t.Error("DecZBounded stepped below zero")
-	}
-	if got, ok := DecXBounded(c); !ok || got != Encode3(6, 3, 0) {
-		t.Errorf("DecXBounded = %d, %v", got, ok)
-	}
-	if got, ok := DecYBounded(c); !ok || got != Encode3(7, 2, 0) {
-		t.Errorf("DecYBounded = %d, %v", got, ok)
-	}
-	zero := Encode3(0, 0, 0)
-	for name, step := range map[string]func(uint64) (uint64, bool){
-		"DecXBounded": DecXBounded, "DecYBounded": DecYBounded, "DecZBounded": DecZBounded,
-	} {
-		if _, ok := step(zero); ok {
-			t.Errorf("%s stepped below zero at the origin", name)
-		}
-	}
-}

@@ -2,73 +2,12 @@ package morton
 
 import "fmt"
 
-// Table3 holds per-axis precomputed Z-order index tables for a specific
-// 3D grid, following the scheme of Pascucci & Frank 2001 that the paper
-// adopts: three tables of length max(nx,ny,nz), where entry i of each
-// table is the dilated, shifted contribution of coordinate value i on
-// that axis. Computing the Z-order index of (i,j,k) is then three table
-// lookups and two ORs — deliberately comparable in cost to array-order
-// indexing's two lookups and two adds.
-//
-// Extents need not be powers of two; the tables are built over the
-// power-of-two padded extents, so indices address a padded buffer of
-// PaddedLen elements (the paper's §V limitation, made explicit here).
-type Table3 struct {
-	xs, ys, zs []uint64
-	nx, ny, nz int
-	px, py, pz int // padded (power-of-two) extents
-}
-
-// NewTable3 builds Z-order index tables for an nx×ny×nz grid. It panics
-// if any extent is not positive or exceeds Max3+1.
-func NewTable3(nx, ny, nz int) *Table3 {
-	for _, n := range [3]int{nx, ny, nz} {
-		if n <= 0 || n > Max3+1 {
-			panic(fmt.Sprintf("morton: extent %d out of range [1, %d]", n, Max3+1))
-		}
-	}
-	t := &Table3{
-		nx: nx, ny: ny, nz: nz,
-		px: NextPow2(nx), py: NextPow2(ny), pz: NextPow2(nz),
-	}
-	t.xs = make([]uint64, nx)
-	t.ys = make([]uint64, ny)
-	t.zs = make([]uint64, nz)
-	for i := 0; i < nx; i++ {
-		t.xs[i] = Part1By2(uint64(i))
-	}
-	for j := 0; j < ny; j++ {
-		t.ys[j] = Part1By2(uint64(j)) << 1
-	}
-	for k := 0; k < nz; k++ {
-		t.zs[k] = Part1By2(uint64(k)) << 2
-	}
-	return t
-}
-
-// Index returns the Z-order index of (i,j,k): three table loads and two
-// ORs. Indices must be within the grid extents; out-of-range indices
-// panic via the bounds check on the table slices.
-func (t *Table3) Index(i, j, k int) uint64 {
-	return t.xs[i] | t.ys[j] | t.zs[k]
-}
-
-// Dims returns the logical (unpadded) grid extents.
-func (t *Table3) Dims() (nx, ny, nz int) { return t.nx, t.ny, t.nz }
-
-// PaddedDims returns the power-of-two padded extents the indices address.
-func (t *Table3) PaddedDims() (px, py, pz int) { return t.px, t.py, t.pz }
-
-// PaddedLen returns the number of elements a buffer indexed by this table
-// must hold. Because bit interleaving over unequal extents leaves gaps,
-// this is computed as one past the largest index the table can produce.
-func (t *Table3) PaddedLen() int {
-	max := t.xs[t.nx-1] | t.ys[t.ny-1] | t.zs[t.nz-1]
-	return int(max) + 1
-}
-
-// Table2 is the 2D analogue of Table3, used by image-plane structures
-// and the 2D demonstrations in cmd/layoutviz.
+// Table2 holds per-axis precomputed Z-order index tables for a 2D grid,
+// following the scheme of Pascucci & Frank 2001 that the paper adopts:
+// entry i of each table is the dilated, shifted contribution of
+// coordinate value i on that axis, so an index is two loads and an OR.
+// Used by image-plane structures and the 2D demonstrations in
+// cmd/layoutviz.
 type Table2 struct {
 	xs, ys []uint64
 	nx, ny int
