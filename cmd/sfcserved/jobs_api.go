@@ -7,10 +7,9 @@ package main
 // full-resolution refinement), and DELETE /jobs/{id} cancels.
 //
 // Jobs compatible on (volume, generation, dtype, coarse level) batch
-// together: the batch resolves the dtype-converted flat view and the
-// coarse subsample once and every job in it reuses them — the
-// amortization the synchronous path cannot offer, because it must
-// answer each request as it arrives. A render job's final frame is
+// together: the batch fetches the prepared volume (prepared.go, shared
+// with sync renders) and builds the coarse subsample once, and every
+// job in it reuses them. A render job's final frame is
 // stored in the response cache under the same digest a synchronous
 // /render would compute, so the job warms the cache for everyone.
 
@@ -86,11 +85,11 @@ type frameEvent struct {
 	Frame       string `json:"frame"`          // base64 of the encoded frame
 }
 
-// renderShared is a render batch's Setup product: the dtype-converted
-// volume and its coarse subsample, resolved once per batch and shared
-// by every job in it.
+// renderShared is a render batch's Setup product: the prepared volume
+// and its coarse subsample, resolved once per batch and shared by every
+// job in it.
 type renderShared struct {
-	full   *sfcmem.AnyGrid
+	full   *prepared
 	coarse *sfcmem.AnyGrid // nil when the batch's coarse level is 0
 }
 
@@ -215,13 +214,13 @@ func (s *server) renderJobSpec(req renderRequest, lane jobs.Lane, coarseLevel in
 		BatchKey: digest("render", plan.vol.Name, plan.vol.Gen, plan.dt, coarseLevel),
 		Lane:     lane,
 		Setup: func(ctx context.Context) (any, error) {
-			g := plan.vol.Grid
-			if plan.dt != g.Dtype() {
-				g = g.Convert(plan.dt)
+			p, err := s.prepare(nil, plan.vol, plan.dt)
+			if err != nil {
+				return nil, err
 			}
-			sh := &renderShared{full: g}
+			sh := &renderShared{full: p}
 			if coarseLevel > 0 {
-				c, err := sfcmem.SubsampleAny(g, coarseLevel, func(nx, ny, nz int) sfcmem.Layout {
+				c, err := sfcmem.SubsampleAny(p.grid, coarseLevel, func(nx, ny, nz int) sfcmem.Layout {
 					l, err := sfcmem.ParseLayoutSpec(layoutSpec, nx, ny, nz)
 					if err != nil {
 						// Unreachable: the spec parsed at the full extents
@@ -266,7 +265,7 @@ func (s *server) runRenderJob(ctx context.Context, jt *obs.Trace, sh *renderShar
 		if ch < 16 {
 			ch = 16
 		}
-		cv, err := s.rasterize(ctx, jt, sh.coarse, req, cw, ch, "kernel.coarse")
+		cv, err := s.rasterize(ctx, jt, sh.coarse, nil, req, cw, ch, "kernel.coarse")
 		if err != nil {
 			return err
 		}
@@ -278,7 +277,7 @@ func (s *server) runRenderJob(ctx context.Context, jt *obs.Trace, sh *renderShar
 		})
 	}
 	start := time.Now()
-	v, err := s.rasterize(ctx, jt, sh.full, req, req.Width, req.Height, "kernel")
+	v, err := s.rasterize(ctx, jt, sh.full.grid, sh.full.accel, req, req.Width, req.Height, "kernel")
 	if err != nil {
 		return err
 	}

@@ -80,6 +80,11 @@ type server struct {
 	// counters + whole-request latency), keyed by route name.
 	routes map[string]*routeStats
 
+	// render.prepared.* (prepared.go): prepared-volume builds and
+	// reuses.
+	preparedBuilds *metrics.Counter
+	preparedHits   *metrics.Counter
+
 	renderReqs    *metrics.Counter
 	filterReqs    *metrics.Counter
 	rejected      *metrics.Counter
@@ -105,6 +110,8 @@ func newServer(vols store.VolumeStore, reg *metrics.Registry, slots, depth int, 
 		maxDeadline:     maxDeadline,
 		renderImage:     sfcmem.RenderAnyCtx,
 		nonce:           bootNonce(),
+		preparedBuilds:  reg.Counter("render.prepared.builds", 1),
+		preparedHits:    reg.Counter("render.prepared.hits", 1),
 		renderReqs:      reg.Counter("render.requests", 1),
 		filterReqs:      reg.Counter("filter.requests", 1),
 		rejected:        reg.Counter("admission.rejected", 1),
@@ -431,19 +438,20 @@ func (s *server) planRender(req renderRequest) (*renderPlan, *httpErr) {
 	return &renderPlan{req: req, vol: vol, dt: dt, key: key, etag: etagFor(key)}, nil
 }
 
-// rasterize runs the raycast kernel over g with req's orbit framing at
-// the given output size and encodes the frame — the section shared by
-// sync /render (full resolution) and the jobs runner, which calls it
-// twice per job: once over the coarse subsample at reduced size, once
-// over the full volume. The stage name keeps the two passes apart in
-// one trace.
-func (s *server) rasterize(ctx context.Context, t *obs.Trace, g *sfcmem.AnyGrid, req renderRequest, width, height int, stage string) (rcache.Value, error) {
+// rasterize runs the raycast kernel over g (with its empty-space map
+// accel, which may be nil) with req's orbit framing at the given output
+// size and encodes the frame — the section shared by sync /render (full
+// resolution) and the jobs runner, which calls it twice per job: once
+// over the coarse subsample at reduced size, once over the full volume.
+// The stage name keeps the two passes apart in one trace.
+func (s *server) rasterize(ctx context.Context, t *obs.Trace, g *sfcmem.AnyGrid, accel *sfcmem.Accel, req renderRequest, width, height int, stage string) (rcache.Value, error) {
 	nx, ny, nz := g.Dims()
 	cam := sfcmem.Orbit(req.View, req.Views, nx, ny, nz, width, height)
 	endKernel := t.Stage(stage)
-	img, err := s.renderImage(sfcmem.WithWorkObserver(ctx, t.Observer("tile")), g, cam, sfcmem.DefaultTransferFunc(), sfcmem.RenderOptions{
+	img, err := s.renderImage(sfcmem.WithWorkObserver(ctx, t.Observer("tile")), g, cam, renderTF, sfcmem.RenderOptions{
 		Workers: req.Workers,
 		Shade:   req.Shade,
+		Accel:   accel,
 	})
 	endKernel()
 	if err != nil {
@@ -490,18 +498,17 @@ func (s *server) handleRender(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r, req.DeadlineMS)
 	defer cancel()
 
-	// renderOnce is the full kernel path — dtype conversion, admission,
+	// renderOnce is the full kernel path — prepared volume, admission,
 	// raycast, encode — run by exactly one request per digest when the
-	// cache is on. Conversion sits inside so cache hits skip it too.
-	// When it runs it runs on this request's goroutine (rcache leaders
-	// compute inline), so the stage spans land in this request's trace;
-	// a coalesced waiter's trace shows only the enclosing cache stage.
+	// cache is on. The prepared volume is fetched inside so cache hits
+	// skip even that lookup. When it runs it runs on this request's
+	// goroutine (rcache leaders compute inline), so the stage spans land
+	// in this request's trace; a coalesced waiter's trace shows only the
+	// enclosing cache stage.
 	renderOnce := func(ctx context.Context) (rcache.Value, error) {
-		g := plan.vol.Grid
-		if plan.dt != g.Dtype() {
-			endResolve := t.Stage("resolve")
-			g = g.Convert(plan.dt)
-			endResolve()
+		p, err := s.prepare(t, plan.vol, plan.dt)
+		if err != nil {
+			return rcache.Value{}, err
 		}
 		release, err := s.admit(ctx)
 		if err != nil {
@@ -510,7 +517,7 @@ func (s *server) handleRender(w http.ResponseWriter, r *http.Request) {
 		defer release()
 
 		start := time.Now()
-		v, err := s.rasterize(ctx, t, g, req, req.Width, req.Height, "kernel")
+		v, err := s.rasterize(ctx, t, p.grid, p.accel, req, req.Width, req.Height, "kernel")
 		if err != nil {
 			return rcache.Value{}, err
 		}

@@ -33,7 +33,7 @@ func main() {
 		step    = flag.Float64("step", 1, "ray-march step in voxels")
 		shade   = flag.Bool("shade", false, "enable gradient shading")
 		ortho   = flag.Bool("ortho", false, "orthographic projection (paper §III-B contrast case)")
-		skip    = flag.Bool("skip", false, "empty-space skipping (min-max macrocells)")
+		skip    = flag.Bool("skip", false, "empty-space skipping (an 8³ occupancy map, built once)")
 		outFile = flag.String("o", "", "write the image to this file (.ppm or .png)")
 		prefix  = flag.String("prefix", "", "with -orbit: write frames as <prefix><view>.ppm")
 		sim     = flag.String("sim", "", "also run the cache simulator: ivy, mic, ivy/32, ...")
@@ -48,7 +48,12 @@ func main() {
 	fmt.Printf("generating %d³ combustion plume (%s layout)...\n", *size, kind)
 	vol := volume.CombustionPlume(core.New(kind, *size, *size, *size), *seed)
 	tf := render.DefaultTransferFunc()
-	opts := render.Options{TileSize: *tile, Workers: *threads, Step: *step, Shade: *shade, EmptySkip: *skip}
+	opts := render.Options{TileSize: *tile, Workers: *threads, Step: *step, Shade: *shade}
+	if *skip {
+		// One map serves every view of the orbit.
+		opts.Accel = render.BuildAccelOf(vol, tf)
+		fmt.Printf("empty-space map: %.0f%% of 8³ cells empty\n", 100*opts.Accel.EmptyFraction())
+	}
 
 	renderView := func(v int) error {
 		cam := render.Orbit(v, *views, *size, *size, *size, *img, *img)

@@ -288,6 +288,22 @@ func RenderAnyCtx(ctx context.Context, vol *AnyGrid, cam Camera, tf *TransferFun
 	panic("sfcmem: zero AnyGrid")
 }
 
+// BuildAccelAny builds a dynamic-dtype volume's empty-space map under
+// tf, for RenderOptions.Accel.
+func BuildAccelAny(vol *AnyGrid, tf *TransferFunc) *Accel {
+	switch g := vol.g.(type) {
+	case *grid.Grid[uint8]:
+		return render.BuildAccelOf(g, tf)
+	case *grid.Grid[uint16]:
+		return render.BuildAccelOf(g, tf)
+	case *grid.Grid[float32]:
+		return render.BuildAccelOf(g, tf)
+	case *grid.Grid[float64]:
+		return render.BuildAccelOf(g, tf)
+	}
+	panic("sfcmem: zero AnyGrid")
+}
+
 // MRIPhantomAny synthesizes the MRI head phantom at the given dtype.
 // Every dtype quantizes the same float32 field, so cross-dtype results
 // are comparable sample for sample.

@@ -247,10 +247,15 @@ func TestGoldenFloat32Render(t *testing.T) {
 	for _, layout := range layouts {
 		vol := volume.CombustionPlume(layout, 3)
 		cam := render.Orbit(1, 8, vn, vn, vn, 64, 64)
+		tf := render.DefaultTransferFunc()
 		for _, skip := range []bool{false, true} {
+			var accel *render.Accel
+			if skip {
+				accel = render.BuildAccelOf(vol, tf)
+			}
 			for _, noFast := range []bool{false, true} {
-				img, err := render.Render(vol, cam, render.DefaultTransferFunc(), render.Options{
-					Workers: 2, Shade: true, EmptySkip: skip, NoFastPath: noFast,
+				img, err := render.Render(vol, cam, tf, render.Options{
+					Workers: 2, Shade: true, Accel: accel, NoFastPath: noFast,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -119,6 +119,9 @@ func (h *Hub) Finish(t *Trace, status int, bytes int64, cache string) {
 	if t.Cache != "" {
 		attrs = append(attrs, slog.String("cache", t.Cache))
 	}
+	for _, n := range t.Notes() {
+		attrs = append(attrs, slog.String(n[0], n[1]))
+	}
 	if d := t.Dropped(); d > 0 {
 		attrs = append(attrs, slog.Uint64("spans_dropped", d))
 	}

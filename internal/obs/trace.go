@@ -88,6 +88,9 @@ type Trace struct {
 	items               [maxSpans]Span
 	dropped             atomic.Uint64
 
+	// notes are the request's key=value facts (Note), in record order.
+	notes [][2]string
+
 	// stage is the most recently entered live stage, for the in-flight
 	// listing. Stored atomically because /ops/requests reads it from
 	// another goroutine mid-request.
@@ -207,6 +210,21 @@ func (t *Trace) StageAt(name string, start time.Time, d time.Duration) {
 	}
 	t.addSpan(Span{Name: name, Worker: -1, Depth: 0, Start: start.Sub(t.Start), Dur: d})
 }
+
+// Note records a fact about how the request ran — which path served
+// it, whether a cached artifact was reused — for the access log. Like
+// Stage, it is called from the handler goroutine
+// before Finish; safe on a nil trace.
+func (t *Trace) Note(key, value string) {
+	if t == nil {
+		return
+	}
+	t.notes = append(t.notes, [2]string{key, value})
+}
+
+// Notes returns the recorded notes in record order. Call it only after
+// the request finished; the result aliases the trace's storage.
+func (t *Trace) Notes() [][2]string { return t.notes }
 
 // Mark updates the live stage label shown by the in-flight listing
 // without opening a span — for owners that record their spans

@@ -33,24 +33,53 @@ func (c Camera) basis() (fwd, right, up Vec3) {
 	return fwd, right, up
 }
 
+// rays holds what every primary ray of one frame shares — the camera
+// basis, the aspect ratio and the image-plane scale — so a frame
+// computes them once rather than once per pixel.
+type rays struct {
+	c              Camera
+	fwd, right, up Vec3
+	aspect         float64
+	// scale is the orthographic half-height, or tan(fov/2) in
+	// perspective.
+	scale float64
+}
+
+func (c Camera) rays() rays {
+	r := rays{c: c, aspect: float64(c.Width) / float64(c.Height)}
+	r.fwd, r.right, r.up = c.basis()
+	if c.Ortho {
+		r.scale = c.OrthoHeight / 2
+		if r.scale <= 0 {
+			r.scale = c.Center.Sub(c.Eye).Len() / 2
+		}
+	} else {
+		r.scale = math.Tan(c.FOVY * math.Pi / 360)
+	}
+	return r
+}
+
 // Ray returns the origin and normalized direction of the primary ray
 // through pixel (px, py); pixel centers are offset by 0.5.
 func (c Camera) Ray(px, py int) (origin, dir Vec3) {
-	fwd, right, up := c.basis()
-	aspect := float64(c.Width) / float64(c.Height)
+	r := c.rays()
+	return r.at(px, py)
+}
+
+// at is Camera.Ray with the frame's shared terms precomputed; the
+// per-pixel arithmetic is Ray's, expression for expression.
+func (r *rays) at(px, py int) (origin, dir Vec3) {
+	c := &r.c
 	// NDC in [-1,1], y up.
 	nu := 2*(float64(px)+0.5)/float64(c.Width) - 1
 	nv := 1 - 2*(float64(py)+0.5)/float64(c.Height)
 	if c.Ortho {
-		hh := c.OrthoHeight / 2
-		if hh <= 0 {
-			hh = c.Center.Sub(c.Eye).Len() / 2
-		}
-		origin = c.Eye.Add(right.Scale(nu * hh * aspect)).Add(up.Scale(nv * hh))
-		return origin, fwd
+		hh := r.scale
+		origin = c.Eye.Add(r.right.Scale(nu * hh * r.aspect)).Add(r.up.Scale(nv * hh))
+		return origin, r.fwd
 	}
-	h := math.Tan(c.FOVY * math.Pi / 360) // tan(fov/2)
-	dir = fwd.Add(right.Scale(nu * h * aspect)).Add(up.Scale(nv * h)).Normalize()
+	h := r.scale
+	dir = r.fwd.Add(r.right.Scale(nu * h * r.aspect)).Add(r.up.Scale(nv * h)).Normalize()
 	return c.Eye, dir
 }
 

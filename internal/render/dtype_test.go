@@ -1,6 +1,7 @@
 package render
 
 import (
+	"math"
 	"testing"
 
 	"sfcmem/internal/core"
@@ -23,9 +24,9 @@ func imagesEqual(a, b *Image) bool {
 }
 
 // checkRenderDtype renders one dtype instantiation four ways — flat vs
-// interface path, empty-skip on vs off — and demands identical frames:
-// the fast path must be bit-identical and the conservative accel must
-// never skip a contributing cell, for every element width.
+// interface path, empty-space map on vs off — and demands identical
+// frames: the fast path must be bit-identical and the map must never
+// skip a contributing sample, for every element width.
 func checkRenderDtype[T grid.Scalar](t *testing.T, kind core.Kind) {
 	t.Helper()
 	const n = 24
@@ -36,10 +37,11 @@ func checkRenderDtype[T grid.Scalar](t *testing.T, kind core.Kind) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	accel := BuildAccelOf(vol, tf)
 	variants := []Options{
 		{Workers: 2, Shade: true, NoFastPath: true},
-		{Workers: 2, Shade: true, EmptySkip: true},
-		{Workers: 2, Shade: true, EmptySkip: true, NoFastPath: true},
+		{Workers: 2, Shade: true, Accel: accel},
+		{Workers: 2, Shade: true, Accel: accel, NoFastPath: true},
 	}
 	for _, o := range variants {
 		img, err := RenderOf[T](vol, cam, tf, o)
@@ -47,8 +49,8 @@ func checkRenderDtype[T grid.Scalar](t *testing.T, kind core.Kind) {
 			t.Fatal(err)
 		}
 		if !imagesEqual(base, img) {
-			t.Errorf("%v/%v: frame differs (nofast=%v skip=%v)",
-				grid.DtypeFor[T](), kind, o.NoFastPath, o.EmptySkip)
+			t.Errorf("%v/%v: frame differs (nofast=%v accel=%v)",
+				grid.DtypeFor[T](), kind, o.NoFastPath, o.Accel != nil)
 		}
 	}
 	// The frame must not be trivially empty.
@@ -107,30 +109,53 @@ func TestRenderDtypeTracksFloat32(t *testing.T) {
 	}
 }
 
-func TestBuildAccelConservativePerDtype(t *testing.T) {
-	// For integer dtypes the normalized cell max is rounded toward +Inf
-	// into float32, so a cell is only skipped when it truly cannot
-	// contribute. Check the bracket property against a float64 rescan.
-	l := core.NewArrayOrder(16, 16, 16)
-	vol := volume.CombustionPlumeOf[uint8](l, 7)
-	a := BuildAccelOf[uint8](vol, 4)
-	lo, hi := a.CellRange(0, 0, 0)
-	var trueLo, trueHi float64
-	trueLo = 2
-	for z := 0; z <= 4; z++ { // cell (0,0,0) plus apron
-		for y := 0; y <= 4; y++ {
-			for x := 0; x <= 4; x++ {
-				v := float64(vol.At(x, y, z)) / 255
-				if v < trueLo {
-					trueLo = v
+// checkAccelCells classifies every cell of vol's map by brute force:
+// a cell the map proves empty may hold no voxel (apron included) at or
+// above the opacity threshold, and a cell it keeps must hold one within
+// the rounding margin of it.
+func checkAccelCells[T grid.Scalar](t *testing.T, vol *grid.Grid[T], tf *TransferFunc) {
+	t.Helper()
+	a := BuildAccelOf(vol, tf)
+	th := float64(tf.MinOpaqueValue())
+	scale := grid.NormScale[T]()
+	nx, ny, nz := vol.Dims()
+	empty := 0
+	for iz := uint(0); iz < a.cz; iz++ {
+		for iy := uint(0); iy < a.cy; iy++ {
+			for ix := uint(0); ix < a.cx; ix++ {
+				x0, x1 := cellSpan(ix, nx)
+				y0, y1 := cellSpan(iy, ny)
+				z0, z1 := cellSpan(iz, nz)
+				hi := math.Inf(-1)
+				for z := z0; z <= z1; z++ {
+					for y := y0; y <= y1; y++ {
+						for x := x0; x <= x1; x++ {
+							hi = math.Max(hi, float64(vol.At(x, y, z))/scale)
+						}
+					}
 				}
-				if v > trueHi {
-					trueHi = v
+				occ := a.occupied(float64(x0), float64(y0), float64(z0))
+				switch {
+				case !occ && hi >= th:
+					t.Errorf("%v cell (%d,%d,%d): max %v ≥ threshold %v, yet empty", grid.DtypeFor[T](), ix, iy, iz, hi, th)
+				case occ && hi < th-accelMargin:
+					t.Errorf("%v cell (%d,%d,%d): max %v well below threshold %v, yet kept", grid.DtypeFor[T](), ix, iy, iz, hi, th)
+				case !occ:
+					empty++
 				}
 			}
 		}
 	}
-	if float64(lo) > trueLo || float64(hi) < trueHi {
-		t.Errorf("cell range [%v,%v] does not bracket true range [%v,%v]", lo, hi, trueLo, trueHi)
+	if empty == 0 {
+		t.Errorf("%v: vacuous check, no empty cell", grid.DtypeFor[T]())
 	}
+}
+
+func TestBuildAccelConservativePerDtype(t *testing.T) {
+	l := core.NewZOrder(40, 24, 32)
+	tf := DefaultTransferFunc()
+	checkAccelCells(t, volume.CombustionPlumeOf[uint8](l, 7), tf)
+	checkAccelCells(t, volume.CombustionPlumeOf[uint16](l, 7), tf)
+	checkAccelCells(t, volume.CombustionPlumeOf[float32](l, 7), tf)
+	checkAccelCells(t, volume.CombustionPlumeOf[float64](l, 7), tf)
 }

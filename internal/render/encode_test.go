@@ -99,7 +99,7 @@ func TestRenderNaNVoxel(t *testing.T) {
 	for _, o := range []Options{
 		{Workers: 2},
 		{Workers: 2, Shade: true},
-		{Workers: 2, EmptySkip: true, AccelEdge: 4},
+		{Workers: 2, Accel: BuildAccelOf(vol, DefaultTransferFunc())},
 		{Workers: 2, Shade: true, NoFastPath: true},
 	} {
 		img, err := Render(vol, cam, DefaultTransferFunc(), o)

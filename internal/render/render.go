@@ -43,14 +43,15 @@ type Options struct {
 	// StaticSchedule (round-robin tile preassignment) is kept for that
 	// comparison.
 	Schedule Schedule
-	// EmptySkip enables min-max macrocell empty-space skipping: rays
-	// jump over regions the transfer function maps to zero opacity.
-	// The image is bitwise identical to the unaccelerated march; the
-	// structure is built once per render from the first view (its scan
-	// is traced if that view is traced).
-	EmptySkip bool
-	// AccelEdge is the macrocell edge for EmptySkip; zero defaults to 8.
-	AccelEdge int
+	// Accel, if non-nil, is a prebuilt empty-space map of the volume
+	// under the render's transfer function (BuildAccelOf): samples in
+	// cells it proves empty are not taken, and the image stays bit-
+	// identical to the plain march. A map built for other dimensions or
+	// another opacity threshold is an error; a map that proves fewer
+	// than one cell in eight empty (none, in the limit) is ignored.
+	// Building one costs a pass over the volume, so it pays when several
+	// frames share it.
+	Accel *Accel
 	// Stats, if non-nil, receives per-worker scheduling statistics
 	// (item counts, busy time) for the tile distribution.
 	Stats *parallel.Stats
@@ -77,9 +78,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxAlpha == 0 {
 		o.MaxAlpha = 0.98
 	}
-	if o.AccelEdge == 0 {
-		o.AccelEdge = 8
-	}
 	return o
 }
 
@@ -98,9 +96,6 @@ func (o Options) validate() error {
 	}
 	if o.MaxAlpha < 0 || o.MaxAlpha > 1 {
 		return fmt.Errorf("render: max alpha %g must be in [0,1] (zero selects the default)", o.MaxAlpha)
-	}
-	if o.AccelEdge < 0 {
-		return fmt.Errorf("render: macrocell edge %d must be non-negative (zero selects the default)", o.AccelEdge)
 	}
 	return nil
 }
@@ -190,16 +185,20 @@ func renderViewsCtxOf[T grid.Scalar, A grid.Accum](ctx context.Context, views []
 			return nil, fmt.Errorf("render: view %d dimensions disagree", w)
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err // fail fast before acceleration-structure builds
+	accel := o.Accel
+	if accel != nil {
+		if err := accel.check(nx, ny, nz, tf); err != nil {
+			return nil, err
+		}
+		if !accel.pays() {
+			accel = nil
+		}
 	}
-	var accel *Accel
-	var skipBelow float32
-	if o.EmptySkip {
-		accel = BuildAccelOf(views[0], o.AccelEdge)
-		skipBelow = tf.MinOpaqueValue()
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	img := NewImage(cam.Width, cam.Height)
+	rs := cam.rays()
 	tiles := parallel.Tiles(cam.Width, cam.Height, o.TileSize)
 	lo := Vec3{0, 0, 0}
 	hi := Vec3{float64(nx - 1), float64(ny - 1), float64(nz - 1)}
@@ -222,7 +221,7 @@ func renderViewsCtxOf[T grid.Scalar, A grid.Accum](ctx context.Context, views []
 		t := tiles[ti]
 		for py := t.Y0; py < t.Y1; py++ {
 			for px := t.X0; px < t.X1; px++ {
-				img.Set(px, py, castRay(vol, flat, inv, cam, tf, o, px, py, lo, hi, accel, skipBelow))
+				img.Set(px, py, castRay(vol, flat, inv, &rs, tf, o, px, py, lo, hi, accel))
 			}
 		}
 	}
@@ -252,15 +251,15 @@ func renderViewsCtxOf[T grid.Scalar, A grid.Accum](ctx context.Context, views []
 
 // castRay integrates one primary ray: slab intersection, fixed-step
 // front-to-back compositing with opacity correction and early ray
-// termination. When flat is non-nil the trilinear samples and shading
-// gradients come from the devirtualized flat view (bit-identical
-// arithmetic to the interface path); otherwise every access goes
-// through vol. Samples lerp in the accumulator type A and normalize by
-// inv before the transfer function; gradients stay unnormalized (the
-// shading normal is unit-scaled anyway, so a uniform dtype scale
-// cancels).
-func castRay[T grid.Scalar, A grid.Accum](vol grid.ReaderOf[T], flat *grid.Flat[T], inv A, cam Camera, tf *TransferFunc, o Options, px, py int, lo, hi Vec3, accel *Accel, skipBelow float32) RGBA {
-	origin, dir := cam.Ray(px, py)
+// termination. Samples in cells accel proves empty are not taken. When
+// flat is non-nil the trilinear samples and shading gradients come from
+// the devirtualized flat view (bit-identical arithmetic to the
+// interface path); otherwise every access goes through vol. Samples
+// lerp in the accumulator type A and normalize by inv before the
+// transfer function; gradients stay unnormalized (the shading normal
+// is unit-scaled anyway, so a uniform dtype scale cancels).
+func castRay[T grid.Scalar, A grid.Accum](vol grid.ReaderOf[T], flat *grid.Flat[T], inv A, rs *rays, tf *TransferFunc, o Options, px, py int, lo, hi Vec3, accel *Accel) RGBA {
+	origin, dir := rs.at(px, py)
 	tmin, tmax, hit := intersectBox(origin, dir, lo, hi)
 	if !hit {
 		return RGBA{}
@@ -271,16 +270,7 @@ func castRay[T grid.Scalar, A grid.Accum](vol grid.ReaderOf[T], flat *grid.Flat[
 	alphaExp := float32(o.Step)
 	for t := tmin; t <= tmax; t += o.Step {
 		p := origin.Add(dir.Scale(t))
-		if accel != nil && accel.maxAt(p.X, p.Y, p.Z) < skipBelow {
-			// Everything in this macrocell composites to nothing; jump
-			// to the first sample lattice point past the cell exit.
-			tExit := accel.exitT(origin, dir, p, t)
-			steps := math.Floor((tExit - tmin) / o.Step)
-			tNext := tmin + steps*o.Step
-			for tNext <= t {
-				tNext += o.Step
-			}
-			t = tNext - o.Step // loop increment lands on tNext
+		if accel != nil && !accel.occupied(p.X, p.Y, p.Z) {
 			continue
 		}
 		var s float32

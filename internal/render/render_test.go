@@ -332,9 +332,6 @@ func TestRenderValidation(t *testing.T) {
 	if _, err := Render(vol, cam, tf, Options{TileSize: -1}); err == nil {
 		t.Error("negative tile size accepted")
 	}
-	if _, err := Render(vol, cam, tf, Options{AccelEdge: -1}); err == nil {
-		t.Error("negative macrocell edge accepted")
-	}
 	// Validation runs on the caller's values, before defaulting: zeros
 	// mean "use the default" and must all be accepted.
 	if _, err := Render(vol, cam, tf, Options{}); err != nil {
@@ -555,7 +552,7 @@ func TestRenderFastPathBitIdentical(t *testing.T) {
 		for _, o := range []Options{
 			{Workers: 2},
 			{Workers: 2, Shade: true},
-			{Workers: 2, EmptySkip: true, AccelEdge: 4},
+			{Workers: 2, Accel: BuildAccelOf(vol, tf)},
 		} {
 			fast, err := Render(vol, cam, tf, o)
 			if err != nil {

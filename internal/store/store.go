@@ -103,6 +103,16 @@ type VolumeStore interface {
 	Stat(name string) (Info, bool)
 	// List returns every live volume's metadata, sorted by name.
 	List() []Info
+	// Derived returns the value derived from v under key, building it
+	// at most once per resident generation: the first caller runs
+	// build, concurrent callers for the key wait and share its result,
+	// later callers reuse it (built reports which). The value's bytes
+	// count against the RAM tier's budget — over budget, derived values
+	// are dropped before any volume is evicted — and it is dropped with
+	// v when a Put replaces the name, on Delete, and when v is evicted.
+	// For a v that is no longer resident the value is built and
+	// returned but not kept; neither is a failed build.
+	Derived(v *Volume, key string, build func() (val any, bytes int64, err error)) (val any, built bool, err error)
 }
 
 // DefaultBrickBytes is the default brick payload size. 4 MiB keeps a
@@ -138,6 +148,19 @@ type entry struct {
 	// its LRU slot (front = most recently used) while resident.
 	vol  *Volume
 	elem *list.Element
+	// derived holds the values derived from vol (see Derived), whose
+	// bytes — derivedBytes in all — the RAM tier charges to vol.
+	derived      map[string]*derivation
+	derivedBytes int64
+}
+
+// derivation is one value derived from a resident volume; val, bytes
+// and err are written before done closes.
+type derivation struct {
+	done  chan struct{}
+	val   any
+	bytes int64
+	err   error
 }
 
 // flight is one in-progress demand load; vol and err are written
@@ -492,29 +515,85 @@ func writeGrid(dir string, a *sfcmem.AnyGrid, brickElems int) ([]volume.BrickInf
 // it back in (that is what a below-volume-size budget is asking for).
 func (s *Store) insertResident(e *entry, vol *Volume) {
 	if e.vol != nil {
-		s.resident -= e.info.Bytes
-		s.lru.Remove(e.elem)
+		s.dropResident(e)
 	}
 	e.vol = vol
 	e.info = InfoOf(vol)
 	e.deleted = false
 	e.elem = s.lru.PushFront(e)
 	s.resident += e.info.Bytes
+	s.evictOverBudget()
+}
+
+// evictOverBudget frees RAM from the cold end of the LRU until the tier
+// fits its budget: derived values first — each is rebuilt from its
+// resident volume, far cheaper than reloading a volume from bricks —
+// then whole volumes. Called with mu held.
+func (s *Store) evictOverBudget() {
 	if s.dir == "" || s.budget <= 0 {
 		return
+	}
+	for el := s.lru.Back(); el != nil && s.resident > s.budget; el = el.Prev() {
+		e := el.Value.(*entry)
+		s.resident -= e.derivedBytes
+		e.derived, e.derivedBytes = nil, 0
 	}
 	for s.resident > s.budget {
 		back := s.lru.Back()
 		if back == nil {
 			break
 		}
-		ev := back.Value.(*entry)
-		s.lru.Remove(back)
-		ev.elem = nil
-		ev.vol = nil
-		s.resident -= ev.info.Bytes
+		s.dropResident(back.Value.(*entry))
 		s.evictions.Inc(0)
 	}
+}
+
+// dropResident unlinks e's resident volume, and every value derived
+// from it, from the RAM tier. Called with mu held.
+func (s *Store) dropResident(e *entry) {
+	s.lru.Remove(e.elem)
+	s.resident -= e.info.Bytes + e.derivedBytes
+	e.elem, e.vol = nil, nil
+	e.derived, e.derivedBytes = nil, 0
+}
+
+// Derived implements VolumeStore.
+func (s *Store) Derived(v *Volume, key string, build func() (any, int64, error)) (val any, built bool, err error) {
+	s.mu.Lock()
+	e := s.ents[v.Name]
+	if e == nil || e.vol != v {
+		s.mu.Unlock()
+		val, _, err := build()
+		return val, true, err
+	}
+	if d, ok := e.derived[key]; ok {
+		s.mu.Unlock()
+		<-d.done
+		return d.val, false, d.err
+	}
+	d := &derivation{done: make(chan struct{})}
+	if e.derived == nil {
+		e.derived = make(map[string]*derivation)
+	}
+	e.derived[key] = d
+	s.mu.Unlock()
+	defer close(d.done)
+
+	d.val, d.bytes, d.err = build()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case e.derived[key] != d:
+		// v was dropped while the value was built: hand it out, keep
+		// nothing.
+	case d.err != nil:
+		delete(e.derived, key)
+	default:
+		e.derivedBytes += d.bytes
+		s.resident += d.bytes
+		s.evictOverBudget()
+	}
+	return d.val, true, d.err
 }
 
 // Put implements VolumeStore.
@@ -610,10 +689,7 @@ func (s *Store) Delete(name string) error {
 	}
 	e.deleted = true
 	if e.vol != nil {
-		s.lru.Remove(e.elem)
-		e.elem = nil
-		e.vol = nil
-		s.resident -= e.info.Bytes
+		s.dropResident(e)
 	}
 	gen := e.lastGen
 	s.mu.Unlock()

@@ -498,3 +498,160 @@ func TestPutErrorKeepsPreviousContents(t *testing.T) {
 		t.Fatal("failed Put corrupted the live volume")
 	}
 }
+
+// TestDerivedLifecycle pins Derived's contract: one build per resident
+// generation shared by concurrent callers, bytes charged to the RAM
+// tier, and the value dropped on replace, on delete and on eviction.
+func TestDerivedLifecycle(t *testing.T) {
+	volBytes := int64(8 * 8 * 8 * 4)
+	s, err := Open(t.TempDir(), Options{RAMBytes: 3 * volBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var builds sync.Map // key → count
+	derive := func(name, key string) (any, bool) {
+		t.Helper()
+		v, err := s.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		val, built, err := s.Derived(v, key, func() (any, int64, error) {
+			n, _ := builds.LoadOrStore(name+"/"+key, new(int))
+			*n.(*int)++
+			return v.Gen, volBytes / 2, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return val, built
+	}
+	count := func(k string) int {
+		n, ok := builds.Load(k)
+		if !ok {
+			return 0
+		}
+		return *n.(*int)
+	}
+	if err := s.Put(testVolume(t, "a", 1)); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); derive("a", "u8") }()
+	}
+	wg.Wait()
+	if n := count("a/u8"); n != 1 {
+		t.Fatalf("8 concurrent callers ran %d builds, want 1", n)
+	}
+	if _, built := derive("a", "u8"); built {
+		t.Error("resident value rebuilt")
+	}
+	if got, want := s.ResidentBytes(), volBytes+volBytes/2; got != want {
+		t.Errorf("resident bytes = %d, want %d (volume + derived)", got, want)
+	}
+
+	// Replace: a new generation builds its own value once.
+	if err := s.Put(testVolume(t, "a", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.ResidentBytes(); got != volBytes {
+		t.Errorf("after replace resident bytes = %d, want %d", got, volBytes)
+	}
+	if val, built := derive("a", "u8"); !built || val != uint64(2) || count("a/u8") != 2 {
+		t.Errorf("after replace: val %v built %v builds %d", val, built, count("a/u8"))
+	}
+
+	// Eviction drops the value with the volume: b, c and d push a out.
+	for _, n := range []string{"b", "c", "d"} {
+		if err := s.Put(testVolume(t, n, 3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if in, _ := s.Stat("a"); in.Resident {
+		t.Fatal("a should have been evicted")
+	}
+	if _, built := derive("a", "u8"); !built || count("a/u8") != 3 {
+		t.Errorf("after eviction: built %v builds %d", built, count("a/u8"))
+	}
+
+	// Delete drops it too, and a stale volume's value is not kept.
+	v, err := s.Get("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete("a"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, built, _ := s.Derived(v, "u8", func() (any, int64, error) { return 0, volBytes, nil }); !built {
+			t.Error("value of a deleted volume served from the store")
+		}
+	}
+	var resident int64
+	for _, in := range s.List() {
+		if in.Resident {
+			resident += in.Bytes
+		}
+	}
+	if s.ResidentBytes() != resident {
+		t.Errorf("resident bytes %d, resident volumes hold %d: derived bytes leaked", s.ResidentBytes(), resident)
+	}
+
+	// A failed build is not kept.
+	b, err := s.Get("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	if _, _, err := s.Derived(b, "x", func() (any, int64, error) { return nil, 0, boom }); err != boom {
+		t.Fatalf("failed build: err %v", err)
+	}
+	if _, built, err := s.Derived(b, "x", func() (any, int64, error) { return 1, 0, nil }); !built || err != nil {
+		t.Errorf("retry after a failed build: built %v err %v", built, err)
+	}
+}
+
+// TestDerivedEvictedBeforeVolumes: over budget, the RAM tier drops
+// derived values — rebuilt from memory — before it evicts a volume that
+// would have to be reloaded from bricks.
+func TestDerivedEvictedBeforeVolumes(t *testing.T) {
+	volBytes := int64(8 * 8 * 8 * 4)
+	s, err := Open(t.TempDir(), Options{RAMBytes: 2*volBytes + volBytes/4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []string{"a", "b"} {
+		if err := s.Put(testVolume(t, n, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	derive := func(name string) bool {
+		v, err := s.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, built, err := s.Derived(v, "k", func() (any, int64, error) { return 0, volBytes / 4, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return built
+	}
+	derive("a") // fits: 2.25 volumes
+	// b's value pushes the tier over budget; a's, the colder, goes.
+	derive("b")
+	if !derive("a") {
+		t.Error("a's value survived b's: derived values are not dropped coldest first")
+	}
+	if s.evictions.Total() != 0 {
+		t.Errorf("%d volumes evicted for a derived value's sake", s.evictions.Total())
+	}
+	for _, n := range []string{"a", "b"} {
+		if in, _ := s.Stat(n); !in.Resident {
+			t.Errorf("%s evicted; only derived values should have gone", n)
+		}
+	}
+	if s.ResidentBytes() > 2*volBytes+volBytes/4 {
+		t.Errorf("resident bytes %d over the budget", s.ResidentBytes())
+	}
+}

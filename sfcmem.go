@@ -173,6 +173,9 @@ type (
 	TransferFunc = render.TransferFunc
 	// RenderOptions configures a render.
 	RenderOptions = render.Options
+	// Accel is a volume's exact empty-space map under a transfer
+	// function (RenderOptions.Accel).
+	Accel = render.Accel
 	// Image is the float32 RGBA framebuffer a render produces.
 	Image = render.Image
 	// RGBA is a straight-alpha color sample.
