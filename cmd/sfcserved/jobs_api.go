@@ -298,7 +298,8 @@ func (s *server) runRenderJob(ctx context.Context, jt *obs.Trace, sh *renderShar
 }
 
 // filterJobSpec builds the scheduler spec for a filter job. The batch
-// shares the dtype-converted source grid; each job then runs its own
+// shares the dtype-converted source grid (converted, shared with sync
+// filters and renders); each job then runs its own
 // kernel parameters. The result volume lands in the store and the
 // response body in the cache exactly as a sync /filter would leave
 // them.
@@ -312,11 +313,7 @@ func (s *server) filterJobSpec(req filterRequest, lane jobs.Lane, hdr http.Heade
 		BatchKey: digest("filter", plan.src.Name, plan.src.Gen, plan.dt),
 		Lane:     lane,
 		Setup: func(ctx context.Context) (any, error) {
-			g := plan.src.Grid
-			if plan.dt != g.Dtype() {
-				g = g.Convert(plan.dt)
-			}
-			return g, nil
+			return s.converted(nil, plan.src, plan.dt)
 		},
 		Run: func(ctx context.Context, shared any, j *jobs.Job) error {
 			ctx = obs.With(ctx, jt)

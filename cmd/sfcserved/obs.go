@@ -113,17 +113,18 @@ func (w *statusWriter) status() int {
 func (s *server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	rs := s.routes[route]
 	return func(w http.ResponseWriter, r *http.Request) {
+		sw := &statusWriter{ResponseWriter: w}
+		start := time.Now()
 		t, ctx := s.hub.Start(r.Context(), route, r.Header)
 		if t != nil {
 			w.Header().Set("X-Request-Id", t.RequestID)
 			w.Header().Set("Traceparent", t.Traceparent())
 			r = r.WithContext(ctx)
 		}
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
 		h(sw, r)
-		rs.observe(sw.status(), time.Since(start))
+		elapsed := time.Since(start)
 		s.hub.Finish(t, sw.status(), sw.bytes, sw.Header().Get("X-Cache"))
+		rs.observe(sw.status(), elapsed)
 	}
 }
 

@@ -6,7 +6,8 @@ package main
 // every render marched through cells the transfer function maps to
 // nothing. Both now happen once per stored generation and dtype, and
 // every render of that generation — sync /render misses and the
-// full-resolution pass of render jobs — reuses them.
+// full-resolution pass of render jobs — reuses them. Filter misses,
+// sync and job, share the same converted views.
 
 import (
 	"sfcmem"
@@ -26,26 +27,44 @@ type prepared struct {
 	accel *sfcmem.Accel
 }
 
+// converted returns vol's grid at dt: the stored grid itself when the
+// dtypes match, else a converted copy that the store builds once per
+// resident generation and dtype (single-flight), charges to the RAM
+// tier and drops with the volume. A conversion records a "resolve"
+// stage in t. Render and filter misses both read their dtype views
+// through it, so a generation converts at most once per dtype.
+func (s *server) converted(t *obs.Trace, vol *store.Volume, dt sfcmem.Dtype) (*sfcmem.AnyGrid, error) {
+	if dt == vol.Grid.Dtype() {
+		return vol.Grid, nil
+	}
+	val, _, err := s.store.Derived(vol, "grid:"+dt.String(), func() (any, int64, error) {
+		endResolve := t.Stage("resolve")
+		g := vol.Grid.Convert(dt)
+		endResolve()
+		return g, g.Bytes(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return val.(*sfcmem.AnyGrid), nil
+}
+
 // prepare returns vol's prepared volume at dt. The store builds it once
 // per resident generation (single-flight), charges its bytes to the RAM
 // tier and drops it with the volume: on a PUT, a tune's relayout, a
-// DELETE or an eviction. A build records a "resolve" stage in t when a
-// conversion runs and an "accel" stage for the map; t's access-log line
-// notes whether the request built the prepared volume or reused it.
+// DELETE or an eviction. Its grid comes from converted; a build records
+// an "accel" stage in t for the map, and t's access-log line notes
+// whether the request built the prepared volume or reused it.
 func (s *server) prepare(t *obs.Trace, vol *store.Volume, dt sfcmem.Dtype) (*prepared, error) {
 	val, built, err := s.store.Derived(vol, "render:"+dt.String(), func() (any, int64, error) {
-		p := &prepared{grid: vol.Grid}
-		var bytes int64
-		if dt != vol.Grid.Dtype() {
-			endResolve := t.Stage("resolve")
-			p.grid = vol.Grid.Convert(dt)
-			endResolve()
-			bytes = p.grid.Bytes()
+		g, err := s.converted(t, vol, dt)
+		if err != nil {
+			return nil, 0, err
 		}
 		endAccel := t.Stage("accel")
-		p.accel = sfcmem.BuildAccelAny(p.grid, renderTF)
+		p := &prepared{grid: g, accel: sfcmem.BuildAccelAny(g, renderTF)}
 		endAccel()
-		return p, bytes + p.accel.Bytes(), nil
+		return p, p.accel.Bytes(), nil
 	})
 	if err != nil {
 		return nil, err

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -493,10 +494,11 @@ func (s *server) handleRender(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	endDigest()
-
+	// From here to the response every step runs inside a top-level
+	// stage, so the stages account for the whole request.
 	ctx, cancel := s.requestCtx(r, req.DeadlineMS)
 	defer cancel()
+	endDigest()
 
 	// renderOnce is the full kernel path — prepared volume, admission,
 	// raycast, encode — run by exactly one request per digest when the
@@ -537,6 +539,11 @@ func (s *server) handleRender(w http.ResponseWriter, r *http.Request) {
 	} else {
 		v, err = renderOnce(ctx)
 	}
+	// The response write is a stage of its own, and the deadline is
+	// released inside it: a write that blocks, or a preemption under
+	// load, would otherwise open a gap no stage accounts for.
+	defer t.Stage("respond")()
+	cancel()
 	if err != nil {
 		if !s.admissionError(w, err) {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -557,19 +564,17 @@ func encodeFrame(img *sfcmem.Image, format string) (rcache.Value, error) {
 		}
 		return rcache.Value{Body: buf.Bytes(), ContentType: "image/png"}, nil
 	case "raw":
-		fb := make([]float32, 0, img.W*img.H*4)
+		body := make([]byte, 0, img.W*img.H*16)
 		for y := 0; y < img.H; y++ {
 			for x := 0; x < img.W; x++ {
 				c := img.At(x, y)
-				fb = append(fb, c.R, c.G, c.B, c.A)
+				for _, f := range [4]float32{c.R, c.G, c.B, c.A} {
+					body = binary.LittleEndian.AppendUint32(body, math.Float32bits(f))
+				}
 			}
 		}
-		var buf bytes.Buffer
-		if err := binary.Write(&buf, binary.LittleEndian, fb); err != nil {
-			return rcache.Value{}, err
-		}
 		return rcache.Value{
-			Body:        buf.Bytes(),
+			Body:        body,
 			ContentType: "application/octet-stream",
 			Meta: map[string]string{
 				"X-Image-Width":  fmt.Sprint(img.W),
@@ -732,29 +737,28 @@ func (s *server) handleFilter(w http.ResponseWriter, r *http.Request) {
 	}
 	endDigest := t.Stage("digest")
 	plan, herr := s.planFilter(req)
-	endDigest()
 	if herr != nil {
+		endDigest()
 		http.Error(w, herr.msg, herr.code)
 		return
 	}
 	etag := plan.etag
 	if s.cache != nil {
 		if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) && s.dstHoldsResult(plan) {
+			endDigest()
 			w.Header().Set("ETag", etag)
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
 	}
-
 	ctx, cancel := s.requestCtx(r, plan.req.DeadlineMS)
 	defer cancel()
+	endDigest()
 
 	filterOnce := func(ctx context.Context) (rcache.Value, error) {
-		srcGrid := plan.src.Grid
-		if plan.dt != srcGrid.Dtype() {
-			endResolve := t.Stage("resolve")
-			srcGrid = srcGrid.Convert(plan.dt)
-			endResolve()
+		srcGrid, err := s.converted(t, plan.src, plan.dt)
+		if err != nil {
+			return rcache.Value{}, err
 		}
 		release, err := s.admit(ctx)
 		if err != nil {
@@ -781,6 +785,8 @@ func (s *server) handleFilter(w http.ResponseWriter, r *http.Request) {
 	} else {
 		v, err = filterOnce(ctx)
 	}
+	defer t.Stage("respond")()
+	cancel()
 	if err != nil {
 		if !s.admissionError(w, err) {
 			http.Error(w, err.Error(), http.StatusBadRequest)

@@ -3,9 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"image/png"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"runtime"
@@ -14,6 +18,7 @@ import (
 	"time"
 
 	"sfcmem"
+	"sfcmem/internal/render"
 	"sfcmem/internal/store"
 )
 
@@ -121,6 +126,35 @@ func TestRenderRawFormat(t *testing.T) {
 	}
 	if got := resp.Header.Get("X-Image-Width"); got != "16" {
 		t.Errorf("X-Image-Width = %q", got)
+	}
+}
+
+// TestRawFrameBytes pins the "raw" body of a fixed frame byte for byte:
+// each pixel's R, G, B, A as little-endian float32 bits, row-major, with
+// NaN, -0, a subnormal and ±Inf carried through unchanged. The hash was
+// taken from the binary.Write encoder this one replaced.
+func TestRawFrameBytes(t *testing.T) {
+	img := render.NewImage(5, 3)
+	for y := 0; y < img.H; y++ {
+		for x := 0; x < img.W; x++ {
+			i := float32(y*img.W + x)
+			img.Set(x, y, sfcmem.RGBA{R: i / 7, G: -i, B: float32(math.Inf(1)), A: 1 - i/15})
+		}
+	}
+	img.Set(0, 0, sfcmem.RGBA{R: float32(math.NaN()), G: float32(math.Copysign(0, -1)), B: 1e-40, A: float32(math.Inf(-1))})
+	v, err := encodeFrame(img, "raw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "784b689b6f37c553142e730a9c6186e1ce5ff08be17cbb21b56f45e68152b6a1"
+	if got := fmt.Sprintf("%x", sha256.Sum256(v.Body)); len(v.Body) != 5*3*16 || got != want {
+		t.Errorf("raw body: %d bytes, sha256 %s; want 240 bytes, %s", len(v.Body), got, want)
+	}
+	if got := binary.LittleEndian.Uint32(v.Body[16*7+4:]); got != math.Float32bits(-7) {
+		t.Errorf("pixel 7 G bits %#x, want %#x", got, math.Float32bits(-7))
+	}
+	if v.Meta["X-Image-Width"] != "5" || v.Meta["X-Image-Height"] != "3" {
+		t.Errorf("raw metadata %v", v.Meta)
 	}
 }
 

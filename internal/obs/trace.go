@@ -161,7 +161,6 @@ func (t *Trace) Traceparent() string {
 func NewTrace(route, traceparent, requestID string) *Trace {
 	t := &Trace{
 		Route:     route,
-		Start:     time.Now(),
 		SpanID:    randHex(8),
 		RequestID: requestID,
 	}
@@ -173,6 +172,10 @@ func NewTrace(route, traceparent, requestID string) *Trace {
 	if t.RequestID == "" || len(t.RequestID) > 128 {
 		t.RequestID = randHex(8)
 	}
+	// The clock starts once the recorder exists: allocating its span
+	// arrays is observability overhead, not request work, and no stage
+	// could cover it.
+	t.Start = time.Now()
 	return t
 }
 
@@ -185,10 +188,10 @@ func (t *Trace) Stage(name string) func() {
 	if t == nil {
 		return func() {}
 	}
+	start := time.Now() // first, so back-to-back stages leave no gap
 	depth := t.depth
 	t.depth++
 	t.stage.Store(&name)
-	start := time.Now()
 	return func() {
 		d := time.Since(start)
 		t.depth--

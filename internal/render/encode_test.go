@@ -1,10 +1,16 @@
 package render
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"image"
+	"image/draw"
+	"image/png"
 	"io"
 	"math"
+	"sort"
+	"sync"
 	"testing"
 
 	"sfcmem/internal/core"
@@ -85,6 +91,110 @@ func TestTo8MatchesPow(t *testing.T) {
 			t.Errorf("to8(%v) = %d, want 0", v, got)
 		}
 	}
+}
+
+// countThresholds is the reference to8 counts against: the number of
+// gamma thresholds at or below v, by binary search.
+func countThresholds(v float32) int {
+	return sort.Search(len(gammaThresholds), func(i int) bool { return gammaThresholds[i] > v })
+}
+
+// TestGammaStartOneStep checks the table to8 starts from: every entry
+// is exact at its bucket's smallest value, and the bucket's largest
+// value is at most one threshold further — so to8's single correction
+// step reaches the exact count for every value in [0, 1).
+func TestGammaStartOneStep(t *testing.T) {
+	for b, start := range gammaStart {
+		lo := math.Float32frombits(uint32(b) << 16)
+		hi := math.Float32frombits(uint32(b)<<16 | 0xFFFF)
+		if n := countThresholds(lo); int(start) != n {
+			t.Fatalf("gammaStart[%#x] = %d, want %d (count at %v)", b, start, n, lo)
+		}
+		if n := countThresholds(hi); n-int(start) > 1 {
+			t.Fatalf("bucket %#x spans codes %d..%d: more than one correction step", b, start, n)
+		}
+	}
+}
+
+// TestTo8Strided compares to8 with the math.Pow reference on every
+// 997th float32 bit pattern in [0, 2).
+func TestTo8Strided(t *testing.T) {
+	for b := uint32(0); b < math.Float32bits(2); b += 997 {
+		v := math.Float32frombits(b)
+		if got, want := to8(v), gamma8(v); got != want {
+			t.Fatalf("to8(%v) = %d, math.Pow reference %d", v, got, want)
+		}
+	}
+}
+
+// TestWritePNGConcurrent encodes frames from many goroutines at once
+// through the shared encoder and its buffer pool (run under -race by
+// make race); every PNG must decode to exactly its frame's ToNRGBA
+// pixels.
+func TestWritePNGConcurrent(t *testing.T) {
+	scene := encodeScene(t)
+	var frames []*Image
+	for i := 0; i < 16; i++ {
+		src := scene[i%len(scene)]
+		im := NewImage(src.W, src.H)
+		for j, p := range src.pix {
+			s := 1 - float32(i)/32 // each goroutine encodes different bytes
+			im.pix[j] = RGBA{p.R * s, p.G * s, p.B * s, p.A}
+		}
+		frames = append(frames, im)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(frames))
+	for i, im := range frames {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 4; rep++ {
+				var buf bytes.Buffer
+				if err := im.WritePNG(&buf); err != nil {
+					errs[i] = err
+					return
+				}
+				dec, err := png.Decode(&buf)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				got := image.NewNRGBA(dec.Bounds())
+				draw.Draw(got, got.Rect, dec, dec.Bounds().Min, draw.Src)
+				if !bytes.Equal(got.Pix, im.ToNRGBA().Pix) {
+					errs[i] = fmt.Errorf("frame %d rep %d: decoded PNG differs from ToNRGBA", i, rep)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// BenchmarkWritePNG encodes a 128² plume frame, the service's render
+// miss; bytes/frame is the PNG size.
+func BenchmarkWritePNG(b *testing.B) {
+	const vn = 64
+	vol := volume.CombustionPlume(core.NewZOrder(vn, vn, vn), 1)
+	img, err := Render(vol, Orbit(1, 8, vn, vn, vn, 128, 128), DefaultTransferFunc(), Options{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	for b.Loop() {
+		buf.Reset()
+		if err := img.WritePNG(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(buf.Len()), "bytes/frame")
 }
 
 // TestRenderNaNVoxel renders a plume holding one NaN voxel on both

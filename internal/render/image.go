@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync"
 )
 
 // Image is a float32 RGBA framebuffer.
@@ -102,18 +103,40 @@ var gammaThresholds = func() (th [255]float32) {
 	return th
 }()
 
-// to8 gamma-encodes a linear channel value to 8 bits: the number of
-// thresholds at or below v, by an eight-step binary search. It equals
-// gamma8 for every v >= 0 (1 and above encode as 255); NaN and
-// negative values encode as 0.
-func to8(v float32) uint8 {
+// gammaStart[b] is the code of the smallest float32 whose top 16 bits
+// are b, for every b below the top bits of 1: a lower bound on the code
+// of each value in that bucket. A bucket spans 2⁻⁷ of its values'
+// magnitude, less than one code step anywhere in [0, 1), so the bound is
+// at most one threshold short.
+var gammaStart = func() (start [0x3F80]uint8) {
 	n := 0
-	for step := 128; step > 0; step >>= 1 {
-		if gammaThresholds[n+step-1] <= v {
-			n += step
+	for b := range start {
+		v := math.Float32frombits(uint32(b) << 16)
+		for n < len(gammaThresholds) && gammaThresholds[n] <= v {
+			n++
 		}
+		start[b] = uint8(n)
 	}
-	return uint8(n)
+	return start
+}()
+
+// to8 gamma-encodes a linear channel value to 8 bits: the number of
+// thresholds at or below v, read from gammaStart and corrected by one
+// threshold comparison. It equals gamma8 for every v >= 0 (1 and above,
+// +Inf included, encode as 255); NaN and negative values encode as 0.
+func to8(v float32) uint8 {
+	switch b := math.Float32bits(v); {
+	case b < 0x3F800000: // [0, 1)
+		n := gammaStart[b>>16]
+		if n < 255 && gammaThresholds[n] <= v {
+			n++
+		}
+		return n
+	case b <= 0x7F800000: // [1, +Inf]
+		return 255
+	default: // NaN, or the sign bit set
+		return 0
+	}
 }
 
 // WritePPM writes the image as a binary PPM (P6) over a dark
@@ -155,23 +178,36 @@ func (im *Image) SavePPM(path string) error {
 // background with gamma correction, for PNG export.
 func (im *Image) ToNRGBA() *image.NRGBA {
 	out := image.NewNRGBA(image.Rect(0, 0, im.W, im.H))
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			p := im.At(x, y)
-			rem := 1 - p.A
-			i := out.PixOffset(x, y)
-			out.Pix[i+0] = to8(p.R + rem*bg)
-			out.Pix[i+1] = to8(p.G + rem*bg)
-			out.Pix[i+2] = to8(p.B + rem*bg)
-			out.Pix[i+3] = 255
-		}
+	for i, p := range im.pix {
+		rem := 1 - p.A
+		px := out.Pix[4*i : 4*i+4 : 4*i+4]
+		px[0] = to8(p.R + rem*bg)
+		px[1] = to8(p.G + rem*bg)
+		px[2] = to8(p.B + rem*bg)
+		px[3] = 255
 	}
 	return out
 }
 
+// pngEncoder is shared by every WritePNG. BestSpeed compresses a 128²
+// frame about four times faster than the default level, for about a
+// fifth more bytes, and the pool keeps each encode from allocating its
+// own zlib state. Encoder.Encode is safe for concurrent use.
+var pngEncoder = png.Encoder{CompressionLevel: png.BestSpeed, BufferPool: &pngBuffers{}}
+
+// pngBuffers is a png.EncoderBufferPool over a sync.Pool.
+type pngBuffers struct{ pool sync.Pool }
+
+func (b *pngBuffers) Get() *png.EncoderBuffer {
+	buf, _ := b.pool.Get().(*png.EncoderBuffer)
+	return buf
+}
+
+func (b *pngBuffers) Put(buf *png.EncoderBuffer) { b.pool.Put(buf) }
+
 // WritePNG encodes the image as PNG.
 func (im *Image) WritePNG(w io.Writer) error {
-	return png.Encode(w, im.ToNRGBA())
+	return pngEncoder.Encode(w, im.ToNRGBA())
 }
 
 // SavePNG writes the image to a PNG file.
