@@ -15,8 +15,12 @@ build:
 test:
 	$(GO) test ./...
 
+# perfbench is its own module (it imports this one through a replace
+# directive), so ./... does not reach it; vet it too so a removed
+# identifier it still uses fails here, not only in CI.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 race:
 	$(GO) test -race ./...

@@ -9,6 +9,7 @@
 package sfcmem_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -420,7 +421,7 @@ func benchBilatR5[T grid.Scalar](b *testing.B, name string, l core.Layout) {
 		opts := filter.Options{Radius: 5, Axis: parallel.AxisX, Order: filter.XYZ, Workers: 4}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := filter.ApplyOf[T](src, dst, opts); err != nil {
+			if err := filter.ApplyCtxOf[T](context.Background(), src, dst, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -85,14 +85,6 @@ type frameEvent struct {
 	Frame       string `json:"frame"`          // base64 of the encoded frame
 }
 
-// renderShared is a render batch's Setup product: the prepared volume
-// and its coarse subsample, resolved once per batch and shared by every
-// job in it.
-type renderShared struct {
-	full   *prepared
-	coarse *sfcmem.AnyGrid // nil when the batch's coarse level is 0
-}
-
 func (s *server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 	if s.jobs == nil {
 		http.Error(w, "jobs disabled", http.StatusServiceUnavailable)
@@ -182,7 +174,8 @@ func maxCoarseLevel(nx, ny, nz int) int {
 // compatibility covers exactly what Setup resolves — the volume's
 // contents (name + generation), the element type of the run, and the
 // coarse level — so framing (view, size, format) varies freely within
-// a batch while the expensive per-volume work is shared.
+// a batch while the coarse subsample is shared. The full pass shares
+// the prepared volume through the store, as sync renders do.
 //
 // The requested coarse level is clamped to the volume's deepest
 // meaningful level before it reaches the batch key or the subsample:
@@ -214,58 +207,49 @@ func (s *server) renderJobSpec(req renderRequest, lane jobs.Lane, coarseLevel in
 		BatchKey: digest("render", plan.vol.Name, plan.vol.Gen, plan.dt, coarseLevel),
 		Lane:     lane,
 		Setup: func(ctx context.Context) (any, error) {
-			p, err := s.prepare(nil, plan.vol, plan.dt)
+			if coarseLevel == 0 {
+				return nil, nil // no preview: nothing to share
+			}
+			g, err := s.converted(nil, plan.vol, plan.dt)
 			if err != nil {
 				return nil, err
 			}
-			sh := &renderShared{full: p}
-			if coarseLevel > 0 {
-				c, err := sfcmem.SubsampleAny(p.grid, coarseLevel, func(nx, ny, nz int) sfcmem.Layout {
-					l, err := sfcmem.ParseLayoutSpec(layoutSpec, nx, ny, nz)
-					if err != nil {
-						// Unreachable: the spec parsed at the full extents
-						// above, and shrinking extents never invalidates it.
-						panic(fmt.Sprintf("layout spec %q invalid at %dx%dx%d: %v", layoutSpec, nx, ny, nz, err))
-					}
-					return l
-				})
+			return sfcmem.SubsampleAny(g, coarseLevel, func(nx, ny, nz int) sfcmem.Layout {
+				l, err := sfcmem.ParseLayoutSpec(layoutSpec, nx, ny, nz)
 				if err != nil {
-					return nil, err
+					// Unreachable: the spec parsed at the full extents
+					// above, and shrinking extents never invalidates it.
+					panic(fmt.Sprintf("layout spec %q invalid at %dx%dx%d: %v", layoutSpec, nx, ny, nz, err))
 				}
-				sh.coarse = c
-			}
-			return sh, nil
+				return l
+			})
 		},
 		Run: func(ctx context.Context, shared any, j *jobs.Job) error {
-			return s.runRenderJob(obs.With(ctx, jt), jt, shared.(*renderShared), plan, coarseLevel, j)
+			coarse, _ := shared.(*sfcmem.AnyGrid) // nil at coarse level 0
+			return s.runRenderJob(obs.With(ctx, jt), jt, coarse, plan, coarseLevel, j)
 		},
 		Done: s.jobDone(jt),
 	}, nil
 }
 
 // runRenderJob is a render job's kernel path, executed on a scheduler
-// runner: admission, coarse preview (subsampled volume at reduced
-// resolution), full-resolution refinement, cache store. The admission
-// slot is held across both passes — the job occupies a kernel worker
-// for its whole run — and released on any exit, including cancellation
-// mid-refine.
-func (s *server) runRenderJob(ctx context.Context, jt *obs.Trace, sh *renderShared, plan *renderPlan, coarseLevel int, j *jobs.Job) error {
+// runner: the coarse preview (subsampled volume at reduced resolution,
+// under its own admission slot), then the full-resolution pass through
+// the response cache under the digest a sync /render computes. The
+// full pass is renderOnce, so a job and a sync request for one digest
+// run the kernel once, and a job over an already-served digest is a
+// cache hit.
+func (s *server) runRenderJob(ctx context.Context, jt *obs.Trace, coarse *sfcmem.AnyGrid, plan *renderPlan, coarseLevel int, j *jobs.Job) error {
 	s.recordQueueSpans(jt, j)
-	release, err := s.admit(ctx)
-	if err != nil {
-		return err
-	}
-	defer release()
 	req := plan.req
-	if sh.coarse != nil {
-		cw, ch := req.Width>>coarseLevel, req.Height>>coarseLevel
-		if cw < 16 {
-			cw = 16
+	if coarse != nil {
+		cw, ch := max(req.Width>>coarseLevel, 16), max(req.Height>>coarseLevel, 16)
+		release, err := s.admit(ctx)
+		if err != nil {
+			return err
 		}
-		if ch < 16 {
-			ch = 16
-		}
-		cv, err := s.rasterize(ctx, jt, sh.coarse, nil, req, cw, ch, "kernel.coarse")
+		cv, err := s.rasterize(ctx, jt, coarse, nil, req, cw, ch, "kernel.coarse")
+		release()
 		if err != nil {
 			return err
 		}
@@ -276,16 +260,9 @@ func (s *server) runRenderJob(ctx context.Context, jt *obs.Trace, sh *renderShar
 			Frame:       base64.StdEncoding.EncodeToString(cv.Body),
 		})
 	}
-	start := time.Now()
-	v, err := s.rasterize(ctx, jt, sh.full.grid, sh.full.accel, req, req.Width, req.Height, "kernel")
+	v, _, err := s.cached(ctx, jt, plan.key, s.renderOnce(jt, plan))
 	if err != nil {
 		return err
-	}
-	s.renderLatency.Observe(time.Since(start))
-	if s.cache != nil {
-		// Same digest a sync /render computes: the job's output answers
-		// future synchronous requests from the cache.
-		s.cache.Put(plan.key, v)
 	}
 	j.SetResult(&v)
 	j.Emit("refined", frameEvent{
@@ -297,12 +274,12 @@ func (s *server) runRenderJob(ctx context.Context, jt *obs.Trace, sh *renderShar
 	return nil
 }
 
-// filterJobSpec builds the scheduler spec for a filter job. The batch
-// shares the dtype-converted source grid (converted, shared with sync
-// filters and renders); each job then runs its own
-// kernel parameters. The result volume lands in the store and the
-// response body in the cache exactly as a sync /filter would leave
-// them.
+// filterJobSpec builds the scheduler spec for a filter job. It runs
+// runFilter, the sync /filter path: the result volume lands in the
+// store and the response body in the cache exactly as a sync /filter
+// would leave them, and a job and a sync request for one digest run
+// the kernel once. The source's converted view is shared through the
+// store, so the batch needs no Setup.
 func (s *server) filterJobSpec(req filterRequest, lane jobs.Lane, hdr http.Header) (jobs.Spec, *httpErr) {
 	plan, herr := s.planFilter(req)
 	if herr != nil {
@@ -312,23 +289,12 @@ func (s *server) filterJobSpec(req filterRequest, lane jobs.Lane, hdr http.Heade
 	return jobs.Spec{
 		BatchKey: digest("filter", plan.src.Name, plan.src.Gen, plan.dt),
 		Lane:     lane,
-		Setup: func(ctx context.Context) (any, error) {
-			return s.converted(nil, plan.src, plan.dt)
-		},
-		Run: func(ctx context.Context, shared any, j *jobs.Job) error {
+		Run: func(ctx context.Context, _ any, j *jobs.Job) error {
 			ctx = obs.With(ctx, jt)
 			s.recordQueueSpans(jt, j)
-			release, err := s.admit(ctx)
+			v, _, err := s.runFilter(ctx, jt, plan)
 			if err != nil {
 				return err
-			}
-			defer release()
-			v, err := s.applyFilter(ctx, jt, shared.(*sfcmem.AnyGrid), plan)
-			if err != nil {
-				return err
-			}
-			if s.cache != nil {
-				s.cache.Put(plan.key, v)
 			}
 			j.SetResult(&v)
 			j.Emit("result", json.RawMessage(bytes.TrimSpace(v.Body)))

@@ -20,6 +20,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -794,5 +795,116 @@ func TestJobCoarseLevelClampedToVolume(t *testing.T) {
 	}
 	if coarse.Width != 16 || coarse.Height != 16 {
 		t.Errorf("coarse frame %dx%d, want 16x16 (48>>3 raised to the 16px floor)", coarse.Width, coarse.Height)
+	}
+}
+
+// jobRefinedFrame follows a job's event stream (replayed from the
+// start) to its refined frame and returns the frame bytes.
+func jobRefinedFrame(t *testing.T, base, id string) []byte {
+	t.Helper()
+	resp, err := http.Get(base + "/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	for {
+		ev, err := readSSE(br)
+		if err != nil {
+			t.Fatalf("job %s: event stream ended before a refined frame: %v", id, err)
+		}
+		switch ev.event {
+		case "refined":
+			var fe frameEvent
+			if err := json.Unmarshal(ev.data, &fe); err != nil {
+				t.Fatal(err)
+			}
+			frame, err := base64.StdEncoding.DecodeString(fe.Frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return frame
+		case "failed", "cancelled":
+			t.Fatalf("job %s %s: %s", id, ev.event, ev.data)
+		}
+	}
+}
+
+// TestJobAndSyncShareOneKernelRun: a render job and a sync /render of
+// the same digest run the kernel once, whichever arrives first. The
+// leader parks in the kernel; the other must wait on its flight rather
+// than render again. At -slots 1 this also pins that the waiter holds
+// no admission slot, or the leader could never be admitted.
+func TestJobAndSyncShareOneKernelRun(t *testing.T) {
+	for _, jobFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("jobFirst=%v", jobFirst), func(t *testing.T) {
+			cfg := cacheConfig()
+			cfg.slots = 1
+			a, err := newApp(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hook := newBlockingHook()
+			var calls atomic.Int32
+			a.srv.renderImage = func(ctx context.Context, vol *sfcmem.AnyGrid, cam sfcmem.Camera, tf *sfcmem.TransferFunc, o sfcmem.RenderOptions) (*sfcmem.Image, error) {
+				calls.Add(1)
+				return hook.render(ctx, vol, cam, tf, o)
+			}
+			serveBuiltApp(t, a)
+			release := sync.OnceFunc(func() { close(hook.release) })
+			t.Cleanup(release) // runs before the app's drain, even after a failure
+			base := "http://" + a.apiAddr()
+			req := renderRequest{Volume: "demo", View: 5, Views: 8, Width: 32, Height: 32, Workers: 1}
+
+			type syncResult struct {
+				status int
+				xcache string
+				body   []byte
+			}
+			syncDone := make(chan syncResult, 1)
+			sync := func() {
+				go func() {
+					resp := postJSON(t, base+"/render", req)
+					body, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					syncDone <- syncResult{resp.StatusCode, resp.Header.Get("X-Cache"), body}
+				}()
+			}
+			zero := 0
+			var id string
+			if jobFirst {
+				id = submitJob(t, base, jobRequest{Render: &req, CoarseLevel: &zero})
+				<-hook.entered
+				sync()
+			} else {
+				sync()
+				<-hook.entered
+				id = submitJob(t, base, jobRequest{Render: &req, CoarseLevel: &zero})
+			}
+			waitFor(t, "second caller coalesced onto the leader's run", func() bool {
+				return a.srv.cache.Stats().Coalesced == 1
+			})
+			release()
+
+			res := <-syncDone
+			if res.status != http.StatusOK {
+				t.Fatalf("sync render: status %d", res.status)
+			}
+			frame := jobRefinedFrame(t, base, id)
+			waitFor(t, "job done", func() bool { return jobState(t, base, id) == "done" })
+			if got := calls.Load(); got != 1 {
+				t.Errorf("kernel ran %d times for one digest, want 1", got)
+			}
+			want := "miss"
+			if jobFirst {
+				want = "coalesced"
+			}
+			if res.xcache != want {
+				t.Errorf("sync X-Cache %q, want %q", res.xcache, want)
+			}
+			if !bytes.Equal(frame, res.body) {
+				t.Errorf("job frame (%d bytes) differs from the sync response (%d bytes)", len(frame), len(res.body))
+			}
+		})
 	}
 }

@@ -542,3 +542,64 @@ func TestFilterTraceKeepsStages(t *testing.T) {
 		t.Errorf("access log does not report the dropped pencil spans: %v", access)
 	}
 }
+
+// TestFilterWorkerSpans: a sync /filter trace and a filter job's trace
+// both carry per-pencil worker spans. The work observer travels in
+// FilterOptions.Observer on the path both share, so neither may lose
+// the kernel's per-item spans.
+func TestFilterWorkerSpans(t *testing.T) {
+	cfg := testConfig()
+	cfg.cacheBytes = 1 << 20
+	a, _, _ := startApp(t, cfg)
+	api, ops := "http://"+a.apiAddr(), "http://"+a.opsAddr()
+
+	resp := postWithHeader(t, api+"/filter", filterRequest{Src: "demo", Dst: "demo.sync", Radius: 1, Workers: 2}, "X-Request-Id", "filter-sync")
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sync filter: status %d", resp.StatusCode)
+	}
+	freq := filterRequest{Src: "demo", Dst: "demo.job", Radius: 1, Workers: 2}
+	resp = postWithHeader(t, api+"/jobs", jobRequest{Filter: &freq}, "X-Request-Id", "filter-job")
+	var acc struct {
+		ID string `json:"id"`
+	}
+	err := json.NewDecoder(resp.Body).Decode(&acc)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || err != nil {
+		t.Fatalf("POST /jobs: status %d (err %v)", resp.StatusCode, err)
+	}
+	waitFor(t, "filter job done", func() bool { return jobState(t, api, acc.ID) == "done" })
+
+	// pencils counts the per-item worker spans in reqID's trace, or -1
+	// while the trace has not reached the ring (a job's lands just after
+	// its terminal event).
+	pencils := func(reqID string) int {
+		var ct struct {
+			TraceEvents []traceEventJSON `json:"traceEvents"`
+		}
+		getJSON(t, ops+"/ops/trace/recent", &ct)
+		pid := -1
+		for _, e := range ct.TraceEvents {
+			if e.Cat == "request" && e.Args["request_id"] == reqID {
+				pid = e.PID
+			}
+		}
+		if pid < 0 {
+			return -1
+		}
+		n := 0
+		for _, e := range ct.TraceEvents {
+			if e.PID == pid && e.Ph == "X" && e.Cat == "kernel" && e.Name == "pencil" {
+				n++
+			}
+		}
+		return n
+	}
+	for _, reqID := range []string{"filter-sync", "filter-job"} {
+		waitFor(t, reqID+" trace in the ring", func() bool { return pencils(reqID) >= 0 })
+		if n := pencils(reqID); n == 0 {
+			t.Errorf("%s trace has no per-pencil worker spans", reqID)
+		}
+	}
+}

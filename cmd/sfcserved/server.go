@@ -449,10 +449,11 @@ func (s *server) rasterize(ctx context.Context, t *obs.Trace, g *sfcmem.AnyGrid,
 	nx, ny, nz := g.Dims()
 	cam := sfcmem.Orbit(req.View, req.Views, nx, ny, nz, width, height)
 	endKernel := t.Stage(stage)
-	img, err := s.renderImage(sfcmem.WithWorkObserver(ctx, t.Observer("tile")), g, cam, renderTF, sfcmem.RenderOptions{
-		Workers: req.Workers,
-		Shade:   req.Shade,
-		Accel:   accel,
+	img, err := s.renderImage(ctx, g, cam, renderTF, sfcmem.RenderOptions{
+		Workers:  req.Workers,
+		Shade:    req.Shade,
+		Accel:    accel,
+		Observer: t.Observer("tile"),
 	})
 	endKernel()
 	if err != nil {
@@ -500,45 +501,10 @@ func (s *server) handleRender(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	endDigest()
 
-	// renderOnce is the full kernel path — prepared volume, admission,
-	// raycast, encode — run by exactly one request per digest when the
-	// cache is on. The prepared volume is fetched inside so cache hits
-	// skip even that lookup. When it runs it runs on this request's
-	// goroutine (rcache leaders compute inline), so the stage spans land
-	// in this request's trace; a coalesced waiter's trace shows only the
-	// enclosing cache stage.
-	renderOnce := func(ctx context.Context) (rcache.Value, error) {
-		p, err := s.prepare(t, plan.vol, plan.dt)
-		if err != nil {
-			return rcache.Value{}, err
-		}
-		release, err := s.admit(ctx)
-		if err != nil {
-			return rcache.Value{}, err
-		}
-		defer release()
-
-		start := time.Now()
-		v, err := s.rasterize(ctx, t, p.grid, p.accel, req, req.Width, req.Height, "kernel")
-		if err != nil {
-			return rcache.Value{}, err
-		}
-		s.renderLatency.Observe(time.Since(start))
-		return v, nil
-	}
-
-	var v rcache.Value
-	var out rcache.Outcome
-	if s.cache != nil {
-		// The cache stage wraps lookup, a coalesced wait on another
-		// request's run, or (as leader) the whole renderOnce chain —
-		// the nested spans and the X-Cache disposition tell which.
-		endCache := t.Stage("cache")
-		v, out, err = s.cache.Do(ctx, plan.key, renderOnce)
-		endCache()
-	} else {
-		v, err = renderOnce(ctx)
-	}
+	// As leader, renderOnce runs on this request's goroutine, so its
+	// stage spans land in this request's trace; a coalesced waiter's
+	// trace shows only the enclosing cache stage.
+	v, out, err := s.cached(ctx, t, plan.key, s.renderOnce(t, plan))
 	// The response write is a stage of its own, and the deadline is
 	// released inside it: a write that blocks, or a preemption under
 	// load, would otherwise open a gap no stage accounts for.
@@ -551,6 +517,49 @@ func (s *server) handleRender(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveValue(w, v, etag, out)
+}
+
+// renderOnce is plan's full-resolution compute: prepared volume,
+// admission, raycast, encode. Sync /render and render jobs both run it
+// through cached under the request digest, so one digest runs the
+// kernel once however many requests and jobs ask for it. The prepared
+// volume is fetched inside, so cache hits skip even that lookup.
+// Admission is taken inside too: a caller coalesced onto another's run
+// holds no slot while it waits, so at -slots 1 a job cannot hold the
+// only slot while it waits on a sync leader that needs it.
+func (s *server) renderOnce(t *obs.Trace, plan *renderPlan) func(context.Context) (rcache.Value, error) {
+	return func(ctx context.Context) (rcache.Value, error) {
+		p, err := s.prepare(t, plan.vol, plan.dt)
+		if err != nil {
+			return rcache.Value{}, err
+		}
+		release, err := s.admit(ctx)
+		if err != nil {
+			return rcache.Value{}, err
+		}
+		defer release()
+		start := time.Now()
+		req := plan.req
+		v, err := s.rasterize(ctx, t, p.grid, p.accel, req, req.Width, req.Height, "kernel")
+		if err != nil {
+			return rcache.Value{}, err
+		}
+		s.renderLatency.Observe(time.Since(start))
+		return v, nil
+	}
+}
+
+// cached runs fn under key through the response cache, inside a
+// "cache" stage that wraps a lookup, a coalesced wait on another
+// caller's run, or (as leader) the whole fn; the nested spans and the
+// outcome tell which. With the cache off it runs fn directly.
+func (s *server) cached(ctx context.Context, t *obs.Trace, key string, fn func(context.Context) (rcache.Value, error)) (rcache.Value, rcache.Outcome, error) {
+	if s.cache == nil {
+		v, err := fn(ctx)
+		return v, rcache.Miss, err
+	}
+	defer t.Stage("cache")()
+	return s.cache.Do(ctx, key, fn)
 }
 
 // encodeFrame serializes a rendered image in the requested format into
@@ -692,11 +701,12 @@ func (s *server) applyFilter(ctx context.Context, t *obs.Trace, srcGrid *sfcmem.
 	start := time.Now()
 	dst := sfcmem.NewAnyGrid(srcGrid.Dtype(), srcGrid.Layout())
 	endKernel := t.Stage("kernel")
-	err := p.kernel(sfcmem.WithWorkObserver(ctx, t.Observer("pencil")), srcGrid, dst, sfcmem.FilterOptions{
+	err := p.kernel(ctx, srcGrid, dst, sfcmem.FilterOptions{
 		Radius:     p.req.Radius,
 		Axis:       p.axis,
 		SigmaRange: p.req.SigmaRange,
 		Workers:    p.req.Workers,
+		Observer:   t.Observer("pencil"),
 	})
 	endKernel()
 	if err != nil {
@@ -722,6 +732,32 @@ func (s *server) applyFilter(ctx context.Context, t *obs.Trace, srcGrid *sfcmem.
 		"seconds": elapsed.Seconds(),
 	})
 	return rcache.Value{Body: buf.Bytes(), ContentType: "application/json"}, nil
+}
+
+// runFilter runs plan's filter through the response cache: converted
+// source view, admission (taken inside, as in renderOnce), kernel,
+// store. Sync /filter and filter jobs both call it, so one digest runs
+// the kernel once however it arrives.
+func (s *server) runFilter(ctx context.Context, t *obs.Trace, plan *filterPlan) (rcache.Value, rcache.Outcome, error) {
+	if s.cache != nil && !s.dstHoldsResult(plan) {
+		// The response body may still be resident, but dst no longer
+		// holds the output it describes (replaced by an upload since the
+		// run). Drop the entry so the kernel re-runs and re-stores dst
+		// instead of replaying a claim that is no longer true.
+		s.cache.Invalidate(plan.key)
+	}
+	return s.cached(ctx, t, plan.key, func(ctx context.Context) (rcache.Value, error) {
+		srcGrid, err := s.converted(t, plan.src, plan.dt)
+		if err != nil {
+			return rcache.Value{}, err
+		}
+		release, err := s.admit(ctx)
+		if err != nil {
+			return rcache.Value{}, err
+		}
+		defer release()
+		return s.applyFilter(ctx, t, srcGrid, plan)
+	})
 }
 
 func (s *server) handleFilter(w http.ResponseWriter, r *http.Request) {
@@ -755,36 +791,7 @@ func (s *server) handleFilter(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	endDigest()
 
-	filterOnce := func(ctx context.Context) (rcache.Value, error) {
-		srcGrid, err := s.converted(t, plan.src, plan.dt)
-		if err != nil {
-			return rcache.Value{}, err
-		}
-		release, err := s.admit(ctx)
-		if err != nil {
-			return rcache.Value{}, err
-		}
-		defer release()
-		return s.applyFilter(ctx, t, srcGrid, plan)
-	}
-
-	var v rcache.Value
-	var out rcache.Outcome
-	if s.cache != nil {
-		if !s.dstHoldsResult(plan) {
-			// The response body may still be resident, but dst no longer
-			// holds the output it describes (replaced by an upload since
-			// the run). Drop the entry so Do re-runs the kernel and
-			// re-stores dst instead of replaying a claim that is no
-			// longer true.
-			s.cache.Invalidate(plan.key)
-		}
-		endCache := t.Stage("cache")
-		v, out, err = s.cache.Do(ctx, plan.key, filterOnce)
-		endCache()
-	} else {
-		v, err = filterOnce(ctx)
-	}
+	v, out, err := s.runFilter(ctx, t, plan)
 	defer t.Stage("respond")()
 	cancel()
 	if err != nil {

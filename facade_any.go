@@ -2,12 +2,13 @@ package sfcmem
 
 // Dynamic-dtype facade. The data plane is generic over the element type
 // (Scalar: uint8 | uint16 | float32 | float64); callers that know the
-// element type at compile time use GridOf[T] and the *Of kernels for
-// fully monomorphized hot loops. Callers that learn the dtype at run
+// element type at compile time use GridOf[T] and the generic *CtxOf
+// kernels for fully monomorphized hot loops. Callers that learn the dtype at run
 // time — sfcserved requests, the harness's -dtype sweep axis, raw-file
 // tooling — use AnyGrid, a small dynamic wrapper that dispatches to the
-// monomorphized instantiation once per call. The dispatch cost is one
-// type switch per kernel invocation, never per voxel.
+// monomorphized instantiation once per call. Every dtype-dependent
+// operation is written once, generically, on typed[T]; the dispatch
+// cost is one interface call per kernel invocation, never per voxel.
 
 import (
 	"context"
@@ -16,6 +17,7 @@ import (
 
 	"sfcmem/internal/filter"
 	"sfcmem/internal/grid"
+	"sfcmem/internal/multires"
 	"sfcmem/internal/render"
 	"sfcmem/internal/volume"
 )
@@ -65,12 +67,91 @@ func ConvertGrid[Dst, Src Scalar](g *GridOf[Src]) *GridOf[Dst] {
 // unusable; construct with NewAnyGrid, WrapAny, or the *Any generators.
 type AnyGrid struct {
 	dt Dtype
-	g  any // *grid.Grid[T] for the T matching dt
+	g  anyGrid // typed[T] for the T matching dt
 }
+
+// anyGrid is the element-type-erased face of a *grid.Grid[T]: every
+// AnyGrid operation whose code depends on T, implemented once by
+// typed[T].
+type anyGrid interface {
+	layout() Layout
+	bytes() int64
+	norm(i, j, k int) float64
+	float32() *Grid
+	convert(dt Dtype) *AnyGrid
+	relayout(target Layout) (*AnyGrid, error)
+	subsample(level int, target func(nx, ny, nz int) Layout) (*AnyGrid, error)
+	saveRaw(w io.Writer) error
+	bilateral(ctx context.Context, dst anyGrid, o FilterOptions) error
+	gaussian(ctx context.Context, dst anyGrid, o FilterOptions) error
+	render(ctx context.Context, cam Camera, tf *TransferFunc, o RenderOptions) (*Image, error)
+	accel(tf *TransferFunc) *Accel
+}
+
+// typed is the one implementation of anyGrid. Kernel pairs assert dst
+// to typed[T]; the *Any entry points check dtypes match first.
+type typed[T Scalar] struct{ g *grid.Grid[T] }
+
+func (t typed[T]) layout() Layout { return t.g.Layout() }
+
+func (t typed[T]) bytes() int64 {
+	return int64(len(t.g.Data())) * int64(grid.DtypeFor[T]().Size())
+}
+
+func (t typed[T]) norm(i, j, k int) float64 {
+	return float64(t.g.At(i, j, k)) / grid.NormScale[T]()
+}
+
+func (t typed[T]) float32() *Grid { return grid.ConvertGrid[float32](t.g) }
+
+func (t typed[T]) convert(dt Dtype) *AnyGrid {
+	switch dt {
+	case U8:
+		return WrapAny(grid.ConvertGrid[uint8](t.g))
+	case U16:
+		return WrapAny(grid.ConvertGrid[uint16](t.g))
+	case F64:
+		return WrapAny(grid.ConvertGrid[float64](t.g))
+	default:
+		return WrapAny(grid.ConvertGrid[float32](t.g))
+	}
+}
+
+func (t typed[T]) relayout(target Layout) (*AnyGrid, error) {
+	return wrapErr(t.g.Relayout(target))
+}
+
+func (t typed[T]) subsample(level int, target func(nx, ny, nz int) Layout) (*AnyGrid, error) {
+	return wrapErr(multires.Subsample(t.g, level, target))
+}
+
+func (t typed[T]) saveRaw(w io.Writer) error { return volume.SaveRawOf(w, t.g) }
+
+func (t typed[T]) bilateral(ctx context.Context, dst anyGrid, o FilterOptions) error {
+	return filter.ApplyCtxOf[T](ctx, t.g, dst.(typed[T]).g, o)
+}
+
+func (t typed[T]) gaussian(ctx context.Context, dst anyGrid, o FilterOptions) error {
+	return filter.GaussianConvolveCtxOf[T](ctx, t.g, dst.(typed[T]).g, o)
+}
+
+func (t typed[T]) render(ctx context.Context, cam Camera, tf *TransferFunc, o RenderOptions) (*Image, error) {
+	return render.RenderCtxOf[T](ctx, t.g, cam, tf, o)
+}
+
+func (t typed[T]) accel(tf *TransferFunc) *Accel { return render.BuildAccelOf(t.g, tf) }
 
 // WrapAny erases the element type of a grid.
 func WrapAny[T Scalar](g *GridOf[T]) *AnyGrid {
-	return &AnyGrid{dt: grid.DtypeFor[T](), g: g}
+	return &AnyGrid{dt: grid.DtypeFor[T](), g: typed[T]{g}}
+}
+
+// wrapErr wraps a typed grid-or-error result.
+func wrapErr[T Scalar](g *GridOf[T], err error) (*AnyGrid, error) {
+	if err != nil {
+		return nil, err
+	}
+	return WrapAny(g), nil
 }
 
 // NewAnyGrid allocates a zero-filled grid of the given dtype.
@@ -90,8 +171,8 @@ func NewAnyGrid(dt Dtype, l Layout) *AnyGrid {
 // Grids returns the typed grid when the wrapped dtype is T, else nil.
 // This is the inverse of WrapAny.
 func Grids[T Scalar](a *AnyGrid) *GridOf[T] {
-	g, _ := a.g.(*grid.Grid[T])
-	return g
+	t, _ := a.g.(typed[T])
+	return t.g
 }
 
 // Dtype reports the wrapped element type.
@@ -101,155 +182,40 @@ func (a *AnyGrid) Dtype() Dtype { return a.dt }
 func (a *AnyGrid) Dims() (nx, ny, nz int) { return a.Layout().Dims() }
 
 // Layout returns the wrapped grid's layout.
-func (a *AnyGrid) Layout() Layout {
-	switch g := a.g.(type) {
-	case *grid.Grid[uint8]:
-		return g.Layout()
-	case *grid.Grid[uint16]:
-		return g.Layout()
-	case *grid.Grid[float32]:
-		return g.Layout()
-	case *grid.Grid[float64]:
-		return g.Layout()
-	}
-	panic("sfcmem: zero AnyGrid")
-}
+func (a *AnyGrid) Layout() Layout { return a.g.layout() }
 
 // Bytes reports the in-memory size of the sample buffer, including any
 // layout padding.
-func (a *AnyGrid) Bytes() int64 {
-	switch g := a.g.(type) {
-	case *grid.Grid[uint8]:
-		return int64(len(g.Data()))
-	case *grid.Grid[uint16]:
-		return int64(len(g.Data())) * 2
-	case *grid.Grid[float32]:
-		return int64(len(g.Data())) * 4
-	case *grid.Grid[float64]:
-		return int64(len(g.Data())) * 8
-	}
-	panic("sfcmem: zero AnyGrid")
-}
+func (a *AnyGrid) Bytes() int64 { return a.g.bytes() }
 
 // Norm reads sample (i,j,k) normalized to [0,1] (floats pass through).
-func (a *AnyGrid) Norm(i, j, k int) float64 {
-	switch g := a.g.(type) {
-	case *grid.Grid[uint8]:
-		return float64(g.At(i, j, k)) / 255
-	case *grid.Grid[uint16]:
-		return float64(g.At(i, j, k)) / 65535
-	case *grid.Grid[float32]:
-		return float64(g.At(i, j, k))
-	case *grid.Grid[float64]:
-		return g.At(i, j, k)
-	}
-	panic("sfcmem: zero AnyGrid")
-}
+func (a *AnyGrid) Norm(i, j, k int) float64 { return a.g.norm(i, j, k) }
 
 // Float32 converts the wrapped grid to a float32 Grid (a copy even when
 // the dtype is already float32).
-func (a *AnyGrid) Float32() *Grid {
-	switch g := a.g.(type) {
-	case *grid.Grid[uint8]:
-		return grid.ConvertGrid[float32](g)
-	case *grid.Grid[uint16]:
-		return grid.ConvertGrid[float32](g)
-	case *grid.Grid[float32]:
-		return grid.ConvertGrid[float32](g)
-	case *grid.Grid[float64]:
-		return grid.ConvertGrid[float32](g)
-	}
-	panic("sfcmem: zero AnyGrid")
-}
+func (a *AnyGrid) Float32() *Grid { return a.g.float32() }
 
 // Convert resamples into the target dtype through the normalized [0,1]
 // domain.
-func (a *AnyGrid) Convert(dt Dtype) *AnyGrid {
-	switch g := a.g.(type) {
-	case *grid.Grid[uint8]:
-		return convertAny(g, dt)
-	case *grid.Grid[uint16]:
-		return convertAny(g, dt)
-	case *grid.Grid[float32]:
-		return convertAny(g, dt)
-	case *grid.Grid[float64]:
-		return convertAny(g, dt)
-	}
-	panic("sfcmem: zero AnyGrid")
-}
-
-func convertAny[Src Scalar](g *grid.Grid[Src], dt Dtype) *AnyGrid {
-	switch dt {
-	case U8:
-		return WrapAny(grid.ConvertGrid[uint8](g))
-	case U16:
-		return WrapAny(grid.ConvertGrid[uint16](g))
-	case F64:
-		return WrapAny(grid.ConvertGrid[float64](g))
-	default:
-		return WrapAny(grid.ConvertGrid[float32](g))
-	}
-}
+func (a *AnyGrid) Convert(dt Dtype) *AnyGrid { return a.g.convert(dt) }
 
 // Relayout copies the samples into a new grid under the target layout.
-func (a *AnyGrid) Relayout(target Layout) (*AnyGrid, error) {
-	switch g := a.g.(type) {
-	case *grid.Grid[uint8]:
-		return relayoutAny(g, target)
-	case *grid.Grid[uint16]:
-		return relayoutAny(g, target)
-	case *grid.Grid[float32]:
-		return relayoutAny(g, target)
-	case *grid.Grid[float64]:
-		return relayoutAny(g, target)
-	}
-	panic("sfcmem: zero AnyGrid")
-}
-
-func relayoutAny[T Scalar](g *grid.Grid[T], target Layout) (*AnyGrid, error) {
-	out, err := g.Relayout(target)
-	if err != nil {
-		return nil, err
-	}
-	return WrapAny(out), nil
-}
+func (a *AnyGrid) Relayout(target Layout) (*AnyGrid, error) { return a.g.relayout(target) }
 
 // dtypeMismatch reports an unusable src/dst pairing to a kernel.
 func dtypeMismatch(src, dst *AnyGrid) error {
 	return fmt.Errorf("sfcmem: dtype mismatch: src %v, dst %v", src.dt, dst.dt)
 }
 
-func filterApplyCtx[T Scalar](ctx context.Context, src, dst *grid.Grid[T], o FilterOptions) error {
-	return filter.ApplyCtxOf[T](ctx, src, dst, o)
-}
-
-func gaussCtx[T Scalar](ctx context.Context, src, dst *grid.Grid[T], o FilterOptions) error {
-	return filter.GaussianConvolveCtxOf[T](ctx, src, dst, o)
-}
-
-func renderCtx[T Scalar](ctx context.Context, vol *grid.Grid[T], cam Camera, tf *TransferFunc, o RenderOptions) (*Image, error) {
-	return render.RenderCtxOf[T](ctx, vol, cam, tf, o)
-}
-
 // BilateralAnyCtx runs the bilateral filter on a dynamic-dtype pair;
 // src and dst must share a dtype. Dispatches once to the monomorphized
 // kernel for that dtype — the hot loop is identical to the typed path.
+// On cancellation dst is left partially written.
 func BilateralAnyCtx(ctx context.Context, src, dst *AnyGrid, o FilterOptions) error {
 	if src.dt != dst.dt {
 		return dtypeMismatch(src, dst)
 	}
-	o = ctxFilterOptions(ctx, o)
-	switch sg := src.g.(type) {
-	case *grid.Grid[uint8]:
-		return filterApplyCtx(ctx, sg, dst.g.(*grid.Grid[uint8]), o)
-	case *grid.Grid[uint16]:
-		return filterApplyCtx(ctx, sg, dst.g.(*grid.Grid[uint16]), o)
-	case *grid.Grid[float32]:
-		return filterApplyCtx(ctx, sg, dst.g.(*grid.Grid[float32]), o)
-	case *grid.Grid[float64]:
-		return filterApplyCtx(ctx, sg, dst.g.(*grid.Grid[float64]), o)
-	}
-	panic("sfcmem: zero AnyGrid")
+	return src.g.bilateral(ctx, dst.g, o)
 }
 
 // GaussianConvolveAnyCtx is the Gaussian baseline on a dynamic-dtype
@@ -258,51 +224,18 @@ func GaussianConvolveAnyCtx(ctx context.Context, src, dst *AnyGrid, o FilterOpti
 	if src.dt != dst.dt {
 		return dtypeMismatch(src, dst)
 	}
-	o = ctxFilterOptions(ctx, o)
-	switch sg := src.g.(type) {
-	case *grid.Grid[uint8]:
-		return gaussCtx(ctx, sg, dst.g.(*grid.Grid[uint8]), o)
-	case *grid.Grid[uint16]:
-		return gaussCtx(ctx, sg, dst.g.(*grid.Grid[uint16]), o)
-	case *grid.Grid[float32]:
-		return gaussCtx(ctx, sg, dst.g.(*grid.Grid[float32]), o)
-	case *grid.Grid[float64]:
-		return gaussCtx(ctx, sg, dst.g.(*grid.Grid[float64]), o)
-	}
-	panic("sfcmem: zero AnyGrid")
+	return src.g.gaussian(ctx, dst.g, o)
 }
 
-// RenderAnyCtx raycasts a dynamic-dtype volume.
+// RenderAnyCtx raycasts a dynamic-dtype volume; a cancelled render
+// returns (nil, ctx's error) and discards the partial frame.
 func RenderAnyCtx(ctx context.Context, vol *AnyGrid, cam Camera, tf *TransferFunc, o RenderOptions) (*Image, error) {
-	o = ctxRenderOptions(ctx, o)
-	switch g := vol.g.(type) {
-	case *grid.Grid[uint8]:
-		return renderCtx(ctx, g, cam, tf, o)
-	case *grid.Grid[uint16]:
-		return renderCtx(ctx, g, cam, tf, o)
-	case *grid.Grid[float32]:
-		return renderCtx(ctx, g, cam, tf, o)
-	case *grid.Grid[float64]:
-		return renderCtx(ctx, g, cam, tf, o)
-	}
-	panic("sfcmem: zero AnyGrid")
+	return vol.g.render(ctx, cam, tf, o)
 }
 
 // BuildAccelAny builds a dynamic-dtype volume's empty-space map under
 // tf, for RenderOptions.Accel.
-func BuildAccelAny(vol *AnyGrid, tf *TransferFunc) *Accel {
-	switch g := vol.g.(type) {
-	case *grid.Grid[uint8]:
-		return render.BuildAccelOf(g, tf)
-	case *grid.Grid[uint16]:
-		return render.BuildAccelOf(g, tf)
-	case *grid.Grid[float32]:
-		return render.BuildAccelOf(g, tf)
-	case *grid.Grid[float64]:
-		return render.BuildAccelOf(g, tf)
-	}
-	panic("sfcmem: zero AnyGrid")
-}
+func BuildAccelAny(vol *AnyGrid, tf *TransferFunc) *Accel { return vol.g.accel(tf) }
 
 // MRIPhantomAny synthesizes the MRI head phantom at the given dtype.
 // Every dtype quantizes the same float32 field, so cross-dtype results
@@ -337,19 +270,7 @@ func CombustionPlumeAny(dt Dtype, l Layout, seed uint64) *AnyGrid {
 
 // SaveRawAny writes the wrapped grid as little-endian samples in
 // row-major order at its native width.
-func SaveRawAny(w io.Writer, a *AnyGrid) error {
-	switch g := a.g.(type) {
-	case *grid.Grid[uint8]:
-		return volume.SaveRawOf(w, g)
-	case *grid.Grid[uint16]:
-		return volume.SaveRawOf(w, g)
-	case *grid.Grid[float32]:
-		return volume.SaveRawOf(w, g)
-	case *grid.Grid[float64]:
-		return volume.SaveRawOf(w, g)
-	}
-	panic("sfcmem: zero AnyGrid")
-}
+func SaveRawAny(w io.Writer, a *AnyGrid) error { return a.g.saveRaw(w) }
 
 // LoadRawAny reads a row-major little-endian raw volume of the given
 // dtype into a grid under the given layout, rejecting truncated and
@@ -368,9 +289,5 @@ func LoadRawAny(r io.Reader, dt Dtype, l Layout) (*AnyGrid, error) {
 }
 
 func loadRawAny[T Scalar](r io.Reader, l Layout) (*AnyGrid, error) {
-	g, err := volume.LoadRawOf[T](r, l)
-	if err != nil {
-		return nil, err
-	}
-	return WrapAny(g), nil
+	return wrapErr(volume.LoadRawOf[T](r, l))
 }

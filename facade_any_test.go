@@ -3,10 +3,13 @@ package sfcmem_test
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 
 	"sfcmem"
+	"sfcmem/internal/filter"
+	"sfcmem/internal/render"
 )
 
 func TestAnyGridBasics(t *testing.T) {
@@ -82,34 +85,81 @@ func TestAnyGridRelayout(t *testing.T) {
 	})
 }
 
+// TestAnyKernelsRunPerDtype pins the dynamic dispatch for every dtype:
+// each *Any kernel's output is bit-identical to the typed kernel it
+// dispatches to, run on the same grid. The golden digests cover only
+// float32.
 func TestAnyKernelsRunPerDtype(t *testing.T) {
-	ctx := context.Background()
 	l := sfcmem.NewLayout(sfcmem.ZOrder, 12, 12, 12)
-	for _, dt := range sfcmem.Dtypes() {
-		src := sfcmem.MRIPhantomAny(dt, l, 7, 0.05)
-		dst := sfcmem.NewAnyGrid(dt, l)
-		if err := sfcmem.BilateralAnyCtx(ctx, src, dst, sfcmem.FilterOptions{Radius: 1, Workers: 2}); err != nil {
-			t.Fatalf("%v: bilateral: %v", dt, err)
+	t.Run("uint8", func(t *testing.T) { checkAnyMatchesTyped[uint8](t, l) })
+	t.Run("uint16", func(t *testing.T) { checkAnyMatchesTyped[uint16](t, l) })
+	t.Run("float32", func(t *testing.T) { checkAnyMatchesTyped[float32](t, l) })
+	t.Run("float64", func(t *testing.T) { checkAnyMatchesTyped[float64](t, l) })
+}
+
+func checkAnyMatchesTyped[T sfcmem.Scalar](t *testing.T, l sfcmem.Layout) {
+	ctx := context.Background()
+	dt := sfcmem.WrapAny(sfcmem.NewGridOf[T](l)).Dtype()
+	src := sfcmem.MRIPhantomAny(dt, l, 7, 0.05)
+	o := sfcmem.FilterOptions{Radius: 1, Workers: 2}
+	for _, k := range []struct {
+		name  string
+		any   func(context.Context, *sfcmem.AnyGrid, *sfcmem.AnyGrid, sfcmem.FilterOptions) error
+		typed func(context.Context, sfcmem.ReaderOf[T], sfcmem.WriterOf[T], sfcmem.FilterOptions) error
+	}{
+		{"bilateral", sfcmem.BilateralAnyCtx, filter.ApplyCtxOf[T]},
+		{"gaussian", sfcmem.GaussianConvolveAnyCtx, filter.GaussianConvolveCtxOf[T]},
+	} {
+		got := sfcmem.NewAnyGrid(dt, l)
+		if err := k.any(ctx, src, got, o); err != nil {
+			t.Fatalf("%s: %v", k.name, err)
 		}
-		if err := sfcmem.GaussianConvolveAnyCtx(ctx, src, dst, sfcmem.FilterOptions{Radius: 1, Workers: 2}); err != nil {
-			t.Fatalf("%v: gaussian: %v", dt, err)
+		want := sfcmem.NewGridOf[T](l)
+		if err := k.typed(ctx, sfcmem.Grids[T](src), want, o); err != nil {
+			t.Fatalf("%s typed: %v", k.name, err)
 		}
-		vol := sfcmem.CombustionPlumeAny(dt, l, 7)
-		img, err := sfcmem.RenderAnyCtx(ctx, vol, sfcmem.Orbit(0, 8, 12, 12, 12, 24, 24),
-			sfcmem.DefaultTransferFunc(), sfcmem.RenderOptions{Workers: 2})
-		if err != nil {
-			t.Fatalf("%v: render: %v", dt, err)
-		}
-		var sum float32
-		for y := 0; y < img.H; y++ {
-			for x := 0; x < img.W; x++ {
-				sum += img.At(x, y).A
-			}
-		}
-		if sum == 0 {
-			t.Errorf("%v: rendered frame is empty", dt)
+		if !bytes.Equal(rawBytes(t, got), rawBytes(t, sfcmem.WrapAny(want))) {
+			t.Errorf("%s: dynamic-dtype output differs from the typed kernel's", k.name)
 		}
 	}
+
+	vol := sfcmem.CombustionPlumeAny(dt, l, 7)
+	cam := sfcmem.Orbit(0, 8, 12, 12, 12, 24, 24)
+	ro := sfcmem.RenderOptions{Workers: 2}
+	img, err := sfcmem.RenderAnyCtx(ctx, vol, cam, sfcmem.DefaultTransferFunc(), ro)
+	if err != nil {
+		t.Fatalf("render: %v", err)
+	}
+	ref, err := render.RenderCtxOf[T](ctx, sfcmem.Grids[T](vol), cam, sfcmem.DefaultTransferFunc(), ro)
+	if err != nil {
+		t.Fatalf("render typed: %v", err)
+	}
+	bits := func(c sfcmem.RGBA) [4]uint32 {
+		return [4]uint32{math.Float32bits(c.R), math.Float32bits(c.G), math.Float32bits(c.B), math.Float32bits(c.A)}
+	}
+	var sum float32
+	for y := 0; y < img.H; y++ {
+		for x := 0; x < img.W; x++ {
+			if a, b := img.At(x, y), ref.At(x, y); bits(a) != bits(b) {
+				t.Fatalf("render: pixel (%d,%d) = %v, typed kernel gives %v", x, y, a, b)
+			}
+			sum += img.At(x, y).A
+		}
+	}
+	if sum == 0 {
+		t.Error("rendered frame is empty")
+	}
+}
+
+// rawBytes is a grid's samples at their native width, for bit-exact
+// comparison.
+func rawBytes(t *testing.T, a *sfcmem.AnyGrid) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := sfcmem.SaveRawAny(&buf, a); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestAnyKernelDtypeMismatch(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"sfcmem/internal/core"
-	"sfcmem/internal/filter"
 	"sfcmem/internal/grid"
 	"sfcmem/internal/multires"
 	"sfcmem/internal/reuse"
@@ -114,25 +113,7 @@ func SliceOf[T Scalar](src *GridOf[T], axis SliceAxis, at, level int) (pix []T, 
 // delivery, where a compact subset of memory yields a useful answer
 // before the full volume is touched.
 func SubsampleAny(a *AnyGrid, level int, target func(nx, ny, nz int) Layout) (*AnyGrid, error) {
-	switch g := a.g.(type) {
-	case *GridOf[uint8]:
-		return subsampleAny(g, level, target)
-	case *GridOf[uint16]:
-		return subsampleAny(g, level, target)
-	case *GridOf[float32]:
-		return subsampleAny(g, level, target)
-	case *GridOf[float64]:
-		return subsampleAny(g, level, target)
-	}
-	panic("sfcmem: zero AnyGrid")
-}
-
-func subsampleAny[T Scalar](g *GridOf[T], level int, target func(nx, ny, nz int) Layout) (*AnyGrid, error) {
-	out, err := multires.Subsample(g, level, target)
-	if err != nil {
-		return nil, err
-	}
-	return WrapAny(out), nil
+	return a.g.subsample(level, target)
 }
 
 // SliceCost measures the memory a layout must touch to serve an
@@ -145,12 +126,6 @@ func SliceCost(l Layout, axis SliceAxis, at, level int) (QueryCost, error) {
 // level-L subsampling lattice.
 func SubsampleCost(l Layout, level int) (QueryCost, error) {
 	return multires.SubsampleCost(l, level)
-}
-
-// GaussianSeparable is the three-pass separable Gaussian baseline —
-// identical output to GaussianConvolve at ~(2R+1)²/3 times less work.
-func GaussianSeparable(src Reader, dst Writer, o FilterOptions) error {
-	return filter.GaussianSeparable(src, dst, o)
 }
 
 // SeparableLayout is implemented by layouts whose index factors into

@@ -1,8 +1,6 @@
 package sfcmem
 
 import (
-	"context"
-
 	"sfcmem/internal/metrics"
 	"sfcmem/internal/parallel"
 	"sfcmem/internal/timeline"
@@ -44,48 +42,6 @@ type (
 	// WorkerStat is one worker's item count and busy time.
 	WorkerStat = parallel.WorkerStat
 )
-
-// workObserverKey carries a WorkObserver through a context so callers
-// several layers above a kernel invocation (an HTTP handler, a request
-// tracer) can see its per-item spans without threading Options down.
-type workObserverKey struct{}
-
-// WithWorkObserver returns ctx carrying obs. Every *Ctx kernel entry
-// point (RenderCtx, BilateralAnyCtx, ...) installs the carried observer
-// into its Options when the caller did not set one explicitly, so a
-// request-scoped tracer attaches to whatever kernel the request runs.
-// A nil obs returns ctx unchanged.
-func WithWorkObserver(ctx context.Context, obs WorkObserver) context.Context {
-	if obs == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, workObserverKey{}, obs)
-}
-
-// WorkObserverFrom returns the observer carried by ctx, or nil.
-func WorkObserverFrom(ctx context.Context) WorkObserver {
-	obs, _ := ctx.Value(workObserverKey{}).(WorkObserver)
-	return obs
-}
-
-// ctxFilterOptions resolves the effective filter options for a *Ctx
-// entry point: an explicit Observer wins; otherwise the context's
-// observer (if any) is installed. With neither, the options pass
-// through untouched and the kernels take their uninstrumented paths.
-func ctxFilterOptions(ctx context.Context, o FilterOptions) FilterOptions {
-	if o.Observer == nil {
-		o.Observer = WorkObserverFrom(ctx)
-	}
-	return o
-}
-
-// ctxRenderOptions is ctxFilterOptions for the renderer.
-func ctxRenderOptions(ctx context.Context, o RenderOptions) RenderOptions {
-	if o.Observer == nil {
-		o.Observer = WorkObserverFrom(ctx)
-	}
-	return o
-}
 
 // RoundRobinInstrumented statically deals items to workers in
 // round-robin order, reporting per-worker stats; obs (optional) sees

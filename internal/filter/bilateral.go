@@ -396,23 +396,13 @@ func pencilFlatOf[T grid.Scalar](k *kernel, cache *rows, fsrc, fdst *grid.Flat[T
 // sharing the same views. src and dst must have identical dimensions
 // and must not alias (the filter is not in-place).
 func Apply(src grid.Reader, dst grid.Writer, o Options) error {
-	return ApplyCtx(context.Background(), src, dst, o)
+	return ApplyCtxOf[float32](context.Background(), src, dst, o)
 }
 
-// ApplyOf is Apply for any element type.
-func ApplyOf[T grid.Scalar](src grid.ReaderOf[T], dst grid.WriterOf[T], o Options) error {
-	return ApplyCtxOf(context.Background(), src, dst, o)
-}
-
-// ApplyCtx is Apply with cooperative cancellation: workers stop taking
-// pencils once ctx is done and the call returns ctx's error, leaving dst
-// partially written. A context that can never be cancelled takes exactly
-// the non-context code path.
-func ApplyCtx(ctx context.Context, src grid.Reader, dst grid.Writer, o Options) error {
-	return ApplyCtxOf[float32](ctx, src, dst, o)
-}
-
-// ApplyCtxOf is ApplyCtx for any element type.
+// ApplyCtxOf is Apply for any element type with cooperative
+// cancellation: workers stop taking pencils once ctx is done and the
+// call returns ctx's error, leaving dst partially written. A context
+// that can never be cancelled takes exactly the non-context code path.
 func ApplyCtxOf[T grid.Scalar](ctx context.Context, src grid.ReaderOf[T], dst grid.WriterOf[T], o Options) error {
 	if err := o.validate(); err != nil {
 		return err
@@ -435,20 +425,10 @@ func ApplyViews(srcs []grid.Reader, dsts []grid.Writer, o Options) error {
 	return ApplyViewsCtxOf[float32](context.Background(), srcs, dsts, o)
 }
 
-// ApplyViewsOf is ApplyViews for any element type.
-func ApplyViewsOf[T grid.Scalar](srcs []grid.ReaderOf[T], dsts []grid.WriterOf[T], o Options) error {
-	return ApplyViewsCtxOf(context.Background(), srcs, dsts, o)
-}
-
-// ApplyViewsCtx is ApplyViews with cooperative cancellation; see
-// ApplyCtx. Pencils are the cancellation granule: a pencil that has
-// started runs to completion, and no new pencils are handed out after
-// ctx is done.
-func ApplyViewsCtx(ctx context.Context, srcs []grid.Reader, dsts []grid.Writer, o Options) error {
-	return ApplyViewsCtxOf[float32](ctx, srcs, dsts, o)
-}
-
-// ApplyViewsCtxOf is ApplyViewsCtx for any element type.
+// ApplyViewsCtxOf is ApplyViews for any element type with cooperative
+// cancellation; see ApplyCtxOf. Pencils are the cancellation granule: a
+// pencil that has started runs to completion, and no new pencils are
+// handed out after ctx is done.
 func ApplyViewsCtxOf[T grid.Scalar](ctx context.Context, srcs []grid.ReaderOf[T], dsts []grid.WriterOf[T], o Options) error {
 	if err := o.validate(); err != nil {
 		return err
@@ -584,18 +564,8 @@ func GaussianConvolve(src grid.Reader, dst grid.Writer, o Options) error {
 	return GaussianConvolveCtxOf[float32](context.Background(), src, dst, o)
 }
 
-// GaussianConvolveOf is GaussianConvolve for any element type.
-func GaussianConvolveOf[T grid.Scalar](src grid.ReaderOf[T], dst grid.WriterOf[T], o Options) error {
-	return GaussianConvolveCtxOf(context.Background(), src, dst, o)
-}
-
-// GaussianConvolveCtx is GaussianConvolve with cooperative cancellation;
-// see ApplyCtx for the semantics.
-func GaussianConvolveCtx(ctx context.Context, src grid.Reader, dst grid.Writer, o Options) error {
-	return GaussianConvolveCtxOf[float32](ctx, src, dst, o)
-}
-
-// GaussianConvolveCtxOf is GaussianConvolveCtx for any element type.
+// GaussianConvolveCtxOf is GaussianConvolve for any element type with
+// cooperative cancellation; see ApplyCtxOf for the semantics.
 func GaussianConvolveCtxOf[T grid.Scalar](ctx context.Context, src grid.ReaderOf[T], dst grid.WriterOf[T], o Options) error {
 	if err := o.validate(); err != nil {
 		return err

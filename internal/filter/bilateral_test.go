@@ -1,6 +1,7 @@
 package filter
 
 import (
+	"context"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -502,7 +503,7 @@ func benchBilateralOf[T grid.Scalar](b *testing.B, src *grid.Grid[T], o Options)
 	b.SetBytes(int64(len(src.Data())) * int64(grid.DtypeFor[T]().Size()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ApplyOf[T](src, dst, o); err != nil {
+		if err := ApplyCtxOf[T](context.Background(), src, dst, o); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -29,11 +29,11 @@ func TestApplyCtxMatchesApply(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
-	if err := ApplyCtx(ctx, src, got, ctxTestOptions(2)); err != nil {
+	if err := ApplyCtxOf[float32](ctx, src, got, ctxTestOptions(2)); err != nil {
 		t.Fatal(err)
 	}
 	if !grid.Equal(want, got) {
-		t.Errorf("ApplyCtx with live context differs from Apply")
+		t.Errorf("ApplyCtxOf with live context differs from Apply")
 	}
 }
 
@@ -44,15 +44,15 @@ func TestApplyCtxExpiredDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	start := time.Now()
-	err := ApplyCtx(ctx, src, dst, ctxTestOptions(2))
+	err := ApplyCtxOf[float32](ctx, src, dst, ctxTestOptions(2))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
 		t.Errorf("expired deadline took %v, want prompt return", elapsed)
 	}
-	if err := GaussianConvolveCtx(ctx, src, dst, ctxTestOptions(2)); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("GaussianConvolveCtx err = %v, want DeadlineExceeded", err)
+	if err := GaussianConvolveCtxOf[float32](ctx, src, dst, ctxTestOptions(2)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("GaussianConvolveCtxOf err = %v, want DeadlineExceeded", err)
 	}
 }
 
@@ -71,7 +71,7 @@ func TestApplyCtxCancelStopsPencils(t *testing.T) {
 		done.Add(1)
 		once.Do(cancel)
 	}
-	err := ApplyCtx(ctx, src, dst, o)
+	err := ApplyCtxOf[float32](ctx, src, dst, o)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}

@@ -1,6 +1,7 @@
 package filter
 
 import (
+	"context"
 	"testing"
 
 	"sfcmem/internal/core"
@@ -19,13 +20,13 @@ func checkFilterDtype[T grid.Scalar](t *testing.T, kind core.Kind) {
 	o := Options{Radius: 2, Workers: 2}
 
 	fast := grid.NewOf[T](l)
-	if err := ApplyOf[T](src, fast, o); err != nil {
+	if err := ApplyCtxOf[T](context.Background(), src, fast, o); err != nil {
 		t.Fatal(err)
 	}
 	slow := grid.NewOf[T](l)
 	oSlow := o
 	oSlow.NoFastPath = true
-	if err := ApplyOf[T](src, slow, oSlow); err != nil {
+	if err := ApplyCtxOf[T](context.Background(), src, slow, oSlow); err != nil {
 		t.Fatal(err)
 	}
 	if !grid.Equal(fast, slow) {
@@ -33,11 +34,11 @@ func checkFilterDtype[T grid.Scalar](t *testing.T, kind core.Kind) {
 	}
 
 	gfast := grid.NewOf[T](l)
-	if err := GaussianConvolveOf[T](src, gfast, o); err != nil {
+	if err := GaussianConvolveCtxOf[T](context.Background(), src, gfast, o); err != nil {
 		t.Fatal(err)
 	}
 	gslow := grid.NewOf[T](l)
-	if err := GaussianConvolveOf[T](src, gslow, oSlow); err != nil {
+	if err := GaussianConvolveCtxOf[T](context.Background(), src, gslow, oSlow); err != nil {
 		t.Fatal(err)
 	}
 	if !grid.Equal(gfast, gslow) {
@@ -62,7 +63,7 @@ func TestBilateralUint8PreservesConstant(t *testing.T) {
 	for _, code := range []uint8{0, 1, 127, 254, 255} {
 		src := grid.FromFuncOf[uint8](l, func(_, _, _ int) uint8 { return code })
 		dst := grid.NewOf[uint8](l)
-		if err := ApplyOf[uint8](src, dst, Options{Radius: 1, Workers: 2}); err != nil {
+		if err := ApplyCtxOf[uint8](context.Background(), src, dst, Options{Radius: 1, Workers: 2}); err != nil {
 			t.Fatal(err)
 		}
 		if !grid.Equal(src, dst) {
@@ -86,7 +87,7 @@ func TestBilateralDtypeTracksFloat32(t *testing.T) {
 		t.Fatal(err)
 	}
 	dstU := grid.NewOf[uint16](l)
-	if err := ApplyOf[uint16](u16, dstU, o); err != nil {
+	if err := ApplyCtxOf[uint16](context.Background(), u16, dstU, o); err != nil {
 		t.Fatal(err)
 	}
 	back := grid.ConvertGrid[float32](dstU)
@@ -106,7 +107,7 @@ func TestBilateralTracedViewsPerDtype(t *testing.T) {
 	var sink grid.CountingSink
 	srcs := []grid.ReaderOf[uint8]{grid.NewTraced(src, 0, &sink)}
 	dsts := []grid.WriterOf[uint8]{grid.NewTraced(dst, 1<<40, &sink)}
-	if err := ApplyViewsOf(srcs, dsts, Options{Radius: 1, Workers: 1}); err != nil {
+	if err := ApplyViewsCtxOf(context.Background(), srcs, dsts, Options{Radius: 1, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Writes != 8*8*8 {
@@ -117,7 +118,7 @@ func TestBilateralTracedViewsPerDtype(t *testing.T) {
 	}
 	// And the traced (interface-path) result matches the plain run.
 	plain := grid.NewOf[uint8](l)
-	if err := ApplyOf[uint8](src, plain, Options{Radius: 1, Workers: 1}); err != nil {
+	if err := ApplyCtxOf[uint8](context.Background(), src, plain, Options{Radius: 1, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if !grid.Equal(dst, plain) {

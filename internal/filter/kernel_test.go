@@ -1,6 +1,7 @@
 package filter
 
 import (
+	"context"
 	"testing"
 
 	"sfcmem/internal/core"
@@ -24,7 +25,7 @@ func checkKernel[T grid.Scalar](t *testing.T, src *grid.Grid[T], dstL core.Layou
 	t.Helper()
 	iface := grid.NewOf[T](dstL)
 	o := Options{Radius: radius, Order: order, NoFastPath: true}
-	if err := ApplyOf[T](src, iface, o); err != nil {
+	if err := ApplyCtxOf[T](context.Background(), src, iface, o); err != nil {
 		t.Fatal(err)
 	}
 	o.NoFastPath = false
@@ -32,7 +33,7 @@ func checkKernel[T grid.Scalar](t *testing.T, src *grid.Grid[T], dstL core.Layou
 		for _, workers := range gauntletWorkers {
 			o.Axis, o.Workers = axis, workers
 			flat := grid.NewOf[T](dstL)
-			if err := ApplyOf[T](src, flat, o); err != nil {
+			if err := ApplyCtxOf[T](context.Background(), src, flat, o); err != nil {
 				t.Fatal(err)
 			}
 			if !grid.Equal(flat, iface) {

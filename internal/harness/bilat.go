@@ -77,7 +77,7 @@ func timeBilat(ctx context.Context, in *BilatInput, kind core.Kind, row BilatRow
 	o.Observer = obs
 	o.NoFastPath = in.NoFastPath
 	start := time.Now()
-	if err := filter.ApplyCtx(ctx, src, dst, o); err != nil {
+	if err := filter.ApplyCtxOf[float32](ctx, src, dst, o); err != nil {
 		return 0, err
 	}
 	return time.Since(start), nil
@@ -108,7 +108,7 @@ func simBilat(ctx context.Context, in *BilatInput, kind core.Kind, row BilatRow,
 	}
 	o := row.options(threads)
 	o.Observer = obs
-	if err := filter.ApplyViewsCtx(ctx, srcs, dsts, o); err != nil {
+	if err := filter.ApplyViewsCtxOf[float32](ctx, srcs, dsts, o); err != nil {
 		return 0, cache.Report{}, err
 	}
 	rep := sys.Report()

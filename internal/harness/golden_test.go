@@ -8,6 +8,7 @@ package harness
 // flat fast path or the interface path — changes a hash and fails here.
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -178,7 +179,7 @@ func checkGoldenBilatDtype[T grid.Scalar](t *testing.T, layout core.Layout) {
 	src := volume.MRIPhantomOf[T](layout, 7, 0.05)
 	for _, path := range accessPaths {
 		dst := grid.NewOf[T](layout)
-		err := filter.ApplyOf[T](src, dst, filter.Options{
+		err := filter.ApplyCtxOf[T](context.Background(), src, dst, filter.Options{
 			Radius: 2, Axis: parallel.AxisX, Order: filter.XYZ, Workers: 3,
 			NoFastPath: path.noFast,
 		})

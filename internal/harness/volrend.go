@@ -63,7 +63,7 @@ func timeVolrend(ctx context.Context, in *VolInput, kind core.Kind, view, nViews
 	o.Observer = obs
 	o.NoFastPath = in.NoFastPath
 	start := time.Now()
-	if _, err := render.RenderCtx(ctx, vol, cam, tf, o); err != nil {
+	if _, err := render.RenderCtxOf[float32](ctx, vol, cam, tf, o); err != nil {
 		return 0, err
 	}
 	return time.Since(start), nil
@@ -90,7 +90,7 @@ func simVolrend(ctx context.Context, in *VolInput, kind core.Kind, view, nViews,
 	}
 	o := renderOptions(threads)
 	o.Observer = obs
-	if _, err := render.RenderViewsCtx(ctx, views, cam, tf, o); err != nil {
+	if _, err := render.RenderViewsCtxOf[float32](ctx, views, cam, tf, o); err != nil {
 		return 0, cache.Report{}, err
 	}
 	rep := sys.Report()

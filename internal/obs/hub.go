@@ -14,8 +14,7 @@ import (
 )
 
 // ctxKey carries the request's *Trace through context.Context, across
-// the service handler and down into the facade *Ctx kernel entry
-// points.
+// the service handler and the helpers it calls.
 type ctxKey struct{}
 
 // With returns ctx carrying t.

@@ -1,6 +1,7 @@
 package render
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -221,12 +222,12 @@ func checkAccelExact[T grid.Scalar](t *testing.T, rng *rand.Rand) {
 		MaxAlpha:   0.5 + 0.5*rng.Float64(),
 	}
 	cam := randomCamera(rng, nx, ny, nz)
-	plain, err := RenderOf[T](vol, cam, tf, o)
+	plain, err := RenderCtxOf[T](context.Background(), vol, cam, tf, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Accel = BuildAccelOf(vol, tf)
-	skip, err := RenderOf[T](vol, cam, tf, o)
+	skip, err := RenderCtxOf[T](context.Background(), vol, cam, tf, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,12 +33,12 @@ func TestRenderCtxMatchesRender(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
-	got, err := RenderCtx(ctx, vol, cam, tf, o)
+	got, err := RenderCtxOf[float32](ctx, vol, cam, tf, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := MaxDiff(want, got); d != 0 {
-		t.Errorf("RenderCtx with live context differs from Render: max diff %g", d)
+		t.Errorf("RenderCtxOf with live context differs from Render: max diff %g", d)
 	}
 }
 
@@ -50,7 +50,7 @@ func TestRenderExpiredDeadlineFailsFast(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	start := time.Now()
-	img, err := RenderCtx(ctx, vol, cam, DefaultTransferFunc(), Options{Workers: 2, NoFastPath: true})
+	img, err := RenderCtxOf[float32](ctx, vol, cam, DefaultTransferFunc(), Options{Workers: 2, NoFastPath: true})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
@@ -78,7 +78,7 @@ func TestRenderCancelStopsTiles(t *testing.T) {
 		done.Add(1)
 		once.Do(cancel)
 	})
-	img, err := RenderCtx(ctx, vol, cam, DefaultTransferFunc(), Options{Workers: workers, Observer: obs})
+	img, err := RenderCtxOf[float32](ctx, vol, cam, DefaultTransferFunc(), Options{Workers: workers, Observer: obs})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
@@ -102,7 +102,7 @@ func TestRenderCancelNoGoroutineLeak(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var once sync.Once
 		obs := parallel.Observer(func(_, _ int, _ time.Time, _ time.Duration) { once.Do(cancel) })
-		if _, err := RenderCtx(ctx, vol, cam, tf, Options{Workers: 4, Observer: obs}); !errors.Is(err, context.Canceled) {
+		if _, err := RenderCtxOf[float32](ctx, vol, cam, tf, Options{Workers: 4, Observer: obs}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("iteration %d: err = %v, want Canceled", i, err)
 		}
 		cancel()

@@ -1,6 +1,7 @@
 package render
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -33,7 +34,7 @@ func checkRenderDtype[T grid.Scalar](t *testing.T, kind core.Kind) {
 	vol := volume.CombustionPlumeOf[T](core.New(kind, n, n, n), 9)
 	cam := Orbit(1, 8, n, n, n, 48, 48)
 	tf := DefaultTransferFunc()
-	base, err := RenderOf[T](vol, cam, tf, Options{Workers: 2, Shade: true})
+	base, err := RenderCtxOf[T](context.Background(), vol, cam, tf, Options{Workers: 2, Shade: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func checkRenderDtype[T grid.Scalar](t *testing.T, kind core.Kind) {
 		{Workers: 2, Shade: true, Accel: accel, NoFastPath: true},
 	}
 	for _, o := range variants {
-		img, err := RenderOf[T](vol, cam, tf, o)
+		img, err := RenderCtxOf[T](context.Background(), vol, cam, tf, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +88,7 @@ func TestRenderDtypeTracksFloat32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u16, err := RenderOf[uint16](volume.CombustionPlumeOf[uint16](l, 4), cam, tf, Options{Workers: 2})
+	u16, err := RenderCtxOf[uint16](context.Background(), volume.CombustionPlumeOf[uint16](l, 4), cam, tf, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

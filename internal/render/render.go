@@ -103,23 +103,14 @@ func (o Options) validate() error {
 // Render raycasts the volume from cam through tf, with all workers
 // sharing one view of the volume.
 func Render(vol grid.Reader, cam Camera, tf *TransferFunc, o Options) (*Image, error) {
-	return RenderCtx(context.Background(), vol, cam, tf, o)
+	return RenderCtxOf[float32](context.Background(), vol, cam, tf, o)
 }
 
-// RenderOf is Render for any element type.
-func RenderOf[T grid.Scalar](vol grid.ReaderOf[T], cam Camera, tf *TransferFunc, o Options) (*Image, error) {
-	return RenderCtxOf(context.Background(), vol, cam, tf, o)
-}
-
-// RenderCtx is Render with cooperative cancellation: workers stop taking
-// image tiles once ctx is done and the call returns (nil, ctx's error),
-// discarding the partial frame. A context that can never be cancelled
-// takes exactly the non-context code path.
-func RenderCtx(ctx context.Context, vol grid.Reader, cam Camera, tf *TransferFunc, o Options) (*Image, error) {
-	return RenderCtxOf[float32](ctx, vol, cam, tf, o)
-}
-
-// RenderCtxOf is RenderCtx for any element type.
+// RenderCtxOf is Render for any element type with cooperative
+// cancellation: workers stop taking image tiles once ctx is done and
+// the call returns (nil, ctx's error), discarding the partial frame. A
+// context that can never be cancelled takes exactly the non-context
+// code path.
 func RenderCtxOf[T grid.Scalar](ctx context.Context, vol grid.ReaderOf[T], cam Camera, tf *TransferFunc, o Options) (*Image, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
@@ -140,23 +131,13 @@ func RenderViews(views []grid.Reader, cam Camera, tf *TransferFunc, o Options) (
 	return RenderViewsCtxOf[float32](context.Background(), views, cam, tf, o)
 }
 
-// RenderViewsOf is RenderViews for any element type.
-func RenderViewsOf[T grid.Scalar](views []grid.ReaderOf[T], cam Camera, tf *TransferFunc, o Options) (*Image, error) {
-	return RenderViewsCtxOf(context.Background(), views, cam, tf, o)
-}
-
-// RenderViewsCtx is RenderViews with cooperative cancellation; see
-// RenderCtx. Tiles are the cancellation granule: a tile that has started
-// runs to completion, and no new tiles are handed out after ctx is done.
-func RenderViewsCtx(ctx context.Context, views []grid.Reader, cam Camera, tf *TransferFunc, o Options) (*Image, error) {
-	return RenderViewsCtxOf[float32](ctx, views, cam, tf, o)
-}
-
-// RenderViewsCtxOf is RenderViewsCtx for any element type. Samples
-// normalize into [0,1] before the transfer function; the ray
-// accumulator is float64 for float64 volumes and float32 otherwise, so
-// the float32 instantiation reproduces the pre-generic frames bit for
-// bit.
+// RenderViewsCtxOf is RenderViews for any element type with
+// cooperative cancellation; see RenderCtxOf. Tiles are the cancellation
+// granule: a tile that has started runs to completion, and no new tiles
+// are handed out after ctx is done. Samples normalize into [0,1] before
+// the transfer function; the ray accumulator is float64 for float64
+// volumes and float32 otherwise, so the float32 instantiation
+// reproduces the pre-generic frames bit for bit.
 func RenderViewsCtxOf[T grid.Scalar](ctx context.Context, views []grid.ReaderOf[T], cam Camera, tf *TransferFunc, o Options) (*Image, error) {
 	if grid.DtypeFor[T]() == grid.F64 {
 		return renderViewsCtxOf[T, float64](ctx, views, cam, tf, o)

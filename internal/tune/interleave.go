@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"sort"
@@ -282,7 +283,7 @@ func simKernelOf[T grid.Scalar](cfg InterleaveConfig, l core.Layout) (uint64, er
 		cam := render.Orbit(1, 8, cfg.Nx, cfg.Ny, cfg.Nz, cfg.ImgW, cfg.ImgH)
 		o := cfg.Render
 		o.Workers = threads
-		if _, err := render.RenderViewsOf(views, cam, render.DefaultTransferFunc(), o); err != nil {
+		if _, err := render.RenderViewsCtxOf[T](context.Background(), views, cam, render.DefaultTransferFunc(), o); err != nil {
 			return 0, err
 		}
 	case KernelBilateral:
@@ -295,7 +296,7 @@ func simKernelOf[T grid.Scalar](cfg InterleaveConfig, l core.Layout) (uint64, er
 			srcs[w] = grid.NewTraced(src, 0, sys.Front(w))
 			dsts[w] = grid.NewTraced(dst, 1<<40, sys.Front(w))
 		}
-		if err := filter.ApplyViewsOf(srcs, dsts, cfg.Options); err != nil {
+		if err := filter.ApplyViewsCtxOf[T](context.Background(), srcs, dsts, cfg.Options); err != nil {
 			return 0, err
 		}
 	default:
@@ -522,14 +523,14 @@ func runRealOf[T grid.Scalar](cfg InterleaveConfig, l core.Layout) (time.Duratio
 		o := cfg.Render
 		o.Workers = cfg.Options.Workers
 		start := time.Now()
-		_, err := render.RenderOf[T](vol, cam, render.DefaultTransferFunc(), o)
+		_, err := render.RenderCtxOf[T](context.Background(), vol, cam, render.DefaultTransferFunc(), o)
 		return time.Since(start), err
 	case KernelBilateral:
 		src := volume.MRIPhantomOf[T](l, cfg.Seed, 0.05)
 		nx, ny, nz := l.Dims()
 		dst := grid.NewOf[T](core.New(core.ArrayKind, nx, ny, nz))
 		start := time.Now()
-		err := filter.ApplyOf[T](src, dst, cfg.Options)
+		err := filter.ApplyCtxOf[T](context.Background(), src, dst, cfg.Options)
 		return time.Since(start), err
 	default:
 		return 0, fmt.Errorf("tune: unknown kernel %q", cfg.Kernel)

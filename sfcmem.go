@@ -160,11 +160,6 @@ func BilateralViews(srcs []Reader, dsts []Writer, o FilterOptions) error {
 	return filter.ApplyViews(srcs, dsts, o)
 }
 
-// GaussianConvolve runs the plain Gaussian-smoothing baseline.
-func GaussianConvolve(src Reader, dst Writer, o FilterOptions) error {
-	return filter.GaussianConvolve(src, dst, o)
-}
-
 // Renderer types.
 type (
 	// Camera is a perspective pinhole camera.
@@ -198,16 +193,6 @@ func NewTransferFunc(points []ControlPoint) (*TransferFunc, error) {
 // DefaultTransferFunc is a flame-like transfer function suited to the
 // combustion plume.
 func DefaultTransferFunc() *TransferFunc { return render.DefaultTransferFunc() }
-
-// Render raycasts the volume from cam through tf.
-func Render(vol Reader, cam Camera, tf *TransferFunc, o RenderOptions) (*Image, error) {
-	return render.Render(vol, cam, tf, o)
-}
-
-// RenderViews raycasts with per-worker volume views (for tracing).
-func RenderViews(views []Reader, cam Camera, tf *TransferFunc, o RenderOptions) (*Image, error) {
-	return render.RenderViews(views, cam, tf, o)
-}
 
 // Cache-simulation types: a Platform describes a cache hierarchy, a
 // System simulates it, and per-thread Fronts consume access streams

@@ -2,9 +2,11 @@ package sfcmem_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"sfcmem"
+	"sfcmem/internal/filter"
 )
 
 // The facade tests exercise the public API exactly as a downstream user
@@ -47,7 +49,8 @@ func TestPublicAPIFilterPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sfcmem.GaussianConvolve(src, dst, sfcmem.FilterOptions{Radius: 1}); err != nil {
+	ctx := context.Background()
+	if err := sfcmem.GaussianConvolveAnyCtx(ctx, sfcmem.WrapAny(src), sfcmem.WrapAny(dst), sfcmem.FilterOptions{Radius: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -56,7 +59,8 @@ func TestPublicAPIRenderPipeline(t *testing.T) {
 	l := sfcmem.NewLayout(sfcmem.ZOrder, 16, 16, 16)
 	vol := sfcmem.CombustionPlume(l, 1)
 	cam := sfcmem.Orbit(1, 8, 16, 16, 16, 24, 24)
-	img, err := sfcmem.Render(vol, cam, sfcmem.DefaultTransferFunc(), sfcmem.RenderOptions{Workers: 2})
+	ctx, avol := context.Background(), sfcmem.WrapAny(vol)
+	img, err := sfcmem.RenderAnyCtx(ctx, avol, cam, sfcmem.DefaultTransferFunc(), sfcmem.RenderOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +74,7 @@ func TestPublicAPIRenderPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sfcmem.Render(vol, cam, custom, sfcmem.RenderOptions{}); err != nil {
+	if _, err := sfcmem.RenderAnyCtx(ctx, avol, cam, custom, sfcmem.RenderOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -203,7 +207,7 @@ func TestPublicAPIGaussianAndRawIO(t *testing.T) {
 	l := sfcmem.NewLayout(sfcmem.Array, 8, 8, 8)
 	src := sfcmem.MRIPhantom(l, 1, 0.02)
 	dst := sfcmem.NewGrid(sfcmem.NewLayout(sfcmem.Array, 8, 8, 8))
-	if err := sfcmem.GaussianSeparable(src, dst, sfcmem.FilterOptions{Radius: 1}); err != nil {
+	if err := filter.GaussianSeparable(src, dst, sfcmem.FilterOptions{Radius: 1}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
