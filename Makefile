@@ -105,6 +105,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBitLayoutRoundTrip -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzManifestRoundTrip -fuzztime=$(FUZZTIME) ./internal/volume
 	$(GO) test -run='^$$' -fuzz=FuzzBrickHeaderRoundTrip -fuzztime=$(FUZZTIME) ./internal/volume
+	$(GO) test -run='^$$' -fuzz=FuzzLoadRaw -fuzztime=$(FUZZTIME) ./internal/volume
 	$(GO) test -run='^$$' -fuzz=FuzzAccelExact -fuzztime=$(FUZZTIME) ./internal/render
 
 clean:

@@ -543,6 +543,45 @@ func TestFilterTraceKeepsStages(t *testing.T) {
 	}
 }
 
+// TestUploadTraceStages: a raw upload's trace and access-log line split
+// its time into "ingest" (body to grid) and "persist" (store.Put), on a
+// disk-backed store where persisting writes bricks.
+func TestUploadTraceStages(t *testing.T) {
+	sink := &logSink{}
+	cfg := testConfig()
+	cfg.accessLog = sink
+	cfg.dataDir = t.TempDir()
+	a, _, _ := startApp(t, cfg)
+	const n = 16
+	uploadRaw(t, a, "up", n, bytes.Repeat([]byte{7}, n*n*n))
+
+	var tr *obs.Trace
+	for _, rt := range a.srv.hub.Ring().Recent(0) {
+		if rt.Route == "volumes" && rt.StageDur("ingest") > 0 {
+			tr = rt
+			break
+		}
+	}
+	if tr == nil {
+		t.Fatal("no volumes trace with an ingest stage in the ring")
+	}
+	if tr.StageDur("persist") == 0 {
+		t.Error("upload trace has no persist stage")
+	}
+	var access map[string]any
+	for _, l := range sink.lines(t) {
+		if stages, _ := l["stages"].(map[string]any); l["msg"] == "request" && l["route"] == "volumes" && stages["ingest"] != nil {
+			access = l
+		}
+	}
+	if access == nil {
+		t.Fatal("no volumes access-log line carries an ingest stage")
+	}
+	if stages := access["stages"].(map[string]any); stages["persist"] == nil {
+		t.Errorf("upload access log lost its persist stage: %v", access)
+	}
+}
+
 // TestFilterWorkerSpans: a sync /filter trace and a filter job's trace
 // both carry per-pencil worker spans. The work observer travels in
 // FilterOptions.Observer on the path both share, so neither may lose

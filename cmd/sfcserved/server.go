@@ -825,14 +825,18 @@ func (s *server) handleCreateVolume(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.respondStored(w, v)
+	s.respondStored(w, obs.FromContext(r.Context()), v)
 }
 
-// respondStored puts v and writes the 201 response with the stored
-// volume's metadata. A failed Put — only possible with a disk tier —
-// is a 500: the store kept its previous contents.
-func (s *server) respondStored(w http.ResponseWriter, v *store.Volume) {
-	if err := s.store.Put(v); err != nil {
+// respondStored puts v — traced as the "persist" stage — and writes the
+// 201 response with the stored volume's metadata. A failed Put — only
+// possible with a disk tier — is a 500: the store kept its previous
+// contents.
+func (s *server) respondStored(w http.ResponseWriter, t *obs.Trace, v *store.Volume) {
+	endPersist := t.Stage("persist")
+	err := s.store.Put(v)
+	endPersist()
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -868,7 +872,8 @@ func checkBufferBytes(l sfcmem.Layout, dt sfcmem.Dtype, limit int64) error {
 //
 // with the body holding nx*ny*nz samples of the given dtype,
 // little-endian, row-major. Truncated and oversized bodies are rejected
-// with the expected and actual byte counts.
+// with the expected and actual byte counts. The trace splits the
+// upload into "ingest" (body to grid) and "persist" (store.Put).
 func (s *server) handleUploadVolume(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if name == "" {
@@ -913,13 +918,16 @@ func (s *server) handleUploadVolume(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
 		return
 	}
+	t := obs.FromContext(r.Context())
+	endIngest := t.Stage("ingest")
 	g, err := sfcmem.LoadRawAny(http.MaxBytesReader(w, r.Body, maxUploadBytes), dt, l)
+	endIngest()
 	if err != nil {
 		// Truncation/oversize errors name expected vs actual byte counts.
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.respondStored(w, &store.Volume{Name: name, Dataset: "upload", Layout: l.Name(), Grid: g})
+	s.respondStored(w, t, &store.Volume{Name: name, Dataset: "upload", Layout: l.Name(), Grid: g})
 }
 
 // handleDeleteVolume removes a volume from every storage tier. The

@@ -8,10 +8,10 @@ package volume
 // storage order keeps the paper's locality argument intact one level
 // down the memory hierarchy: a brick is a contiguous curve range, so
 // writing it is a sequential copy of a slice window and a cold read is
-// one sequential I/O that lands in memory already curve-ordered. No
-// per-voxel index computation happens on either path (contrast
-// SaveRawOf, which walks row-major through Layout.Index for
-// interchange with external tools).
+// one sequential stream that lands in memory already curve-ordered. No
+// index computation happens on either path (contrast SaveRawOf and
+// LoadRawOf, which map every sample of a row-major x-row through the
+// layout for interchange with external tools).
 //
 // A persisted volume is a directory:
 //
@@ -32,6 +32,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -272,6 +274,13 @@ func decodeElems[T grid.Scalar](dst []T, src []byte) {
 	}
 }
 
+// brickChunk is the staging buffer size of brick I/O: WriteBricks and
+// ReadBricksInto stream every brick through one buffer of this many
+// bytes — encode or decode, hash and write or read a chunk at a time —
+// so their garbage stays a small constant whatever the brick size. It
+// is a multiple of every dtype width, so a chunk never splits a sample.
+const brickChunk = 1 << 16
+
 // WriteBricks persists data — a grid's backing slice, already in curve
 // order — under dir as brick files of brickElems samples each (the
 // last brick takes the remainder). Each brick is written to a temp
@@ -282,74 +291,140 @@ func WriteBricks[T grid.Scalar](dir string, data []T, brickElems int) ([]BrickIn
 	if brickElems < 1 {
 		return nil, fmt.Errorf("volume: brick size %d elems invalid", brickElems)
 	}
-	dt := grid.DtypeFor[T]()
-	es := dt.Size()
-	buf := make([]byte, BrickHeaderLen+brickElems*es)
+	es := grid.DtypeFor[T]().Size()
+	buf := make([]byte, brickChunk)
+	h := sha256.New()
 	n := (len(data) + brickElems - 1) / brickElems
 	infos := make([]BrickInfo, 0, n)
 	for i := 0; i < n; i++ {
 		chunk := data[i*brickElems : min((i+1)*brickElems, len(data))]
-		payload := buf[BrickHeaderLen : BrickHeaderLen+len(chunk)*es]
-		hdr := EncodeBrickHeader(BrickHeader{Dtype: dt, Index: uint32(i), PayloadLen: uint64(len(payload))})
-		copy(buf[:BrickHeaderLen], hdr[:])
-		encodeElems(payload, chunk)
-		sum := sha256.Sum256(payload)
-		path := filepath.Join(dir, BrickFileName(i))
-		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, buf[:BrickHeaderLen+len(payload)], 0o644); err != nil {
-			return nil, fmt.Errorf("volume: writing brick %d: %w", i, err)
+		sum, err := writeBrick(filepath.Join(dir, BrickFileName(i)), i, chunk, buf, h)
+		if err != nil {
+			return nil, err
 		}
-		if err := os.Rename(tmp, path); err != nil {
-			return nil, fmt.Errorf("volume: committing brick %d: %w", i, err)
-		}
-		infos = append(infos, BrickInfo{Bytes: int64(len(payload)), SHA256: hex.EncodeToString(sum[:])})
+		infos = append(infos, BrickInfo{Bytes: int64(len(chunk) * es), SHA256: hex.EncodeToString(sum)})
 	}
 	return infos, nil
 }
 
-// ReadBricksInto loads m's bricks from dir into dst, which must be the
-// reconstructed layout's backing slice (len == m.Elems). Every brick's
-// header is cross-checked against the manifest and its payload hashed;
-// any mismatch — truncation, bit rot, a stale file from another
-// generation — fails with the offending file named, before a single
-// decoded sample is observable as grid data... dst may hold partially
-// decoded bytes on error, so callers must discard it then.
-func ReadBricksInto[T grid.Scalar](dir string, m *Manifest, dst []T) error {
+// writeBrick writes brick i — header, then chunk encoded through buf
+// and hashed by h as it streams — to path's temp file and renames it
+// into place. It returns the payload's sha256.
+func writeBrick[T grid.Scalar](path string, i int, chunk []T, buf []byte, h hash.Hash) ([]byte, error) {
 	dt := grid.DtypeFor[T]()
 	es := dt.Size()
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("volume: writing brick %d: %w", i, err)
+	}
+	hdr := EncodeBrickHeader(BrickHeader{Dtype: dt, Index: uint32(i), PayloadLen: uint64(len(chunk) * es)})
+	_, err = f.Write(hdr[:])
+	h.Reset()
+	step := len(buf) / es
+	for lo := 0; lo < len(chunk) && err == nil; lo += step {
+		part := chunk[lo:min(lo+step, len(chunk))]
+		b := buf[:len(part)*es]
+		encodeElems(b, part)
+		h.Write(b)
+		_, err = f.Write(b)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, fmt.Errorf("volume: writing brick %d: %w", i, err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return nil, fmt.Errorf("volume: committing brick %d: %w", i, err)
+	}
+	return h.Sum(nil), nil
+}
+
+// ReadBricksInto loads m's bricks from dir into dst, which must be the
+// reconstructed layout's backing slice (len == m.Elems). Every brick's
+// header is cross-checked against the manifest and its payload is
+// streamed through one reused buffer: hashed and decoded into dst a
+// chunk at a time, with bytes past the manifest's length rejected and
+// the digest compared once the payload ends. Any mismatch —
+// truncation, bit rot, a stale file from another generation — fails
+// with the offending file named. dst holds unverified samples on
+// error, so callers must discard it then; nil is returned only after
+// every brick has verified.
+func ReadBricksInto[T grid.Scalar](dir string, m *Manifest, dst []T) error {
+	es := grid.DtypeFor[T]().Size()
 	if int64(len(dst)) != m.Elems {
 		return fmt.Errorf("volume: destination holds %d elems, manifest %d", len(dst), m.Elems)
 	}
+	buf := make([]byte, brickChunk)
+	h := sha256.New()
 	off := 0
 	for i, bi := range m.Bricks {
-		path := filepath.Join(dir, BrickFileName(i))
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("volume: reading brick %d: %w", i, err)
-		}
-		hdr, err := DecodeBrickHeader(b)
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		payload := b[BrickHeaderLen:]
-		switch {
-		case hdr.Dtype != dt:
-			return fmt.Errorf("%s: brick dtype %s, manifest %s", path, hdr.Dtype, dt)
-		case hdr.Index != uint32(i):
-			return fmt.Errorf("%s: brick index %d, want %d", path, hdr.Index, i)
-		case int64(hdr.PayloadLen) != bi.Bytes || int64(len(payload)) != bi.Bytes:
-			return fmt.Errorf("%s: brick payload %d bytes (header %d), manifest %d", path, len(payload), hdr.PayloadLen, bi.Bytes)
-		}
-		sum := sha256.Sum256(payload)
-		if got := hex.EncodeToString(sum[:]); got != bi.SHA256 {
-			return fmt.Errorf("%s: brick sha256 %s does not match manifest %s (corrupted or partially written)", path, got, bi.SHA256)
-		}
 		elems := int(bi.Bytes) / es
-		decodeElems(dst[off:off+elems], payload)
+		if bi.Bytes < 0 || bi.Bytes%int64(es) != 0 || elems > len(dst)-off {
+			return fmt.Errorf("volume: manifest brick %d: %d bytes do not fit the %d-elem destination at %d",
+				i, bi.Bytes, len(dst), off)
+		}
+		if err := readBrick(filepath.Join(dir, BrickFileName(i)), i, bi, dst[off:off+elems], buf, h); err != nil {
+			return err
+		}
 		off += elems
 	}
 	if int64(off) != m.Elems {
 		return fmt.Errorf("volume: bricks decoded %d elems, manifest %d", off, m.Elems)
+	}
+	return nil
+}
+
+// readBrick streams brick i at path into dst (exactly the brick's
+// samples) through buf, hashing with h, and checks the header, the
+// payload length and the digest against bi.
+func readBrick[T grid.Scalar](path string, i int, bi BrickInfo, dst []T, buf []byte, h hash.Hash) error {
+	dt := grid.DtypeFor[T]()
+	es := dt.Size()
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("volume: reading brick %d: %w", i, err)
+	}
+	defer f.Close()
+	var hb [BrickHeaderLen]byte
+	n, err := io.ReadFull(f, hb[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return fmt.Errorf("volume: reading brick %d: %w", i, err)
+	}
+	hdr, err := DecodeBrickHeader(hb[:n])
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	switch {
+	case hdr.Dtype != dt:
+		return fmt.Errorf("%s: brick dtype %s, manifest %s", path, hdr.Dtype, dt)
+	case hdr.Index != uint32(i):
+		return fmt.Errorf("%s: brick index %d, want %d", path, hdr.Index, i)
+	case hdr.PayloadLen != uint64(bi.Bytes):
+		return fmt.Errorf("%s: brick header payload %d bytes, manifest %d", path, hdr.PayloadLen, bi.Bytes)
+	}
+	h.Reset()
+	step := len(buf) / es
+	for lo := 0; lo < len(dst); lo += step {
+		part := dst[lo:min(lo+step, len(dst))]
+		b := buf[:len(part)*es]
+		n, err := io.ReadFull(f, b)
+		if err != nil {
+			return fmt.Errorf("%s: brick payload truncated at %d bytes, manifest %d: %w", path, lo*es+n, bi.Bytes, err)
+		}
+		h.Write(b)
+		decodeElems(part, b)
+	}
+	switch n, err := io.ReadFull(f, buf[:1]); {
+	case n > 0:
+		return fmt.Errorf("%s: brick payload runs past the manifest's %d bytes", path, bi.Bytes)
+	case err != io.EOF:
+		return fmt.Errorf("volume: reading brick %d: %w", i, err)
+	}
+	var sum [sha256.Size]byte
+	if got := hex.EncodeToString(h.Sum(sum[:0])); got != bi.SHA256 {
+		return fmt.Errorf("%s: brick sha256 %s does not match manifest %s (corrupted or partially written)", path, got, bi.SHA256)
 	}
 	return nil
 }

@@ -1,9 +1,13 @@
 package volume
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -123,6 +127,152 @@ func TestTruncatedBrickRejected(t *testing.T) {
 	dst := make([]uint16, m.Elems)
 	if err := ReadBricksInto(dir, m, dst); err == nil {
 		t.Fatal("truncated brick decoded without error")
+	}
+}
+
+// dirDigest is the sha256 over every file in dir, name then bytes, in
+// name order.
+func dirDigest(t *testing.T, dir string) string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	for _, n := range names {
+		b, err := os.ReadFile(filepath.Join(dir, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write([]byte(n))
+		h.Write(b)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestBrickFilesPinned pins the on-disk bytes — brick headers,
+// payloads and the manifest with its digests — for fixed volumes, so a
+// change to the write path cannot silently change the format that
+// existing data directories hold. The float32 case has bricks several
+// staging chunks long and a short final brick; the uint16 case has
+// bricks far shorter than one chunk.
+func TestBrickFilesPinned(t *testing.T) {
+	cases := []struct {
+		name  string
+		write func(dir string)
+		want  string
+	}{
+		{"float32", func(dir string) { writeTestVolume[float32](t, dir, core.New(core.ZKind, 40, 33, 20), 40000) },
+			"d2e56c2e409de5ba94f7f1a63f9fa8f3b9d7cc1a69e603ce0378657800e01b33"},
+		{"uint16", func(dir string) { writeTestVolume[uint16](t, dir, core.New(core.ZKind, 12, 10, 6), 300) },
+			"ca7f4940e754a7ac42040d16abab0182dce95b381f34f8f29dc2305f90d009c6"},
+		{"float64", func(dir string) { writeTestVolume[float64](t, dir, core.New(core.ZKind, 12, 10, 6), 300) },
+			"52b7fd4b463a4b662c1389dee29cb69101e1ec25c04c872e19952a877860235a"},
+	}
+	for _, c := range cases {
+		dir := t.TempDir()
+		c.write(dir)
+		if got := dirDigest(t, dir); got != c.want {
+			t.Errorf("%s: volume directory sha256 %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// appendToBrick appends extra bytes to brick i's file.
+func appendToBrick(t *testing.T, dir string, i int, extra []byte) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, BrickFileName(i)), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(extra); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTrailingBrickBytesRejected: bytes past the manifest's payload
+// length fail the load even though the payload they follow verifies.
+func TestTrailingBrickBytesRejected(t *testing.T) {
+	l := core.New(core.ZKind, 8, 8, 8)
+	dir := t.TempDir()
+	_, m := writeTestVolume[float32](t, dir, l, 100)
+	appendToBrick(t, dir, 2, []byte{0})
+	err := ReadBricksInto(dir, m, make([]float32, m.Elems))
+	if err == nil {
+		t.Fatal("brick with a trailing byte decoded without error")
+	}
+	if !strings.Contains(err.Error(), BrickFileName(2)) || !strings.Contains(err.Error(), "runs past") {
+		t.Fatalf("trailing-byte error should name the file and the overrun: %v", err)
+	}
+}
+
+// TestBrickHeaderPayloadLenLies: a header whose payload length
+// disagrees with the manifest fails before any payload is read — in
+// both directions, and also when the file really holds the header's
+// (wrong) length.
+func TestBrickHeaderPayloadLenLies(t *testing.T) {
+	l := core.New(core.ZKind, 8, 8, 8)
+	for _, delta := range []int64{-4, 4} {
+		dir := t.TempDir()
+		_, m := writeTestVolume[float32](t, dir, l, 100)
+		path := filepath.Join(dir, BrickFileName(1))
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr, err := DecodeBrickHeader(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr.PayloadLen = uint64(m.Bricks[1].Bytes + delta)
+		enc := EncodeBrickHeader(hdr)
+		copy(b, enc[:])
+		if delta > 0 {
+			b = append(b, make([]byte, delta)...)
+		} else {
+			b = b[:int64(len(b))+delta]
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err = ReadBricksInto(dir, m, make([]float32, m.Elems))
+		if err == nil {
+			t.Fatalf("delta %d: lying header payload length decoded without error", delta)
+		}
+		if !strings.Contains(err.Error(), "header payload") || !strings.Contains(err.Error(), BrickFileName(1)) {
+			t.Fatalf("delta %d: error should name the header's payload length and the file: %v", delta, err)
+		}
+	}
+}
+
+// TestReadBricksIntoAllocations: a cold load streams through one reused
+// buffer, so reading an 8 MiB volume in 4 MiB bricks allocates well
+// under one brick beyond the destination slice.
+func TestReadBricksIntoAllocations(t *testing.T) {
+	l := core.New(core.ZKind, 128, 128, 128)
+	dir := t.TempDir()
+	_, m := writeTestVolume[float32](t, dir, l, 1<<20)
+	dst := make([]float32, m.Elems)
+	if err := ReadBricksInto(dir, m, dst); err != nil { // warm the page cache
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := ReadBricksInto(dir, m, dst); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 256<<10 {
+		t.Fatalf("ReadBricksInto of %d MiB allocated %d bytes beyond dst, want < 256 KiB", m.Elems*4>>20, got)
 	}
 }
 

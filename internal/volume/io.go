@@ -2,10 +2,8 @@ package volume
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"sfcmem/internal/core"
@@ -29,32 +27,21 @@ func rawBytes(nx, ny, nz, elemSize int) int64 {
 }
 
 // SaveRawOf writes g as little-endian samples of g's element type in
-// row-major (x fastest) order, whatever g's in-memory layout is.
+// row-major (x fastest) order, whatever g's in-memory layout is. Each
+// x-row is gathered into one buffer and written with one Write.
 func SaveRawOf[T grid.Scalar](w io.Writer, g *grid.Grid[T]) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	nx, ny, nz := g.Dims()
-	dt := grid.DtypeFor[T]()
-	es := dt.Size()
-	var buf [8]byte
+	row := make([]T, nx)
+	raw := make([]byte, nx*grid.DtypeFor[T]().Size())
 	for k := 0; k < nz; k++ {
 		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				v := g.At(i, j, k)
-				// dt is fixed by T, so exactly one arm ever runs and its
-				// conversion is the identity-width one.
-				switch dt {
-				case grid.U8:
-					buf[0] = uint8(v)
-				case grid.U16:
-					binary.LittleEndian.PutUint16(buf[:2], uint16(v))
-				case grid.F32:
-					binary.LittleEndian.PutUint32(buf[:4], math.Float32bits(float32(v)))
-				default:
-					binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(float64(v)))
-				}
-				if _, err := bw.Write(buf[:es]); err != nil {
-					return fmt.Errorf("volume: writing raw: %w", err)
-				}
+			for i := range row {
+				row[i] = g.At(i, j, k)
+			}
+			encodeElems(raw, row)
+			if _, err := bw.Write(raw); err != nil {
+				return fmt.Errorf("volume: writing raw: %w", err)
 			}
 		}
 	}
@@ -66,9 +53,12 @@ func SaveRawOf[T grid.Scalar](w io.Writer, g *grid.Grid[T]) error {
 func SaveRaw(w io.Writer, g *grid.Grid[float32]) error { return SaveRawOf(w, g) }
 
 // LoadRawOf reads an nx×ny×nz little-endian row-major volume of T
-// samples into a grid under the given layout. Both truncated and
-// oversized streams are rejected, with the error naming the expected
-// and actual byte counts.
+// samples into a grid under the given layout. It reads one x-row per
+// io.ReadFull, decodes it in bulk and scatters it through the flat
+// offset tables (non-separable layouts — Hilbert, hierarchical Z — Set
+// each sample of the row instead). Both truncated and oversized
+// streams are rejected, with the error naming the expected and actual
+// byte counts; a truncation also names the first incomplete voxel.
 func LoadRawOf[T grid.Scalar](r io.Reader, l core.Layout) (*grid.Grid[T], error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	g := grid.NewOf[T](l)
@@ -76,29 +66,33 @@ func LoadRawOf[T grid.Scalar](r io.Reader, l core.Layout) (*grid.Grid[T], error)
 	dt := grid.DtypeFor[T]()
 	es := dt.Size()
 	want := rawBytes(nx, ny, nz, es)
+	row := make([]T, nx)
+	raw := make([]byte, nx*es)
+	f, flat := g.Flat()
 	var got int64
-	var buf [8]byte
 	for k := 0; k < nz; k++ {
 		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				n, err := io.ReadFull(br, buf[:es])
-				got += int64(n)
-				if err != nil {
-					return nil, fmt.Errorf("volume: raw %s stream truncated at (%d,%d,%d): got %d bytes, want %d (%dx%dx%d × %d-byte samples): %w",
-						dt, i, j, k, got, want, nx, ny, nz, es, err)
+			n, err := io.ReadFull(br, raw)
+			got += int64(n)
+			if err != nil {
+				// A cut on a sample boundary reads as the plain EOF a
+				// per-sample read of the next voxel would see.
+				if err == io.ErrUnexpectedEOF && n%es == 0 {
+					err = io.EOF
 				}
-				var v T
-				switch dt {
-				case grid.U8:
-					v = T(buf[0])
-				case grid.U16:
-					v = T(binary.LittleEndian.Uint16(buf[:2]))
-				case grid.F32:
-					v = T(math.Float32frombits(binary.LittleEndian.Uint32(buf[:4])))
-				default:
-					v = T(math.Float64frombits(binary.LittleEndian.Uint64(buf[:8])))
+				return nil, fmt.Errorf("volume: raw %s stream truncated at (%d,%d,%d): got %d bytes, want %d (%dx%dx%d × %d-byte samples): %w",
+					dt, n/es, j, k, got, want, nx, ny, nz, es, err)
+			}
+			decodeElems(row, raw)
+			if flat {
+				base := f.Y[j] + f.Z[k]
+				for i, x := range f.X {
+					f.Data[base+x] = row[i]
 				}
-				g.Set(i, j, k, v)
+			} else {
+				for i, v := range row {
+					g.Set(i, j, k, v)
+				}
 			}
 		}
 	}
