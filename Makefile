@@ -90,10 +90,11 @@ baseline-refresh:
 	$(GO) run ./cmd/benchdiff -in bench_fresh.txt -baseline BENCH_baseline.json -update
 
 # CI's autotune smoke: the tiny deterministic interleave search (fixed
-# seed, 16³, few generations) must pick the same layout on every run
-# and never score more simulated L1 misses than plain Z order.
+# seed, 16³, few generations) must pick the same layout on every run,
+# never score more simulated L1 misses than plain Z order, and repeat
+# the pinned winners, scores and evaluation logs exactly.
 tune-smoke:
-	$(GO) test -run 'TestInterleave(Deterministic|BeatsOrMatchesZOrder|Volrend)|TestSweepTieBreak' -count=1 -v ./internal/tune
+	$(GO) test -run 'TestInterleave(Deterministic|BeatsOrMatchesZOrder|Volrend|Pinned)|TestSweepTieBreak' -count=1 -v ./internal/tune
 
 # Short bursts of the native fuzz targets (Go allows one -fuzz pattern
 # per invocation, so the curves run back to back).
@@ -107,6 +108,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBrickHeaderRoundTrip -fuzztime=$(FUZZTIME) ./internal/volume
 	$(GO) test -run='^$$' -fuzz=FuzzLoadRaw -fuzztime=$(FUZZTIME) ./internal/volume
 	$(GO) test -run='^$$' -fuzz=FuzzAccelExact -fuzztime=$(FUZZTIME) ./internal/render
+	$(GO) test -run='^$$' -fuzz=FuzzSimulatorMatchesReference -fuzztime=$(FUZZTIME) ./internal/cache
 
 clean:
 	rm -rf csv frames lod test_output.txt bench_output.txt bench_fresh.txt bench_fresh.json cover.out

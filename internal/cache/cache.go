@@ -13,6 +13,25 @@
 // modeled; the paper's kernels share data read-only (the source volume)
 // and partition their writes, so coherence traffic is not the signal of
 // interest.
+//
+// Every per-access step is constant time for a given geometry: a set
+// probe is one compare per way, a set's first empty way comes from a
+// per-set fill count, and a TLB hit is found through its most recent
+// slot or a page-indexed hint (only a TLB miss scans its entries).
+//
+// Counts are deterministic only when no two simulated threads share a
+// level. A level shared by several Fronts — a core with CoreThreads > 1
+// running two or more threads, or the shared last level under two or
+// more threads — sees the threads' accesses in whatever order their
+// goroutines interleave, so its counts (and, below a shared core, the
+// counts of every level it fills from) can differ from run to run. Two
+// back-to-back 32³ bilateral replays on MIC/16 with 2 threads differ in
+// l1 and l2 counts; on IvyBridge/32 with next-line prefetch and 2
+// threads they differ in llc and mem counts. A kernel that hands out
+// work dynamically (the renderer's default schedule) varies each
+// thread's own stream as well, so with 2 threads even private-level
+// counts move. One thread always gives the same counts; several do
+// only when no level is shared and each thread's stream is fixed.
 package cache
 
 import "fmt"
@@ -107,16 +126,29 @@ func (c Counters) MissRate() float64 {
 }
 
 // level is one set-associative cache array.
+//
+// Ways fill from way 0 upward and a resident line is never invalidated
+// (only replaced), so the resident ways of a set are always the prefix
+// [0, fill): a set's first empty way is found in O(1), and the victim
+// scan runs only over full sets.
 type level struct {
 	cfg  LevelConfig
-	sets int
-	// Flattened [set][way] arrays.
-	tags  []uint64
-	valid []bool
+	ways int
+	sets uint64
+	// pow2 says sets is a power of two, so line&(sets-1) is the set
+	// index; otherwise it is line % sets (masking a non-power-of-two
+	// set count would fold lines onto the wrong sets).
+	pow2 bool
+	// Flattened [set][way] arrays. keys holds line+1 for a resident way
+	// and 0 for an empty one, so a probe is one compare per way.
+	keys  []uint64
 	dirty []bool
 	used  []uint64 // LRU/FIFO timestamps
-	tick  uint64
-	rng   uint64 // RandomPolicy state
+	fill  []int32  // resident ways per set
+	// tick advances once per stamp written to used: victims depend only
+	// on the stamps' order, so they need be distinct and increasing.
+	tick uint64
+	rng  uint64 // RandomPolicy state
 
 	Counters
 }
@@ -129,71 +161,84 @@ func newLevel(cfg LevelConfig) *level {
 	n := sets * cfg.Ways
 	return &level{
 		cfg:   cfg,
-		sets:  sets,
-		tags:  make([]uint64, n),
-		valid: make([]bool, n),
+		ways:  cfg.Ways,
+		sets:  uint64(sets),
+		pow2:  sets&(sets-1) == 0,
+		keys:  make([]uint64, n),
 		dirty: make([]bool, n),
 		used:  make([]uint64, n),
+		fill:  make([]int32, sets),
 		rng:   0x9e3779b97f4a7c15,
 	}
+}
+
+// set returns line's set index.
+func (l *level) set(line uint64) int {
+	if l.pow2 {
+		return int(line & (l.sets - 1))
+	}
+	return int(line % l.sets)
+}
+
+// find returns the flat index of line's way, or -1 when it is absent.
+func (l *level) find(line uint64) int {
+	base := l.set(line) * l.ways
+	key := line + 1
+	for w, k := range l.keys[base : base+l.ways] {
+		if k == key {
+			return base + w
+		}
+	}
+	return -1
 }
 
 // lookup probes for line; on hit it refreshes LRU state and optionally
 // marks the line dirty. It does not touch counters.
 func (l *level) lookup(line uint64, markDirty bool) bool {
-	set := int(line % uint64(l.sets))
-	base := set * l.cfg.Ways
-	l.tick++
-	for w := 0; w < l.cfg.Ways; w++ {
-		if l.valid[base+w] && l.tags[base+w] == line {
-			if l.cfg.Policy == LRU {
-				l.used[base+w] = l.tick // FIFO/Random ignore recency
-			}
-			if markDirty {
-				l.dirty[base+w] = true
-			}
-			return true
-		}
+	i := l.find(line)
+	if i < 0 {
+		return false
 	}
-	return false
+	if l.cfg.Policy == LRU { // FIFO/Random ignore recency
+		l.tick++
+		l.used[i] = l.tick
+	}
+	if markDirty {
+		l.dirty[i] = true
+	}
+	return true
 }
 
 // insert places line into its set, evicting the LRU way if necessary.
 // It returns the evicted line and whether it was dirty.
 func (l *level) insert(line uint64, dirty bool) (evicted uint64, evictedDirty, didEvict bool) {
-	set := int(line % uint64(l.sets))
-	base := set * l.cfg.Ways
-	l.tick++
-	victim := -1
-	for w := 0; w < l.cfg.Ways; w++ {
-		if !l.valid[base+w] {
-			victim = base + w
-			break
-		}
-	}
-	if victim < 0 {
+	set := l.set(line)
+	base := set * l.ways
+	var victim int
+	if f := int(l.fill[set]); f < l.ways {
+		victim = base + f
+		l.fill[set]++
+	} else {
 		switch l.cfg.Policy {
 		case RandomPolicy:
 			// xorshift64*: deterministic pseudo-random way choice.
 			l.rng ^= l.rng >> 12
 			l.rng ^= l.rng << 25
 			l.rng ^= l.rng >> 27
-			victim = base + int((l.rng*0x2545f4914f6cdd1d>>33)%uint64(l.cfg.Ways))
+			victim = base + int((l.rng*0x2545f4914f6cdd1d>>33)%uint64(l.ways))
 		default: // LRU and FIFO both evict the smallest timestamp
 			victim = base
-			for w := 1; w < l.cfg.Ways; w++ {
-				if l.used[base+w] < l.used[victim] {
-					victim = base + w
+			for w := base + 1; w < base+l.ways; w++ {
+				if l.used[w] < l.used[victim] {
+					victim = w
 				}
 			}
 		}
-	}
-	if l.valid[victim] {
-		evicted, evictedDirty, didEvict = l.tags[victim], l.dirty[victim], true
+		evicted, evictedDirty, didEvict = l.keys[victim]-1, l.dirty[victim], true
 		l.Evictions++
 	}
-	l.tags[victim] = line
-	l.valid[victim] = true
+	l.tick++
+	l.keys[victim] = line + 1
 	l.dirty[victim] = dirty
 	l.used[victim] = l.tick
 	return evicted, evictedDirty, didEvict
@@ -201,27 +246,14 @@ func (l *level) insert(line uint64, dirty bool) (evicted uint64, evictedDirty, d
 
 // contains probes without updating LRU or dirty state (for tests and
 // writeback routing).
-func (l *level) contains(line uint64) bool {
-	set := int(line % uint64(l.sets))
-	base := set * l.cfg.Ways
-	for w := 0; w < l.cfg.Ways; w++ {
-		if l.valid[base+w] && l.tags[base+w] == line {
-			return true
-		}
-	}
-	return false
-}
+func (l *level) contains(line uint64) bool { return l.find(line) >= 0 }
 
 // markDirtyIfPresent sets the dirty bit if the line is resident,
 // returning whether it was.
 func (l *level) markDirtyIfPresent(line uint64) bool {
-	set := int(line % uint64(l.sets))
-	base := set * l.cfg.Ways
-	for w := 0; w < l.cfg.Ways; w++ {
-		if l.valid[base+w] && l.tags[base+w] == line {
-			l.dirty[base+w] = true
-			return true
-		}
+	i := l.find(line)
+	if i >= 0 {
+		l.dirty[i] = true
 	}
-	return false
+	return i >= 0
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -381,5 +382,81 @@ func BenchmarkAccessStream(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		f.Access(uint64(n)*4, false)
+	}
+}
+
+// BenchmarkStencilStreamTLB replays a 7-point stencil over a 64³
+// float32 array-order volume (1 MiB, 256 pages) through the 1/32-scaled
+// IvyBridge hierarchy with its 64-entry TLB on: the ±z taps sit four
+// pages apart, so the stream mixes TLB hits and misses and spills every
+// cache level. Reported per simulated access.
+func BenchmarkStencilStreamTLB(b *testing.B) {
+	const n = 64
+	taps := [][3]int{{0, 0, 0}, {-1, 0, 0}, {1, 0, 0}, {0, -1, 0}, {0, 1, 0}, {0, 0, -1}, {0, 0, 1}}
+	var accesses uint64
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		sys := NewSystem(Scaled(IvyBridge(), 32), 1)
+		f := sys.Front(0)
+		for k := 1; k < n-1; k++ {
+			for j := 1; j < n-1; j++ {
+				for i := 1; i < n-1; i++ {
+					for _, d := range taps {
+						f.Access(uint64(((k+d[2])*n+j+d[1])*n+i+d[0])*4, false)
+					}
+					f.Access(1<<40+uint64((k*n+j)*n+i)*4, true)
+				}
+			}
+		}
+		accesses += sys.Report().PrivateTotal[0].Accesses
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(accesses), "ns/access")
+}
+
+// TestConcurrentFrontsConserveCounts drives every front from its own
+// goroutine, as the kernels' workers do: two cores shared by two
+// threads each (locked), one core with a single thread (unlocked), a
+// shared last level and atomic memory counters. Under -race it checks
+// that only unshared state goes unlocked; the totals must conserve
+// whatever the interleaving.
+func TestConcurrentFrontsConserveCounts(t *testing.T) {
+	p := Platform{
+		Name: "smt",
+		Private: []LevelConfig{
+			{Name: "L1", SizeBytes: 1 << 10, Ways: 2},
+			{Name: "L2", SizeBytes: 4 << 10, Ways: 4},
+		},
+		Shared:           LevelConfig{Name: "L3", SizeBytes: 12 << 10, Ways: 4},
+		TLB:              TLBConfig{Entries: 8},
+		CoreThreads:      2,
+		NextLinePrefetch: true,
+	}
+	const threads, perThread = 5, 20000
+	sys := NewSystem(p, threads)
+	var wg sync.WaitGroup
+	for tid := 0; tid < threads; tid++ {
+		wg.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			f := sys.Front(tid)
+			for i := uint64(0); i < perThread; i++ {
+				f.Access(uint64(tid)<<20+(i*4168)%(64<<10), i%3 == 0)
+			}
+		}(tid)
+	}
+	wg.Wait()
+	r := sys.Report()
+	if r.PrivateTotal[0].Accesses != threads*perThread || r.TLB.Accesses != threads*perThread {
+		t.Errorf("l1 accesses %d, tlb accesses %d, want %d", r.PrivateTotal[0].Accesses, r.TLB.Accesses, threads*perThread)
+	}
+	if r.PrivateTotal[1].Accesses != r.PrivateTotal[0].Misses || r.Shared.Accesses != r.PrivateTotal[1].Misses {
+		t.Errorf("demand accesses do not chain: l1 misses %d, l2 accesses %d, l2 misses %d, llc accesses %d",
+			r.PrivateTotal[0].Misses, r.PrivateTotal[1].Accesses, r.PrivateTotal[1].Misses, r.Shared.Accesses)
+	}
+	if r.MemReads != r.Shared.Misses {
+		t.Errorf("mem reads %d, want one fill per llc miss = %d", r.MemReads, r.Shared.Misses)
+	}
+	if len(r.PerCore) != 3 {
+		t.Errorf("%d cores, want 3", len(r.PerCore))
 	}
 }

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // System is a full simulated memory system: per-thread private cache
@@ -16,10 +17,9 @@ type System struct {
 	shared   *level
 	sharedMu sync.Mutex
 
-	memMu            sync.Mutex
-	memReads         uint64
-	memWrites        uint64
-	memPrefetchReads uint64
+	memReads         atomic.Uint64
+	memWrites        atomic.Uint64
+	memPrefetchReads atomic.Uint64
 }
 
 // coreCaches is one simulated core's cache hierarchy. With
@@ -38,11 +38,14 @@ type coreCaches struct {
 // write back dirty evictions to the next level down.
 //
 // Front is not safe for concurrent use by multiple goroutines; each
-// simulated thread must own its Front exclusively. Core caches, the
-// shared level and the memory endpoint are internally locked.
+// simulated thread must own its Front exclusively. A core shared by
+// several fronts, the shared level and the memory endpoint are
+// internally synchronized.
 type Front struct {
-	sys      *System
-	core     *coreCaches
+	sys *System
+	// coreMu is the core's lock when other fronts share the core, nil
+	// when this front is the core's only thread.
+	coreMu   *sync.Mutex
 	private  []*level // the core's levels (alias of core.levels)
 	tlb      *tlb     // nil when the platform has no TLB
 	prefetch bool
@@ -76,13 +79,18 @@ func NewSystem(p Platform, threads int) *System {
 	s.fronts = make([]*Front, threads)
 	for t := range s.fronts {
 		cc := s.cores[t/ct]
-		s.fronts[t] = &Front{
+		f := &Front{
 			sys:      s,
-			core:     cc,
 			private:  cc.levels,
 			tlb:      newTLB(p.TLB),
 			prefetch: p.NextLinePrefetch,
 		}
+		// Core c runs threads c·ct … c·ct+ct-1; it needs its lock only
+		// when at least two of them exist.
+		if ct > 1 && t/ct*ct+1 < threads {
+			f.coreMu = &cc.mu
+		}
+		s.fronts[t] = f
 	}
 	return s
 }
@@ -102,9 +110,13 @@ func (f *Front) Access(addr uint64, write bool) {
 		f.tlb.access(addr)
 	}
 	line := addr >> lineShift
-	f.core.mu.Lock()
+	if f.coreMu == nil {
+		f.accessPrivate(0, line, write)
+		return
+	}
+	f.coreMu.Lock()
 	f.accessPrivate(0, line, write)
-	f.core.mu.Unlock()
+	f.coreMu.Unlock()
 }
 
 // accessPrivate handles the demand access at private level i, recursing
@@ -263,20 +275,14 @@ func (f *Front) writeback(i int, line uint64) {
 
 // memPrefetch counts a memory fill triggered by a prefetch, kept apart
 // from the demand read/write counters.
-func (s *System) memPrefetch() {
-	s.memMu.Lock()
-	s.memPrefetchReads++
-	s.memMu.Unlock()
-}
+func (s *System) memPrefetch() { s.memPrefetchReads.Add(1) }
 
 func (s *System) memAccess(write bool) {
-	s.memMu.Lock()
 	if write {
-		s.memWrites++
+		s.memWrites.Add(1)
 	} else {
-		s.memReads++
+		s.memReads.Add(1)
 	}
-	s.memMu.Unlock()
 }
 
 // Report is a summary of all counters after a simulation run.
@@ -328,9 +334,9 @@ func (s *System) Report() Report {
 		r.Shared = s.shared.Counters
 		r.HasShared = true
 	}
-	r.MemReads = s.memReads
-	r.MemWrites = s.memWrites
-	r.MemPrefetchReads = s.memPrefetchReads
+	r.MemReads = s.memReads.Load()
+	r.MemWrites = s.memWrites.Load()
+	r.MemPrefetchReads = s.memPrefetchReads.Load()
 	return r
 }
 

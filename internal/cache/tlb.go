@@ -29,14 +29,26 @@ func (c TLBCounters) MissRate() float64 {
 }
 
 // tlb is one thread's translation cache.
+//
+// A hit costs O(1): the most-recently-used slot is checked first, then
+// the slot a page-indexed hint table remembers for the page. The hint
+// table is only a hint (two resident pages may share a bucket), so when
+// both checks fail access falls back to the full scan, which finds a
+// resident page the hint lost or else chooses the victim: the last
+// empty slot, otherwise the first slot with the smallest used stamp.
 type tlb struct {
-	pages     []uint64
+	pages     []uint64 // page+1 per slot, 0 for an empty slot
 	used      []uint64
-	valid     []bool
 	tick      uint64
+	mru       int     // slot of the last translation
+	hint      []int32 // slot last seen holding a page, by page hash
 	pageShift uint
 	TLBCounters
 }
+
+// tlbHintBits sizes the hint table at 1024 buckets, 16 per entry of a
+// 64-entry TLB, so a resident page rarely loses its bucket.
+const tlbHintBits = 10
 
 func newTLB(cfg TLBConfig) *tlb {
 	if cfg.Entries <= 0 {
@@ -56,7 +68,7 @@ func newTLB(cfg TLBConfig) *tlb {
 	return &tlb{
 		pages:     make([]uint64, cfg.Entries),
 		used:      make([]uint64, cfg.Entries),
-		valid:     make([]bool, cfg.Entries),
+		hint:      make([]int32, 1<<tlbHintBits),
 		pageShift: shift,
 	}
 }
@@ -64,24 +76,37 @@ func newTLB(cfg TLBConfig) *tlb {
 // access translates one byte address, updating hit/miss counters and
 // LRU state.
 func (t *tlb) access(addr uint64) {
-	page := addr >> t.pageShift
+	key := addr>>t.pageShift + 1
 	t.Accesses++
 	t.tick++
+	if t.pages[t.mru] == key {
+		t.used[t.mru] = t.tick
+		t.Hits++
+		return
+	}
+	h := key * 0x9e3779b97f4a7c15 >> (64 - tlbHintBits) // Fibonacci hashing
+	if s := int(t.hint[h]); t.pages[s] == key {
+		t.mru = s
+		t.used[s] = t.tick
+		t.Hits++
+		return
+	}
 	victim := 0
-	for i := range t.pages {
-		if t.valid[i] && t.pages[i] == page {
+	for i, p := range t.pages {
+		if p == key {
+			t.hint[h], t.mru = int32(i), i
 			t.used[i] = t.tick
 			t.Hits++
 			return
 		}
-		if !t.valid[i] {
+		if p == 0 {
 			victim = i
-		} else if t.valid[victim] && t.used[i] < t.used[victim] {
+		} else if t.pages[victim] != 0 && t.used[i] < t.used[victim] {
 			victim = i
 		}
 	}
 	t.Misses++
-	t.pages[victim] = page
-	t.valid[victim] = true
+	t.pages[victim] = key
 	t.used[victim] = t.tick
+	t.hint[h], t.mru = int32(victim), victim
 }

@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -95,6 +96,66 @@ func TestInterleaveBeatsOrMatchesZOrder(t *testing.T) {
 	}
 	if _, err := core.NewBitLayout(16, 16, 16, res.Spec); err != nil {
 		t.Errorf("winning spec does not reconstruct: %v", err)
+	}
+}
+
+// TestInterleavePinned pins whole search results — winner, both
+// scores and the evaluation log in order — so a change to the tuner or
+// to the cache simulator under it cannot move a simulated count
+// unnoticed. The cubes reuse the round-robin seed's replay as the Z
+// order baseline; the 16×8×4 box, whose Z order pads past the compact
+// spec, replays Z order separately.
+func TestInterleavePinned(t *testing.T) {
+	volrend := interleaveConfig()
+	volrend.Kernel = KernelVolrend
+	volrend.Options.Workers = 1 // the renderer's dynamic schedule would vary per-thread streams
+	volrend.ImgW, volrend.ImgH = 32, 32
+	volrend.Population, volrend.Generations = 6, 2
+	box := interleaveConfig()
+	box.Nx, box.Ny, box.Nz = 16, 8, 4
+	box.Options.Workers = 1
+	churn := interleaveConfig()
+	churn.Nx, churn.Ny, churn.Nz = 32, 32, 32
+	churn.Options.Workers = 1
+	churn.Population, churn.Generations = 4, 1
+	for _, c := range []struct {
+		name          string
+		cfg           InterleaveConfig
+		spec          string
+		score, zorder uint64
+		evals         string
+	}{
+		{"smoke", interleaveConfig(), "zzzzyxyyyxxx", 5568, 9008,
+			"xyzxyzxyzxyz:9008 xxxxyyyyzzzz:15872 zzzzyyyyxxxx:5568 xyzxxxyyyzzz:9264 xyzxyzxxyyzz:9008 " +
+				"zyyzxxzzxyyx:8860 yzyzyxzxzxyx:8104 xzzzxxxyyzyy:6212 xzzzxxyzyyxy:6212 xzzzxyxyyzxy:6212 " +
+				"xzzyzyyyzxxx:6856 zzzzyxyyyxxx:5568 zzzyzyyxxxyx:6436 xzzzxxzyyyyx:6212 zzzzyyxxyxxy:5568 " +
+				"yzzzyxzyyxxx:6464 zzxzyzyyyxxx:6016 xzzzxxxyzyyy:6212 zzxzyyyyxzxx:6016 zzzzyyxxyyxx:5568 " +
+				"yzzzzyxxyxxy:6436 xzzzyyyyxxzx:6016 zzxzyxyyyzxx:6016"},
+		{"volrend", volrend, "xyzxxxyyyzzz", 5021, 5227,
+			"xyzxyzxyzxyz:5227 xxxxyyyyzzzz:16000 zzzzyyyyxxxx:15586 xyzxxxyyyzzz:5021 xyzxyzxxyyzz:5227 " +
+				"zyyzxxzzxyyx:10264 xyzxxyzxyzyz:5021 xyzxyxyzxyzz:5227 yyzxxzxyzxyz:7563 xyzxyxyxyzzz:5227 " +
+				"xyzxyxxyzyzz:5227 zyxyzxxyyxzz:7916"},
+		{"box", box, "xxxxyyyzz", 64, 139,
+			"xyzxyzxyx:139 xxxxyyyzz:64 zzyyyxxxx:192 xyzxxxyyz:134 xyzxyzxxy:139 yxxxzyxyz:245 " +
+				"xzzxyyxxy:88 xyzxxyyzx:134 xzzxxyyxy:97 zxxxyyyxz:76 xxzzxxyyy:97 xxyxyyxzz:302 " +
+				"xxxxzyyyz:649 xzzyyxxxy:139 xzzxyxyxy:88 xzzxyxxyy:88 xxxxyzyzy:64 zxxxyxyyz:76 " +
+				"xzxxxyyyz:292 yxxxxyyzz:709 zxxzxyyyx:97 xzxxyzyxy:76"},
+		{"churn", churn, "xyzzzzzyyyyxxxx", 63048, 78400,
+			"xyzxyzxyzxyzxyz:78400 xxxxxyyyyyzzzzz:764080 zzzzzyyyyyxxxxx:276100 xyzxxxxyyyyzzzz:78400 " +
+				"xyzzzzzyyyyxxxx:63048"},
+	} {
+		res, err := Interleave(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var log []string
+		for _, e := range res.Evals {
+			log = append(log, fmt.Sprintf("%s:%d", e.Spec, e.Score))
+		}
+		if got := strings.Join(log, " "); res.Spec != c.spec || res.Score != c.score || res.ZOrder != c.zorder || got != c.evals {
+			t.Errorf("%s: got %q score %d z-order %d\nevals %s\nwant %q score %d z-order %d\nevals %s",
+				c.name, res.Spec, res.Score, res.ZOrder, got, c.spec, c.score, c.zorder, c.evals)
+		}
 	}
 }
 
@@ -199,4 +260,24 @@ func TestMicrobenchSmoke(t *testing.T) {
 			t.Errorf("spec %q elapsed %v", r.Spec, r.Elapsed)
 		}
 	}
+}
+
+// BenchmarkInterleaveChurn times one interleave search of the shape
+// perfbench's serve-churn workload submits through POST /tune: a 32³
+// float32 volume, bilateral r1 z-inner, one simulated worker on the
+// 1/32-scaled IvyBridge hierarchy, population 4, one generation. Its
+// cost is the cache simulator's replay of every candidate.
+func BenchmarkInterleaveChurn(b *testing.B) {
+	cfg := interleaveConfig()
+	cfg.Nx, cfg.Ny, cfg.Nz = 32, 32, 32
+	cfg.Options.Workers = 1
+	cfg.Population, cfg.Generations = 4, 1
+	var res *InterleaveResult
+	for n := 0; n < b.N; n++ {
+		var err error
+		if res, err = Interleave(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(res.Evals)), "candidates")
 }

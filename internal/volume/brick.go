@@ -233,43 +233,93 @@ func DecodeBrickHeader(b []byte) (BrickHeader, error) {
 func BrickFileName(i int) string { return fmt.Sprintf("%05d.sfcb", i) }
 
 // encodeElems serializes src into dst as little-endian bytes. The type
-// switch runs once per call; each arm's loop is monomorphized. uint8 is
-// a straight copy — on disk and in memory it is the same byte stream.
+// switch resolves once per call; each wide lane then cuts dst to the
+// exact length and runs four samples per step at fixed offsets, so the
+// loop body holds no per-sample reslice or bounds check.
 func encodeElems[T grid.Scalar](dst []byte, src []T) {
 	switch s := any(src).(type) {
 	case []uint8:
 		copy(dst, s)
 	case []uint16:
+		d := dst[:2*len(s)]
+		for len(s) >= 4 && len(d) >= 8 {
+			binary.LittleEndian.PutUint16(d[0:2], s[0])
+			binary.LittleEndian.PutUint16(d[2:4], s[1])
+			binary.LittleEndian.PutUint16(d[4:6], s[2])
+			binary.LittleEndian.PutUint16(d[6:8], s[3])
+			s, d = s[4:], d[8:]
+		}
 		for i, v := range s {
-			binary.LittleEndian.PutUint16(dst[2*i:], v)
+			binary.LittleEndian.PutUint16(d[2*i:], v)
 		}
 	case []float32:
+		d := dst[:4*len(s)]
+		for len(s) >= 4 && len(d) >= 16 {
+			binary.LittleEndian.PutUint32(d[0:4], math.Float32bits(s[0]))
+			binary.LittleEndian.PutUint32(d[4:8], math.Float32bits(s[1]))
+			binary.LittleEndian.PutUint32(d[8:12], math.Float32bits(s[2]))
+			binary.LittleEndian.PutUint32(d[12:16], math.Float32bits(s[3]))
+			s, d = s[4:], d[16:]
+		}
 		for i, v := range s {
-			binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
+			binary.LittleEndian.PutUint32(d[4*i:], math.Float32bits(v))
 		}
 	case []float64:
+		d := dst[:8*len(s)]
+		for len(s) >= 4 && len(d) >= 32 {
+			binary.LittleEndian.PutUint64(d[0:8], math.Float64bits(s[0]))
+			binary.LittleEndian.PutUint64(d[8:16], math.Float64bits(s[1]))
+			binary.LittleEndian.PutUint64(d[16:24], math.Float64bits(s[2]))
+			binary.LittleEndian.PutUint64(d[24:32], math.Float64bits(s[3]))
+			s, d = s[4:], d[32:]
+		}
 		for i, v := range s {
-			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+			binary.LittleEndian.PutUint64(d[8*i:], math.Float64bits(v))
 		}
 	}
 }
 
-// decodeElems deserializes little-endian src bytes into dst.
+// decodeElems deserializes little-endian src bytes into dst, four
+// samples per step at fixed offsets like encodeElems.
 func decodeElems[T grid.Scalar](dst []T, src []byte) {
 	switch d := any(dst).(type) {
 	case []uint8:
 		copy(d, src)
 	case []uint16:
+		s := src[:2*len(d)]
+		for len(d) >= 4 && len(s) >= 8 {
+			d[0] = binary.LittleEndian.Uint16(s[0:2])
+			d[1] = binary.LittleEndian.Uint16(s[2:4])
+			d[2] = binary.LittleEndian.Uint16(s[4:6])
+			d[3] = binary.LittleEndian.Uint16(s[6:8])
+			d, s = d[4:], s[8:]
+		}
 		for i := range d {
-			d[i] = binary.LittleEndian.Uint16(src[2*i:])
+			d[i] = binary.LittleEndian.Uint16(s[2*i:])
 		}
 	case []float32:
+		s := src[:4*len(d)]
+		for len(d) >= 4 && len(s) >= 16 {
+			d[0] = math.Float32frombits(binary.LittleEndian.Uint32(s[0:4]))
+			d[1] = math.Float32frombits(binary.LittleEndian.Uint32(s[4:8]))
+			d[2] = math.Float32frombits(binary.LittleEndian.Uint32(s[8:12]))
+			d[3] = math.Float32frombits(binary.LittleEndian.Uint32(s[12:16]))
+			d, s = d[4:], s[16:]
+		}
 		for i := range d {
-			d[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+			d[i] = math.Float32frombits(binary.LittleEndian.Uint32(s[4*i:]))
 		}
 	case []float64:
+		s := src[:8*len(d)]
+		for len(d) >= 4 && len(s) >= 32 {
+			d[0] = math.Float64frombits(binary.LittleEndian.Uint64(s[0:8]))
+			d[1] = math.Float64frombits(binary.LittleEndian.Uint64(s[8:16]))
+			d[2] = math.Float64frombits(binary.LittleEndian.Uint64(s[16:24]))
+			d[3] = math.Float64frombits(binary.LittleEndian.Uint64(s[24:32]))
+			d, s = d[4:], s[32:]
+		}
 		for i := range d {
-			d[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+			d[i] = math.Float64frombits(binary.LittleEndian.Uint64(s[8*i:]))
 		}
 	}
 }

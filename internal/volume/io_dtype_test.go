@@ -276,3 +276,64 @@ func BenchmarkLoadRaw(b *testing.B) {
 		}
 	}
 }
+
+// checkElemCodec compares encodeElems and decodeElems with one
+// binary.LittleEndian call per sample, at every length from empty to
+// past two unrolled steps, so both the four-sample body and the tail
+// are covered.
+func checkElemCodec[T grid.Scalar](t *testing.T) {
+	t.Helper()
+	es := grid.DtypeFor[T]().Size()
+	rng := NewRNG(uint64(es))
+	for n := 0; n <= 11; n++ {
+		raw := make([]byte, n*es)
+		for i := range raw {
+			raw[i] = byte(rng.Uint64())
+		}
+		got := make([]T, n)
+		decodeElems(got, raw)
+		back := make([]byte, n*es)
+		encodeElems(back, got)
+		if !bytes.Equal(back, raw) {
+			t.Fatalf("%v n=%d: encode(decode(b)) != b", grid.DtypeFor[T](), n)
+		}
+		for i := 0; i < n; i++ {
+			b := raw[i*es:]
+			var want uint64
+			switch es {
+			case 1:
+				want = uint64(b[0])
+			case 2:
+				want = uint64(binary.LittleEndian.Uint16(b))
+			case 4:
+				want = uint64(binary.LittleEndian.Uint32(b))
+			default:
+				want = binary.LittleEndian.Uint64(b)
+			}
+			if have := sampleBits(got[i]); have != want {
+				t.Fatalf("%v n=%d: sample %d decodes to bits %#x, want %#x", grid.DtypeFor[T](), n, i, have, want)
+			}
+		}
+	}
+}
+
+// sampleBits returns v's bit pattern.
+func sampleBits[T grid.Scalar](v T) uint64 {
+	switch x := any(v).(type) {
+	case uint8:
+		return uint64(x)
+	case uint16:
+		return uint64(x)
+	case float32:
+		return uint64(math.Float32bits(x))
+	default:
+		return math.Float64bits(any(v).(float64))
+	}
+}
+
+func TestElemCodecMatchesPerSample(t *testing.T) {
+	checkElemCodec[uint8](t)
+	checkElemCodec[uint16](t)
+	checkElemCodec[float32](t)
+	checkElemCodec[float64](t)
+}
