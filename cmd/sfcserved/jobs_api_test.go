@@ -653,8 +653,9 @@ func TestJobValidation(t *testing.T) {
 		{Render: &renderRequest{Volume: "nope", Views: 8}},                      // unknown volume (404 below)
 		{CoarseLevel: ptr(9), Render: &renderRequest{Volume: "demo", Views: 8}}, // coarse level out of range
 		{Filter: &filterRequest{Src: "demo", Kernel: "median"}},                 // bad kernel
+		{Filter: &filterRequest{Src: "demo", SigmaRange: -0.5}},                 // negative sigma_range
 	}
-	wants := []int{400, 400, 400, 400, 404, 400, 400}
+	wants := []int{400, 400, 400, 400, 404, 400, 400, 400}
 	for i, b := range bad {
 		resp := postJSON(t, base+"/jobs", b)
 		resp.Body.Close()

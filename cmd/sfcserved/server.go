@@ -646,6 +646,9 @@ func (s *server) planFilter(req filterRequest) (*filterPlan, *httpErr) {
 	if req.Radius > 8 || req.Workers > 256 {
 		return nil, &httpErr{http.StatusBadRequest, "radius or worker count out of range"}
 	}
+	if req.SigmaRange < 0 {
+		return nil, &httpErr{http.StatusBadRequest, "sigma_range must be non-negative (zero selects the default)"}
+	}
 	var axis sfcmem.Axis
 	switch req.Axis {
 	case "", "x":
@@ -795,8 +798,11 @@ func (s *server) handleFilter(w http.ResponseWriter, r *http.Request) {
 	defer t.Stage("respond")()
 	cancel()
 	if err != nil {
+		// Every client error is rejected by planFilter before any
+		// work, so what remains (a failed store write, a failed demand
+		// load) is the service's fault.
 		if !s.admissionError(w, err) {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 		return
 	}

@@ -6,18 +6,22 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"image/png"
 	"io"
 	"math"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sfcmem"
+	"sfcmem/internal/metrics"
 	"sfcmem/internal/render"
 	"sfcmem/internal/store"
 )
@@ -40,9 +44,11 @@ func testConfig() config {
 
 // startApp builds and serves an app, returning it with its cancel
 // function and a channel carrying run's result. Cleanup tears the
-// service down and fails the test if the drain errored.
+// service down and fails the test if the drain errored or if any
+// goroutine started since startApp outlives it.
 func startApp(t *testing.T, cfg config) (*app, context.CancelFunc, chan error) {
 	t.Helper()
+	before := runtime.NumGoroutine()
 	a, err := newApp(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -59,9 +65,47 @@ func startApp(t *testing.T, cfg config) (*app, context.CancelFunc, chan error) {
 			}
 		case <-time.After(15 * time.Second):
 			t.Error("app.run did not return after cancel")
+			return
 		}
+		http.DefaultClient.CloseIdleConnections()
+		checkNoLeak(t, before)
 	})
+	waitServing(t, "http://"+a.apiAddr()+"/healthz", "http://"+a.opsAddr()+"/version")
 	return a, cancel, done
+}
+
+// waitServing returns once every url has answered, so both of the
+// app's Serve goroutines are running before the test (or a second
+// app's goroutine baseline) proceeds. The probes use their own
+// connections, closed after each answer.
+func waitServing(t *testing.T, urls ...string) {
+	t.Helper()
+	c := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}, Timeout: 5 * time.Second}
+	for _, u := range urls {
+		resp, err := c.Get(u)
+		if err != nil {
+			t.Fatalf("probe %s: %v", u, err)
+		}
+		resp.Body.Close()
+	}
+}
+
+// checkNoLeak waits up to five seconds for the goroutine count to fall
+// back to before, and fails the test with every goroutine's stack if
+// it does not.
+func checkNoLeak(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Errorf("%d goroutines outlive the service (%d before it started):\n%s",
+				runtime.NumGoroutine(), before, buf)
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
@@ -444,6 +488,7 @@ func TestFilterAndVolumeLifecycle(t *testing.T) {
 		{filterRequest{Src: "nope"}, http.StatusNotFound},
 		{filterRequest{Src: "ph", Kernel: "median"}, http.StatusBadRequest},
 		{filterRequest{Src: "ph", Axis: "w"}, http.StatusBadRequest},
+		{filterRequest{Src: "ph", SigmaRange: -0.5}, http.StatusBadRequest},
 	} {
 		resp := postJSON(t, base+"/filter", c.req)
 		resp.Body.Close()
@@ -532,5 +577,51 @@ func TestPaddedBufferBounded(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
 		t.Errorf("compact create: status %d, want 201", resp.StatusCode)
+	}
+}
+
+// failingPutStore is a volume store whose disk tier cannot take writes
+// for one name: Put of that name fails as ENOSPC would, every other
+// call passes through.
+type failingPutStore struct {
+	store.VolumeStore
+	name string
+	puts atomic.Int32 // failed Put attempts for name
+}
+
+func (f *failingPutStore) Put(v *store.Volume) error {
+	if v.Name != f.name {
+		return f.VolumeStore.Put(v)
+	}
+	f.puts.Add(1)
+	return errors.New("store: writing brick: no space left on device")
+}
+
+// TestFilterStoreFailureIs500 checks that a filter whose result cannot
+// be stored is the service's fault (500), not the client's, and that
+// the failure is not cached: an identical request runs the kernel and
+// tries the store again.
+func TestFilterStoreFailureIs500(t *testing.T) {
+	vols := &failingPutStore{VolumeStore: store.NewMemory(nil), name: "demo.filtered"}
+	v, err := parseVolumeSpec("demo=phantom:8:zorder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vols.Put(v); err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(vols, metrics.NewRegistry(), 1, 1, time.Minute, time.Minute)
+	s.enableCache(1 << 20)
+	mux := s.mux()
+	for i := 1; i <= 2; i++ {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/filter",
+			strings.NewReader(`{"src":"demo","radius":1,"workers":1}`)))
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "no space left") {
+			t.Errorf("request %d: status %d body %q, want 500 naming the store error", i, rec.Code, rec.Body)
+		}
+		if got := vols.puts.Load(); got != int32(i) {
+			t.Errorf("after request %d: %d store writes of the result, want %d", i, got, i)
+		}
 	}
 }

@@ -40,9 +40,6 @@ const (
 // ...) to its Dtype.
 func ParseDtype(s string) (Dtype, error) { return grid.ParseDtype(s) }
 
-// Dtypes lists the supported dtypes in width order.
-func Dtypes() []Dtype { return grid.Dtypes() }
-
 // GridOf is a 3D volume of element type T stored behind a Layout; Grid
 // is GridOf[float32].
 type GridOf[T Scalar] = grid.Grid[T]
@@ -56,12 +53,6 @@ type (
 
 // NewGridOf allocates a zero-filled grid of element type T.
 func NewGridOf[T Scalar](l Layout) *GridOf[T] { return grid.NewOf[T](l) }
-
-// ConvertGrid resamples a grid into another element type through the
-// normalized [0,1] domain (integer dtypes round half-up and clamp).
-func ConvertGrid[Dst, Src Scalar](g *GridOf[Src]) *GridOf[Dst] {
-	return grid.ConvertGrid[Dst](g)
-}
 
 // AnyGrid wraps a grid of run-time-determined dtype. The zero value is
 // unusable; construct with NewAnyGrid, WrapAny, or the *Any generators.
@@ -201,6 +192,14 @@ func (a *AnyGrid) Convert(dt Dtype) *AnyGrid { return a.g.convert(dt) }
 
 // Relayout copies the samples into a new grid under the target layout.
 func (a *AnyGrid) Relayout(target Layout) (*AnyGrid, error) { return a.g.relayout(target) }
+
+// SubsampleAny extracts the level-L lattice of a dynamic-dtype volume,
+// preserving the element type — the coarse pass of progressive
+// delivery, where a compact subset of memory yields a useful answer
+// before the full volume is touched.
+func SubsampleAny(a *AnyGrid, level int, target func(nx, ny, nz int) Layout) (*AnyGrid, error) {
+	return a.g.subsample(level, target)
+}
 
 // dtypeMismatch reports an unusable src/dst pairing to a kernel.
 func dtypeMismatch(src, dst *AnyGrid) error {

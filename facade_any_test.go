@@ -9,12 +9,13 @@ import (
 
 	"sfcmem"
 	"sfcmem/internal/filter"
+	"sfcmem/internal/grid"
 	"sfcmem/internal/render"
 )
 
 func TestAnyGridBasics(t *testing.T) {
 	l := sfcmem.NewLayout(sfcmem.ZOrder, 8, 8, 8)
-	for _, dt := range sfcmem.Dtypes() {
+	for _, dt := range grid.Dtypes() {
 		a := sfcmem.NewAnyGrid(dt, l)
 		if a.Dtype() != dt {
 			t.Errorf("NewAnyGrid(%v).Dtype() = %v", dt, a.Dtype())
@@ -174,7 +175,7 @@ func TestAnyKernelDtypeMismatch(t *testing.T) {
 
 func TestAnyRawRoundTrip(t *testing.T) {
 	l := sfcmem.NewLayout(sfcmem.Tiled, 5, 6, 7)
-	for _, dt := range sfcmem.Dtypes() {
+	for _, dt := range grid.Dtypes() {
 		src := sfcmem.MRIPhantomAny(dt, l, 9, 0.03)
 		var buf bytes.Buffer
 		if err := sfcmem.SaveRawAny(&buf, src); err != nil {
@@ -218,7 +219,7 @@ func TestParseDtype(t *testing.T) {
 }
 
 func TestSubsampleAnyPreservesDtypeAndBits(t *testing.T) {
-	for _, dt := range sfcmem.Dtypes() {
+	for _, dt := range grid.Dtypes() {
 		l := sfcmem.NewLayout(sfcmem.ZOrder, 16, 16, 16)
 		src := sfcmem.MRIPhantomAny(dt, l, 3, 0.01)
 		sub, err := sfcmem.SubsampleAny(src, 1, func(nx, ny, nz int) sfcmem.Layout {

@@ -30,7 +30,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 
 	"sfcmem/internal/grid"
 	"sfcmem/internal/parallel"
@@ -54,18 +53,6 @@ func (o Order) String() string {
 		return "zyx"
 	}
 	return "xyz"
-}
-
-// ParseOrder maps "xyz"/"zyx" to an Order, folding case and surrounding
-// whitespace exactly like core.ParseKind and parallel.ParseAxis.
-func ParseOrder(s string) (Order, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "xyz":
-		return XYZ, nil
-	case "zyx":
-		return ZYX, nil
-	}
-	return 0, fmt.Errorf("filter: unknown order %q", s)
 }
 
 // Options configures one bilateral-filter run.

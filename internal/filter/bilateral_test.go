@@ -271,27 +271,9 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
-func TestParseOrder(t *testing.T) {
-	for s, want := range map[string]Order{
-		"xyz": XYZ, "ZYX": ZYX, "Xyz": XYZ, " zyx ": ZYX, "\tXYZ\n": XYZ,
-	} {
-		got, err := ParseOrder(s)
-		if err != nil || got != want {
-			t.Errorf("ParseOrder(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseOrder("yxz"); err == nil {
-		t.Error("ParseOrder(yxz) should fail")
-	}
+func TestOrderString(t *testing.T) {
 	if XYZ.String() != "xyz" || ZYX.String() != "zyx" {
 		t.Error("Order.String broken")
-	}
-	// Round trip: every order's String parses back to itself.
-	for _, o := range []Order{XYZ, ZYX} {
-		got, err := ParseOrder(o.String())
-		if err != nil || got != o {
-			t.Errorf("ParseOrder(%v.String()) = %v, %v", o, got, err)
-		}
 	}
 }
 

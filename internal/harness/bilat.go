@@ -59,13 +59,8 @@ func NewBilatInput(size int, seed uint64) *BilatInput {
 	return in
 }
 
-// TimeBilat measures wall-clock runtime of one bilateral-filter run
-// under the given layout.
-func TimeBilat(in *BilatInput, kind core.Kind, row BilatRow, threads int) (time.Duration, error) {
-	return timeBilat(context.Background(), in, kind, row, threads, nil, nil)
-}
-
-// timeBilat is TimeBilat with optional scheduling instrumentation: st
+// timeBilat measures wall-clock runtime of one bilateral-filter run
+// under the given layout, with optional scheduling instrumentation: st
 // receives the round-robin per-worker stats, obs each completed pencil.
 func timeBilat(ctx context.Context, in *BilatInput, kind core.Kind, row BilatRow, threads int,
 	st *parallel.Stats, obs parallel.Observer) (time.Duration, error) {

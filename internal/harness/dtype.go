@@ -83,15 +83,11 @@ func makeDtypeRunner(dt grid.Dtype, srcs map[core.Kind]*grid.Grid[float32]) dtyp
 	}
 }
 
-// Fig11 runs the dtype sweep: the bilateral filter at the largest
+// fig11 runs the dtype sweep: the bilateral filter at the largest
 // configured stencil, px/xyz, at the fixed thread count, for every
 // configured dtype under each of the paper's four layouts. Three
 // tables: absolute runtime, runtime scaled-relative-difference against
 // float32 (positive = this dtype faster), and the volume buffer size.
-func Fig11(cfg Config, progress func(string)) (FigureResult, error) {
-	return fig11(cfg, progress, nil)
-}
-
 func fig11(cfg Config, progress func(string), ins *Instruments) (FigureResult, error) {
 	dtypes, err := cfg.DtypeList()
 	if err != nil {

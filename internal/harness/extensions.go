@@ -15,12 +15,12 @@ import (
 	"sfcmem/internal/tune"
 )
 
-// Fig7 is an extension beyond the paper: architecture-independent LRU
+// fig7 is an extension beyond the paper: architecture-independent LRU
 // miss-ratio curves (reuse-distance profiles) for both kernels under
 // every layout. Where the paper reads two platform-specific counters,
 // these curves characterize the locality itself — the knee of each
 // curve shows the cache size at which that layout stops thrashing.
-func Fig7(cfg Config, progress func(string)) (FigureResult, error) {
+func fig7(cfg Config, progress func(string)) (FigureResult, error) {
 	size := cfg.BilatSimSize
 	if size > 32 {
 		size = 32 // reuse analysis is O(log n) per access; keep traces modest
@@ -92,11 +92,11 @@ func Fig7(cfg Config, progress func(string)) (FigureResult, error) {
 	return FigureResult{Name: "fig7", Text: text, Tables: []*stats.Table{bt, vt}}, nil
 }
 
-// Fig8 is an extension beyond the paper: the §V padding limitation made
+// fig8 is an extension beyond the paper: the §V padding limitation made
 // quantitative. For awkward (non-power-of-two) volume sizes it compares
 // pure Z order's padded buffer against the ZTiled (Morton-in-bricks)
 // remedy, and auto-tunes the brick/tile edges with the simulator.
-func Fig8(cfg Config, progress func(string)) (FigureResult, error) {
+func fig8(cfg Config, progress func(string)) (FigureResult, error) {
 	sizes := []int{33, 65, 96, 100, 129}
 	labels := make([]string, len(sizes))
 	for i, s := range sizes {
@@ -151,12 +151,12 @@ func Fig8(cfg Config, progress func(string)) (FigureResult, error) {
 // cacheReport aliases cache.Report for the breakdown table helper.
 type cacheReport = cache.Report
 
-// Fig9 is an extension implementing the paper's §V future-work note
+// fig9 is an extension implementing the paper's §V future-work note
 // that "additional metrics ... will help to refine our understanding":
 // a full per-level breakdown (L1/L2/LLC miss rates, TLB miss rate,
 // memory traffic) for both kernels under array and Z order, in the
 // against-the-grain configurations where the layouts differ most.
-func Fig9(cfg Config, progress func(string)) (FigureResult, error) {
+func fig9(cfg Config, progress func(string)) (FigureResult, error) {
 	size := cfg.BilatSimSize
 	platform := cfg.ivyPlatform()
 	rows := []string{
@@ -205,13 +205,13 @@ func Fig9(cfg Config, progress func(string)) (FigureResult, error) {
 	return FigureResult{Name: "fig9", Text: t.String(), Tables: []*stats.Table{t}}, nil
 }
 
-// Fig10 is an extension reproducing the access pattern behind the
+// fig10 is an extension reproducing the access pattern behind the
 // paper's ref [7] (Pascucci & Frank 2001): the memory a layout must
 // touch to serve slice and subsampling queries. It compares array
 // order, plain Z order, and the hierarchical HZ order — showing both
 // the Z-order slice advantage the paper cites and the fact that the
 // *progressive subsampling* advantage needs the HZ regrouping.
-func Fig10(cfg Config, progress func(string)) (FigureResult, error) {
+func fig10(cfg Config, progress func(string)) (FigureResult, error) {
 	size := cfg.VolSimSize
 	kinds := []core.Kind{core.ArrayKind, core.ZKind, core.HZKind}
 	rowLabels := make([]string, len(kinds))

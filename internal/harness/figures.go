@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"sfcmem/internal/core"
@@ -19,14 +18,13 @@ type FigureResult struct {
 	Tables []*stats.Table
 }
 
-// Fig1 quantifies the paper's Fig. 1 illustration: physical-memory
+// fig1 quantifies the paper's Fig. 1 illustration: physical-memory
 // stride statistics for unit steps along each axis and for rays at the
 // orbit angles, under every layout. Array order's strides explode for
 // against-the-grain directions; Z order's stay bounded and
 // direction-independent.
-func Fig1(cfg Config) FigureResult { return fig1(cfg, nil) }
-
-// fig1 computes the per-layout stride rows concurrently through the
+//
+// It computes the per-layout stride rows concurrently through the
 // dynamic worker pool (each row is an independent pure computation, so
 // the tables are identical for any schedule); with instruments attached
 // the sweep reports per-worker spans, per-row timings, and the pool's
@@ -138,40 +136,28 @@ func metricName(platName string) string {
 	return "PAPI_L3_TCA"
 }
 
-// Fig2 reproduces the paper's Fig. 2: bilateral filter on the
+// fig2 reproduces the paper's Fig. 2: bilateral filter on the
 // IvyBridge-like platform, scaled relative differences of runtime and
 // total L3 cache accesses over the (stencil × axis × order) rows and
 // the 2..24 thread sweep.
-func Fig2(cfg Config, progress func(string)) (FigureResult, error) {
-	return fig2(cfg, progress, nil)
-}
-
 func fig2(cfg Config, progress func(string), ins *Instruments) (FigureResult, error) {
 	return bilatFigure(cfg, "fig2",
 		fmt.Sprintf("Fig 2 — Bilat3d %d³ (sim %d³) IvyBridge-like", cfg.BilatSize, cfg.BilatSimSize),
 		cfg.IvyThreads, "ivy", progress, ins)
 }
 
-// Fig3 reproduces the paper's Fig. 3: bilateral filter on the MIC-like
+// fig3 reproduces the paper's Fig. 3: bilateral filter on the MIC-like
 // platform (59..236 threads, L2 read-miss counter).
-func Fig3(cfg Config, progress func(string)) (FigureResult, error) {
-	return fig3(cfg, progress, nil)
-}
-
 func fig3(cfg Config, progress func(string), ins *Instruments) (FigureResult, error) {
 	return bilatFigure(cfg, "fig3",
 		fmt.Sprintf("Fig 3 — Bilat3d %d³ (sim %d³) MIC-like", cfg.BilatSize, cfg.BilatSimSize),
 		cfg.MICThreads, "mic", progress, ins)
 }
 
-// Fig4 reproduces the paper's Fig. 4: absolute runtime and L3 counter
+// fig4 reproduces the paper's Fig. 4: absolute runtime and L3 counter
 // for both layouts as the viewpoint orbits, at a fixed thread count.
 // Array order peaks at oblique views and dips at views 0 and N/2; Z
 // order stays flat.
-func Fig4(cfg Config, progress func(string)) (FigureResult, error) {
-	return fig4(cfg, progress, nil)
-}
-
 func fig4(cfg Config, progress func(string), ins *Instruments) (FigureResult, error) {
 	wall := NewVolInput(cfg.VolSize, cfg.Seed)
 	sim := NewVolInput(cfg.VolSimSize, cfg.Seed)
@@ -291,42 +277,29 @@ func volrendFigure(cfg Config, name, title string, threads []int, platName strin
 	return FigureResult{Name: name, Text: text, Tables: []*stats.Table{rt, mt}}, nil
 }
 
-// Fig5 reproduces the paper's Fig. 5: renderer ds tables (viewpoints ×
+// fig5 reproduces the paper's Fig. 5: renderer ds tables (viewpoints ×
 // threads) on the IvyBridge-like platform.
-func Fig5(cfg Config, progress func(string)) (FigureResult, error) {
-	return fig5(cfg, progress, nil)
-}
-
 func fig5(cfg Config, progress func(string), ins *Instruments) (FigureResult, error) {
 	return volrendFigure(cfg, "fig5",
 		fmt.Sprintf("Fig 5 — Volrend %d³ (sim %d³) IvyBridge-like", cfg.VolSize, cfg.VolSimSize),
 		cfg.IvyThreads, "ivy", progress, ins)
 }
 
-// Fig6 reproduces the paper's Fig. 6: renderer ds tables on the
+// fig6 reproduces the paper's Fig. 6: renderer ds tables on the
 // MIC-like platform.
-func Fig6(cfg Config, progress func(string)) (FigureResult, error) {
-	return fig6(cfg, progress, nil)
-}
-
 func fig6(cfg Config, progress func(string), ins *Instruments) (FigureResult, error) {
 	return volrendFigure(cfg, "fig6",
 		fmt.Sprintf("Fig 6 — Volrend %d³ (sim %d³) MIC-like", cfg.VolSize, cfg.VolSimSize),
 		cfg.MICThreads, "mic", progress, ins)
 }
 
-// Figure dispatches a figure by number: 1-6 reproduce the paper's
+// FigureObs dispatches a figure by number: 1-6 reproduce the paper's
 // figures, 7-11 are this repo's extension studies (reuse-distance
 // curves, the padding/auto-tuning ablation, per-level counters,
-// slice/LOD query costs, and the element-dtype sweep).
-func Figure(n int, cfg Config, progress func(string)) (FigureResult, error) {
-	return FigureObs(n, cfg, progress, nil)
-}
-
-// FigureObs is Figure with observability: when ins is non-nil, the
-// figure's elapsed time, per-cell measurements, aggregated simulated
-// cache counters, and per-worker timeline spans flow into it. A nil ins
-// makes it identical to Figure.
+// slice/LOD query costs, and the element-dtype sweep). When ins is
+// non-nil, the figure's elapsed time, per-cell measurements,
+// aggregated simulated cache counters, and per-worker timeline spans
+// flow into it.
 func FigureObs(n int, cfg Config, progress func(string), ins *Instruments) (FigureResult, error) {
 	if n < 1 || n > 11 {
 		return FigureResult{}, fmt.Errorf("harness: no figure %d (valid: 1-6 paper, 7-11 extensions)", n)
@@ -347,29 +320,14 @@ func FigureObs(n int, cfg Config, progress func(string), ins *Instruments) (Figu
 	case 6:
 		return fig6(cfg, progress, ins)
 	case 7:
-		return Fig7(cfg, progress)
+		return fig7(cfg, progress)
 	case 8:
-		return Fig8(cfg, progress)
+		return fig8(cfg, progress)
 	case 9:
-		return Fig9(cfg, progress)
+		return fig9(cfg, progress)
 	case 10:
-		return Fig10(cfg, progress)
+		return fig10(cfg, progress)
 	default:
 		return fig11(cfg, progress, ins)
 	}
-}
-
-// All runs every figure — the paper's six plus the extension studies —
-// and concatenates the rendered text.
-func All(cfg Config, progress func(string)) (string, error) {
-	var b strings.Builder
-	for n := 1; n <= 11; n++ {
-		res, err := Figure(n, cfg, progress)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(res.Text)
-		b.WriteString("\n")
-	}
-	return b.String(), nil
 }

@@ -42,7 +42,7 @@ func TestBilatRows(t *testing.T) {
 }
 
 func TestFig1Structure(t *testing.T) {
-	res := Fig1(microConfig())
+	res := fig1(microConfig(), nil)
 	if res.Name != "fig1" || len(res.Tables) != 2 {
 		t.Fatalf("unexpected result %q with %d tables", res.Name, len(res.Tables))
 	}
@@ -146,7 +146,7 @@ func TestSimVolrendDeterministicAndViewDependent(t *testing.T) {
 func TestFiguresSmoke(t *testing.T) {
 	cfg := microConfig()
 	for n := 1; n <= 11; n++ {
-		res, err := Figure(n, cfg, nil)
+		res, err := FigureObs(n, cfg, nil, nil)
 		if err != nil {
 			t.Fatalf("fig %d: %v", n, err)
 		}
@@ -157,10 +157,10 @@ func TestFiguresSmoke(t *testing.T) {
 			t.Errorf("fig %d: missing title:\n%s", n, res.Text)
 		}
 	}
-	if _, err := Figure(12, cfg, nil); err == nil {
+	if _, err := FigureObs(12, cfg, nil, nil); err == nil {
 		t.Error("figure 12 accepted")
 	}
-	if _, err := Figure(0, cfg, nil); err == nil {
+	if _, err := FigureObs(0, cfg, nil, nil); err == nil {
 		t.Error("figure 0 accepted")
 	}
 }
@@ -168,7 +168,7 @@ func TestFiguresSmoke(t *testing.T) {
 func TestProgressCallbackInvoked(t *testing.T) {
 	cfg := microConfig()
 	var n int
-	_, err := Fig2(cfg, func(string) { n++ })
+	_, err := fig2(cfg, func(string) { n++ }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestPaperShapeBilateralSigns(t *testing.T) {
 }
 
 func TestFig10Structure(t *testing.T) {
-	res, err := Fig10(microConfig(), nil)
+	res, err := fig10(microConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,15 +44,9 @@ func renderOptions(threads int) render.Options {
 	return render.Options{TileSize: 32, Workers: threads, Step: 1}
 }
 
-// TimeVolrend measures wall-clock runtime of one render (viewpoint ×
-// layout × threads).
-func TimeVolrend(in *VolInput, kind core.Kind, view, nViews, imgSize, threads int) (time.Duration, error) {
-	return timeVolrend(context.Background(), in, kind, view, nViews, imgSize, threads, nil, nil)
-}
-
-// timeVolrend is TimeVolrend with optional scheduling instrumentation:
-// st receives the dynamic-queue per-worker stats, obs each completed
-// tile.
+// timeVolrend measures wall-clock runtime of one render (viewpoint ×
+// layout × threads), with optional scheduling instrumentation: st
+// receives the dynamic-queue per-worker stats, obs each completed tile.
 func timeVolrend(ctx context.Context, in *VolInput, kind core.Kind, view, nViews, imgSize, threads int,
 	st *parallel.Stats, obs parallel.Observer) (time.Duration, error) {
 	vol := in.Vol[kind]

@@ -13,26 +13,19 @@
 //   - magic-bit (parallel-prefix) dilation: Encode2, Encode3 — the
 //     reference the layouts are tested against;
 //   - per-axis precomputed tables sized to a specific grid (the scheme
-//     the paper adopts from Pascucci & Frank 2001): Table2 for 2D
-//     planes. The 3D tables are core.ZOrder's: Deposit of each
-//     coordinate into its round-robin lane (XMask, YMask, ZMask, cut to
-//     the grid's bits).
+//     the paper adopts from Pascucci & Frank 2001). These are
+//     core.ZOrder's: Deposit of each coordinate into its round-robin
+//     lane (XMask, YMask, ZMask, cut to the grid's bits).
 //
 // The table form is what the memory-layout library uses at run time,
 // because it puts the Z-order index computation (three loads and two ORs)
 // on equal footing with array-order indexing (two loads and two adds).
 package morton
 
-// Coordinate limits. A 3D Morton code packs three coordinates into one
-// uint64, so each coordinate may use at most 21 bits; a 2D code packs
-// two, allowing 32 bits each.
-const (
-	// Max3 is the maximum allowed 3D coordinate value (exclusive bound
-	// is Max3+1): 21 usable bits per axis.
-	Max3 = 1<<21 - 1
-	// Max2 is the maximum allowed 2D coordinate value: 32 bits per axis.
-	Max2 = 1<<32 - 1
-)
+// Max3 is the maximum allowed 3D coordinate value (exclusive bound is
+// Max3+1): a 3D Morton code packs three coordinates into one uint64, so
+// each may use at most 21 bits. A 2D code packs two uint32 coordinates.
+const Max3 = 1<<21 - 1
 
 // Part1By1 spreads the low 32 bits of x apart so there is one zero bit
 // between each original bit: bit n moves to bit 2n.
@@ -83,8 +76,7 @@ func Compact1By2(x uint64) uint64 {
 }
 
 // Encode2 interleaves x and y into a 2D Morton code. Bit n of x lands at
-// bit 2n of the result and bit n of y at bit 2n+1. x and y must be at
-// most Max2.
+// bit 2n of the result and bit n of y at bit 2n+1.
 func Encode2(x, y uint32) uint64 {
 	return Part1By1(uint64(x)) | Part1By1(uint64(y))<<1
 }

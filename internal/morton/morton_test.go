@@ -153,25 +153,6 @@ func TestMortonCodesAreUnique(t *testing.T) {
 	}
 }
 
-func TestTable2MatchesEncode2(t *testing.T) {
-	tbl := NewTable2(13, 21)
-	for j := 0; j < 21; j++ {
-		for i := 0; i < 13; i++ {
-			want := Encode2(uint32(i), uint32(j))
-			if got := tbl.Index(i, j); got != want {
-				t.Fatalf("Table2.Index(%d,%d)=%d, want %d", i, j, got, want)
-			}
-		}
-	}
-	if n := tbl.PaddedLen(); n != int(Encode2(12, 20))+1 {
-		t.Errorf("PaddedLen=%d", n)
-	}
-	nx, ny := tbl.Dims()
-	if nx != 13 || ny != 21 {
-		t.Errorf("Dims=%d,%d", nx, ny)
-	}
-}
-
 func TestNextPow2(t *testing.T) {
 	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 7: 8, 8: 8, 9: 16, 511: 512, 512: 512, 513: 1024}
 	for in, want := range cases {

@@ -1,8 +1,8 @@
 // Package multires implements the hierarchical-access use case the
 // paper inherits from Pascucci & Frank 2001 (its ref [7]): extracting
-// subsampled levels of detail and arbitrary axis-aligned slices from a
-// 3D volume, and measuring how much memory each layout must touch to
-// serve the query.
+// subsampled levels of detail from a 3D volume, and measuring how much
+// memory each layout must touch to serve a subsample or an
+// axis-aligned slice query.
 //
 // The Z-order layout's recursive structure means a 2^L-strided
 // subsample, or a slice at fixed coordinate, touches a compact set of
@@ -69,57 +69,6 @@ func (a SliceAxis) String() string {
 		return "xy@z"
 	}
 	return fmt.Sprintf("SliceAxis(%d)", int(a))
-}
-
-// Slice extracts the axis-aligned plane at the fixed coordinate, with
-// every 2^level-th sample per in-plane axis, as a dense row-major
-// image of the source element type (width × height in the returned
-// dims).
-func Slice[T grid.Scalar](src *grid.Grid[T], axis SliceAxis, at, level int) (pix []T, w, h int, err error) {
-	if level < 0 {
-		return nil, 0, 0, fmt.Errorf("multires: level %d must be >= 0", level)
-	}
-	nx, ny, nz := src.Dims()
-	s := 1 << level
-	ceil := func(n int) int { return (n + s - 1) / s }
-	switch axis {
-	case SliceX:
-		if at < 0 || at >= nx {
-			return nil, 0, 0, fmt.Errorf("multires: slice x=%d out of [0,%d)", at, nx)
-		}
-		w, h = ceil(ny), ceil(nz)
-		pix = make([]T, w*h)
-		for z := 0; z < h; z++ {
-			for y := 0; y < w; y++ {
-				pix[z*w+y] = src.At(at, y*s, z*s)
-			}
-		}
-	case SliceY:
-		if at < 0 || at >= ny {
-			return nil, 0, 0, fmt.Errorf("multires: slice y=%d out of [0,%d)", at, ny)
-		}
-		w, h = ceil(nx), ceil(nz)
-		pix = make([]T, w*h)
-		for z := 0; z < h; z++ {
-			for x := 0; x < w; x++ {
-				pix[z*w+x] = src.At(x*s, at, z*s)
-			}
-		}
-	case SliceZ:
-		if at < 0 || at >= nz {
-			return nil, 0, 0, fmt.Errorf("multires: slice z=%d out of [0,%d)", at, nz)
-		}
-		w, h = ceil(nx), ceil(ny)
-		pix = make([]T, w*h)
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				pix[y*w+x] = src.At(x*s, y*s, at)
-			}
-		}
-	default:
-		return nil, 0, 0, fmt.Errorf("multires: invalid slice axis %d", int(axis))
-	}
-	return pix, w, h, nil
 }
 
 // QueryCost reports how much of the memory system a query touches:

@@ -60,45 +60,6 @@ func TestSubsampleStride(t *testing.T) {
 	}
 }
 
-func TestSliceContents(t *testing.T) {
-	src := coordGrid(core.ZKind, 8)
-	pix, w, h, err := Slice(src, SliceX, 3, 0)
-	if err != nil || w != 8 || h != 8 {
-		t.Fatalf("SliceX: %v %dx%d", err, w, h)
-	}
-	// pix[z*w+y] = At(3, y, z)
-	if pix[2*8+5] != src.At(3, 5, 2) {
-		t.Error("SliceX content wrong")
-	}
-	pix, w, h, err = Slice(src, SliceY, 1, 1)
-	if err != nil || w != 4 || h != 4 {
-		t.Fatalf("SliceY level 1: %v %dx%d", err, w, h)
-	}
-	if pix[3*4+2] != src.At(4, 1, 6) {
-		t.Error("SliceY subsampled content wrong")
-	}
-	pix, w, h, err = Slice(src, SliceZ, 7, 0)
-	if err != nil || w != 8 || h != 8 {
-		t.Fatalf("SliceZ: %v", err)
-	}
-	if pix[6*8+1] != src.At(1, 6, 7) {
-		t.Error("SliceZ content wrong")
-	}
-}
-
-func TestSliceValidation(t *testing.T) {
-	src := coordGrid(core.ArrayKind, 4)
-	if _, _, _, err := Slice(src, SliceX, 4, 0); err == nil {
-		t.Error("out-of-range slice accepted")
-	}
-	if _, _, _, err := Slice(src, SliceX, 0, -1); err == nil {
-		t.Error("negative level accepted")
-	}
-	if _, _, _, err := Slice(src, SliceAxis(9), 0, 0); err == nil {
-		t.Error("bad axis accepted")
-	}
-}
-
 func TestSliceCostArrayOrderAnisotropy(t *testing.T) {
 	// Array order: an xy slice (z fixed) is one contiguous slab — few
 	// pages; a yz slice (x fixed) touches every row — one line per
@@ -265,19 +226,6 @@ func checkSubsampleDtype[T grid.Scalar](t *testing.T, golden string) {
 	}
 	if got := hashGrid(t, out); got != golden {
 		t.Errorf("golden hash %s, want %s", got, golden)
-	}
-
-	// Slice must hand back the same bits too.
-	pix, w, h, err := Slice(src, SliceY, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for z := 0; z < h; z++ {
-		for x := 0; x < w; x++ {
-			if pix[z*w+x] != src.At(x*2, 5, z*2) {
-				t.Fatalf("slice pixel (%d,%d) not bit-identical to source", x, z)
-			}
-		}
 	}
 }
 

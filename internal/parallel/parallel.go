@@ -14,7 +14,6 @@ package parallel
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,21 +42,6 @@ func (a Axis) String() string {
 		return "pz"
 	}
 	return fmt.Sprintf("Axis(%d)", int(a))
-}
-
-// ParseAxis maps "px"/"x", "py"/"y", "pz"/"z" to an Axis, folding case
-// and surrounding whitespace exactly like core.ParseKind and
-// filter.ParseOrder.
-func ParseAxis(s string) (Axis, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "px", "x":
-		return AxisX, nil
-	case "py", "y":
-		return AxisY, nil
-	case "pz", "z":
-		return AxisZ, nil
-	}
-	return 0, fmt.Errorf("parallel: unknown axis %q", s)
 }
 
 // PencilCount returns how many pencils an nx×ny×nz volume decomposes

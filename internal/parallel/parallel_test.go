@@ -119,26 +119,11 @@ func TestPencilsTileTheVolume(t *testing.T) {
 	}
 }
 
-func TestAxisStringAndParse(t *testing.T) {
-	for _, a := range []Axis{AxisX, AxisY, AxisZ} {
-		got, err := ParseAxis(a.String())
-		if err != nil || got != a {
-			t.Errorf("round-trip %v: %v, %v", a, got, err)
+func TestAxisString(t *testing.T) {
+	for a, want := range map[Axis]string{AxisX: "px", AxisY: "py", AxisZ: "pz", Axis(7): "Axis(7)"} {
+		if got := a.String(); got != want {
+			t.Errorf("Axis(%d).String() = %q, want %q", int(a), got, want)
 		}
-	}
-	// Case and surrounding whitespace fold, like core.ParseKind.
-	for s, want := range map[string]Axis{
-		"PX": AxisX, " px ": AxisX, "X": AxisX,
-		"Py": AxisY, "y": AxisY,
-		"\tPZ\n": AxisZ, "Z": AxisZ,
-	} {
-		got, err := ParseAxis(s)
-		if err != nil || got != want {
-			t.Errorf("ParseAxis(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseAxis("pw"); err == nil {
-		t.Error("ParseAxis(pw) should fail")
 	}
 }
 

@@ -18,7 +18,7 @@ func TestBuildAccelRanges(t *testing.T) {
 	// never reads it, so the other 25 cells are empty.
 	g := grid.New(core.NewArrayOrder(24, 24, 24))
 	g.Set(8, 0, 0, 1)
-	a := BuildAccelOf(g, GrayscaleTransferFunc())
+	a := BuildAccelOf(g, grayscaleTransferFunc())
 	for _, c := range []struct {
 		x, y, z float64
 		want    bool
@@ -51,7 +51,7 @@ func TestAccelMismatchRejected(t *testing.T) {
 	if _, err := Render(vol, cam, tf, Options{Accel: BuildAccelOf(other, tf)}); err == nil {
 		t.Error("map of a 16x16x17 volume accepted for a 16³ render")
 	}
-	if _, err := Render(vol, cam, tf, Options{Accel: BuildAccelOf(vol, GrayscaleTransferFunc())}); err == nil {
+	if _, err := Render(vol, cam, tf, Options{Accel: BuildAccelOf(vol, grayscaleTransferFunc())}); err == nil {
 		t.Error("map built for another opacity threshold accepted")
 	}
 	if _, err := Render(vol, cam, tf, Options{Accel: BuildAccelOf(vol, tf)}); err != nil {
@@ -152,7 +152,7 @@ func TestEmptySkipReducesSamples(t *testing.T) {
 	const n = 64
 	vol := volume.SolidSphere(core.NewArrayOrder(n, n, n), 0.25)
 	cam := Orbit(1, 8, n, n, n, 32, 32)
-	tf := GrayscaleTransferFunc()
+	tf := grayscaleTransferFunc()
 	accel := BuildAccelOf(vol, tf)
 	count := func(accel *Accel) uint64 {
 		var sink grid.CountingSink

@@ -1,9 +1,6 @@
 package render
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Camera is a pinhole camera, perspective by default. With Ortho set it
 // becomes orthographic: every ray shares the forward direction and only
@@ -107,9 +104,6 @@ func Orbit(view, nViews int, nx, ny, nz, imgW, imgH int) Camera {
 		Height: imgH,
 	}
 }
-
-// ViewpointLabel names an orbit position the way the paper's figures do.
-func ViewpointLabel(view int) string { return fmt.Sprintf("%d", view) }
 
 // intersectBox intersects the ray origin+t*dir with the axis-aligned
 // box [lo, hi] using the slab method, returning the parametric entry

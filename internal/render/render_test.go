@@ -213,7 +213,7 @@ func TestRenderDenseVolumeOpaqueCenter(t *testing.T) {
 	vol := volume.Constant(core.NewArrayOrder(16, 16, 16), 1)
 	// Wide aspect so the horizontal extremes look past the volume.
 	cam := Orbit(0, 8, 16, 16, 16, 99, 33)
-	img, err := Render(vol, cam, GrayscaleTransferFunc(), Options{})
+	img, err := Render(vol, cam, grayscaleTransferFunc(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestRenderEarlyTermination(t *testing.T) {
 	count := func(maxAlpha float64) uint64 {
 		var sink grid.CountingSink
 		tv := grid.NewTraced(vol, 0, &sink)
-		_, err := RenderViews([]grid.Reader{tv}, cam, GrayscaleTransferFunc(),
+		_, err := RenderViews([]grid.Reader{tv}, cam, grayscaleTransferFunc(),
 			Options{MaxAlpha: maxAlpha})
 		if err != nil {
 			t.Fatal(err)
@@ -316,7 +316,7 @@ func TestRenderShadeChangesImage(t *testing.T) {
 func TestRenderValidation(t *testing.T) {
 	vol := volume.Constant(core.NewArrayOrder(8, 8, 8), 1)
 	cam := Orbit(0, 8, 8, 8, 8, 16, 16)
-	tf := GrayscaleTransferFunc()
+	tf := grayscaleTransferFunc()
 	if _, err := Render(vol, cam, nil, Options{}); err == nil {
 		t.Error("nil transfer function accepted")
 	}
@@ -430,7 +430,7 @@ func TestOrthographicRenderSeesVolume(t *testing.T) {
 	cam := Orbit(0, 8, n, n, n, 32, 32)
 	cam.Ortho = true
 	cam.OrthoHeight = float64(n) * 2
-	img, err := Render(vol, cam, GrayscaleTransferFunc(), Options{})
+	img, err := Render(vol, cam, grayscaleTransferFunc(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,4 +590,17 @@ func TestRenderNonCubicVolume(t *testing.T) {
 			t.Errorf("%v: non-cubic render differs", kind)
 		}
 	}
+}
+
+// grayscaleTransferFunc maps value v to gray with opacity proportional
+// to v.
+func grayscaleTransferFunc() *TransferFunc {
+	tf, err := NewTransferFunc([]ControlPoint{
+		{Value: 0, Color: RGBA{0, 0, 0, 0}},
+		{Value: 1, Color: RGBA{1, 1, 1, 0.8}},
+	})
+	if err != nil {
+		panic(err)
+	}
+	return tf
 }

@@ -110,16 +110,3 @@ func DefaultTransferFunc() *TransferFunc {
 	}
 	return tf
 }
-
-// GrayscaleTransferFunc maps value v to gray with opacity proportional
-// to v; useful for the MRI phantom and tests.
-func GrayscaleTransferFunc() *TransferFunc {
-	tf, err := NewTransferFunc([]ControlPoint{
-		{Value: 0, Color: RGBA{0, 0, 0, 0}},
-		{Value: 1, Color: RGBA{1, 1, 1, 0.8}},
-	})
-	if err != nil {
-		panic(err)
-	}
-	return tf
-}

@@ -7,9 +7,9 @@
 // its reuse distance is < C (Mattson et al. 1970) — so a single profile
 // predicts the miss ratio of every cache size at once, giving an
 // architecture-independent view of the locality the paper's Z-order
-// layout buys. cmd/reusedist plots these curves for each layout; they
-// complement the set-associative simulation in internal/cache, which
-// additionally captures conflict misses.
+// layout buys. sfcbench -fig 7 tabulates these curves for each layout;
+// they complement the set-associative simulation in internal/cache,
+// which additionally captures conflict misses.
 //
 // The analyzer implements grid.Sink, so it attaches to kernels exactly
 // like the cache simulator's fronts. The classic algorithm is used:

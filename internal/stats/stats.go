@@ -1,13 +1,12 @@
 // Package stats implements the paper's measurement arithmetic — most
 // importantly the "scaled, relative difference" ds = (a-z)/z of §IV-B2 —
 // plus the fixed-grid table rendering used to reproduce the paper's
-// figure matrices, and small aggregation helpers.
+// figure matrices.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -20,41 +19,6 @@ func ScaledRelDiff(a, z float64) float64 {
 		return math.NaN()
 	}
 	return (a - z) / z
-}
-
-// Summary aggregates a sample set.
-type Summary struct {
-	Min, Max, Mean, Median float64
-	N                      int
-}
-
-// Summarize computes summary statistics; the zero Summary is returned
-// for an empty input.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{Min: xs[0], Max: xs[0], N: len(xs)}
-	var sum float64
-	for _, x := range xs {
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-		sum += x
-	}
-	s.Mean = sum / float64(len(xs))
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	m := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		s.Median = sorted[m]
-	} else {
-		s.Median = (sorted[m-1] + sorted[m]) / 2
-	}
-	return s
 }
 
 // Table is a labeled 2-D grid of measurements, mirroring the paper's

@@ -47,26 +47,6 @@ func TestScaledRelDiffSignProperty(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{3, 1, 4, 1, 5})
-	if s.Min != 1 || s.Max != 5 || s.N != 5 {
-		t.Errorf("%+v", s)
-	}
-	if math.Abs(s.Mean-2.8) > 1e-12 {
-		t.Errorf("mean %v", s.Mean)
-	}
-	if s.Median != 3 {
-		t.Errorf("median %v", s.Median)
-	}
-	even := Summarize([]float64{1, 2, 3, 4})
-	if even.Median != 2.5 {
-		t.Errorf("even median %v", even.Median)
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Errorf("empty summary %+v", z)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Fig X", []string{"r1 px xyz", "r5 pz zyx"}, []string{"2", "4"})
 	tb.Set(0, 0, -0.02)

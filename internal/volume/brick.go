@@ -235,92 +235,122 @@ func BrickFileName(i int) string { return fmt.Sprintf("%05d.sfcb", i) }
 // encodeElems serializes src into dst as little-endian bytes. The type
 // switch resolves once per call; each wide lane then cuts dst to the
 // exact length and runs four samples per step at fixed offsets, so the
-// loop body holds no per-sample reslice or bounds check.
+// loop body holds no per-sample reslice or bounds check. The lanes are
+// plain functions rather than arms of this generic body: an
+// instantiation made in another package (store's ReadBricksInto, the
+// facade's LoadRawAny) is compiled there, where the math bit casts
+// were seen not to inline unless this package instantiated the same
+// shape itself, which cost cold loads about a quarter of their speed.
 func encodeElems[T grid.Scalar](dst []byte, src []T) {
 	switch s := any(src).(type) {
 	case []uint8:
 		copy(dst, s)
 	case []uint16:
-		d := dst[:2*len(s)]
-		for len(s) >= 4 && len(d) >= 8 {
-			binary.LittleEndian.PutUint16(d[0:2], s[0])
-			binary.LittleEndian.PutUint16(d[2:4], s[1])
-			binary.LittleEndian.PutUint16(d[4:6], s[2])
-			binary.LittleEndian.PutUint16(d[6:8], s[3])
-			s, d = s[4:], d[8:]
-		}
-		for i, v := range s {
-			binary.LittleEndian.PutUint16(d[2*i:], v)
-		}
+		encodeU16(dst, s)
 	case []float32:
-		d := dst[:4*len(s)]
-		for len(s) >= 4 && len(d) >= 16 {
-			binary.LittleEndian.PutUint32(d[0:4], math.Float32bits(s[0]))
-			binary.LittleEndian.PutUint32(d[4:8], math.Float32bits(s[1]))
-			binary.LittleEndian.PutUint32(d[8:12], math.Float32bits(s[2]))
-			binary.LittleEndian.PutUint32(d[12:16], math.Float32bits(s[3]))
-			s, d = s[4:], d[16:]
-		}
-		for i, v := range s {
-			binary.LittleEndian.PutUint32(d[4*i:], math.Float32bits(v))
-		}
+		encodeF32(dst, s)
 	case []float64:
-		d := dst[:8*len(s)]
-		for len(s) >= 4 && len(d) >= 32 {
-			binary.LittleEndian.PutUint64(d[0:8], math.Float64bits(s[0]))
-			binary.LittleEndian.PutUint64(d[8:16], math.Float64bits(s[1]))
-			binary.LittleEndian.PutUint64(d[16:24], math.Float64bits(s[2]))
-			binary.LittleEndian.PutUint64(d[24:32], math.Float64bits(s[3]))
-			s, d = s[4:], d[32:]
-		}
-		for i, v := range s {
-			binary.LittleEndian.PutUint64(d[8*i:], math.Float64bits(v))
-		}
+		encodeF64(dst, s)
+	}
+}
+
+func encodeU16(dst []byte, s []uint16) {
+	d := dst[:2*len(s)]
+	for len(s) >= 4 && len(d) >= 8 {
+		binary.LittleEndian.PutUint16(d[0:2], s[0])
+		binary.LittleEndian.PutUint16(d[2:4], s[1])
+		binary.LittleEndian.PutUint16(d[4:6], s[2])
+		binary.LittleEndian.PutUint16(d[6:8], s[3])
+		s, d = s[4:], d[8:]
+	}
+	for i, v := range s {
+		binary.LittleEndian.PutUint16(d[2*i:], v)
+	}
+}
+
+func encodeF32(dst []byte, s []float32) {
+	d := dst[:4*len(s)]
+	for len(s) >= 4 && len(d) >= 16 {
+		binary.LittleEndian.PutUint32(d[0:4], math.Float32bits(s[0]))
+		binary.LittleEndian.PutUint32(d[4:8], math.Float32bits(s[1]))
+		binary.LittleEndian.PutUint32(d[8:12], math.Float32bits(s[2]))
+		binary.LittleEndian.PutUint32(d[12:16], math.Float32bits(s[3]))
+		s, d = s[4:], d[16:]
+	}
+	for i, v := range s {
+		binary.LittleEndian.PutUint32(d[4*i:], math.Float32bits(v))
+	}
+}
+
+func encodeF64(dst []byte, s []float64) {
+	d := dst[:8*len(s)]
+	for len(s) >= 4 && len(d) >= 32 {
+		binary.LittleEndian.PutUint64(d[0:8], math.Float64bits(s[0]))
+		binary.LittleEndian.PutUint64(d[8:16], math.Float64bits(s[1]))
+		binary.LittleEndian.PutUint64(d[16:24], math.Float64bits(s[2]))
+		binary.LittleEndian.PutUint64(d[24:32], math.Float64bits(s[3]))
+		s, d = s[4:], d[32:]
+	}
+	for i, v := range s {
+		binary.LittleEndian.PutUint64(d[8*i:], math.Float64bits(v))
 	}
 }
 
 // decodeElems deserializes little-endian src bytes into dst, four
-// samples per step at fixed offsets like encodeElems.
+// samples per step at fixed offsets like encodeElems, whose note on
+// the plain-function lanes applies here too.
 func decodeElems[T grid.Scalar](dst []T, src []byte) {
 	switch d := any(dst).(type) {
 	case []uint8:
 		copy(d, src)
 	case []uint16:
-		s := src[:2*len(d)]
-		for len(d) >= 4 && len(s) >= 8 {
-			d[0] = binary.LittleEndian.Uint16(s[0:2])
-			d[1] = binary.LittleEndian.Uint16(s[2:4])
-			d[2] = binary.LittleEndian.Uint16(s[4:6])
-			d[3] = binary.LittleEndian.Uint16(s[6:8])
-			d, s = d[4:], s[8:]
-		}
-		for i := range d {
-			d[i] = binary.LittleEndian.Uint16(s[2*i:])
-		}
+		decodeU16(d, src)
 	case []float32:
-		s := src[:4*len(d)]
-		for len(d) >= 4 && len(s) >= 16 {
-			d[0] = math.Float32frombits(binary.LittleEndian.Uint32(s[0:4]))
-			d[1] = math.Float32frombits(binary.LittleEndian.Uint32(s[4:8]))
-			d[2] = math.Float32frombits(binary.LittleEndian.Uint32(s[8:12]))
-			d[3] = math.Float32frombits(binary.LittleEndian.Uint32(s[12:16]))
-			d, s = d[4:], s[16:]
-		}
-		for i := range d {
-			d[i] = math.Float32frombits(binary.LittleEndian.Uint32(s[4*i:]))
-		}
+		decodeF32(d, src)
 	case []float64:
-		s := src[:8*len(d)]
-		for len(d) >= 4 && len(s) >= 32 {
-			d[0] = math.Float64frombits(binary.LittleEndian.Uint64(s[0:8]))
-			d[1] = math.Float64frombits(binary.LittleEndian.Uint64(s[8:16]))
-			d[2] = math.Float64frombits(binary.LittleEndian.Uint64(s[16:24]))
-			d[3] = math.Float64frombits(binary.LittleEndian.Uint64(s[24:32]))
-			d, s = d[4:], s[32:]
-		}
-		for i := range d {
-			d[i] = math.Float64frombits(binary.LittleEndian.Uint64(s[8*i:]))
-		}
+		decodeF64(d, src)
+	}
+}
+
+func decodeU16(d []uint16, src []byte) {
+	s := src[:2*len(d)]
+	for len(d) >= 4 && len(s) >= 8 {
+		d[0] = binary.LittleEndian.Uint16(s[0:2])
+		d[1] = binary.LittleEndian.Uint16(s[2:4])
+		d[2] = binary.LittleEndian.Uint16(s[4:6])
+		d[3] = binary.LittleEndian.Uint16(s[6:8])
+		d, s = d[4:], s[8:]
+	}
+	for i := range d {
+		d[i] = binary.LittleEndian.Uint16(s[2*i:])
+	}
+}
+
+func decodeF32(d []float32, src []byte) {
+	s := src[:4*len(d)]
+	for len(d) >= 4 && len(s) >= 16 {
+		d[0] = math.Float32frombits(binary.LittleEndian.Uint32(s[0:4]))
+		d[1] = math.Float32frombits(binary.LittleEndian.Uint32(s[4:8]))
+		d[2] = math.Float32frombits(binary.LittleEndian.Uint32(s[8:12]))
+		d[3] = math.Float32frombits(binary.LittleEndian.Uint32(s[12:16]))
+		d, s = d[4:], s[16:]
+	}
+	for i := range d {
+		d[i] = math.Float32frombits(binary.LittleEndian.Uint32(s[4*i:]))
+	}
+}
+
+func decodeF64(d []float64, src []byte) {
+	s := src[:8*len(d)]
+	for len(d) >= 4 && len(s) >= 32 {
+		d[0] = math.Float64frombits(binary.LittleEndian.Uint64(s[0:8]))
+		d[1] = math.Float64frombits(binary.LittleEndian.Uint64(s[8:16]))
+		d[2] = math.Float64frombits(binary.LittleEndian.Uint64(s[16:24]))
+		d[3] = math.Float64frombits(binary.LittleEndian.Uint64(s[24:32]))
+		d, s = d[4:], s[32:]
+	}
+	for i := range d {
+		d[i] = math.Float64frombits(binary.LittleEndian.Uint64(s[8*i:]))
 	}
 }
 

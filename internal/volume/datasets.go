@@ -117,16 +117,6 @@ func Constant(l core.Layout, v float32) *grid.Grid[float32] {
 	return grid.FromFunc(l, func(_, _, _ int) float32 { return v })
 }
 
-// RampX fills a grid with a linear ramp along x, normalized to [0,1].
-func RampX(l core.Layout) *grid.Grid[float32] {
-	nx, _, _ := l.Dims()
-	den := float32(nx - 1)
-	if den == 0 {
-		den = 1
-	}
-	return grid.FromFunc(l, func(i, _, _ int) float32 { return float32(i) / den })
-}
-
 // SolidSphere fills a grid with 1 inside a centered sphere of the given
 // fractional radius and 0 outside: a hard edge for edge-preservation
 // tests.
@@ -148,43 +138,4 @@ func SolidSphere(l core.Layout, frac float64) *grid.Grid[float32] {
 func WhiteNoise(l core.Layout, seed uint64) *grid.Grid[float32] {
 	rng := NewRNG(seed)
 	return grid.FromFunc(l, func(_, _, _ int) float32 { return rng.Float32() })
-}
-
-// Stats summarizes a grid for dataset sanity checks.
-type Stats struct {
-	Min, Max   float32
-	Mean       float64
-	NonZero    float64 // fraction of samples above eps
-	SampleSize int
-}
-
-// Describe computes summary statistics over every sample of g.
-func Describe[T grid.Scalar](g *grid.Grid[T]) Stats {
-	nx, ny, nz := g.Dims()
-	s := Stats{Min: float32(math.Inf(1)), Max: float32(math.Inf(-1))}
-	const eps = 1e-6
-	var sum float64
-	for k := 0; k < nz; k++ {
-		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				v := float32(g.At(i, j, k))
-				if v < s.Min {
-					s.Min = v
-				}
-				if v > s.Max {
-					s.Max = v
-				}
-				sum += float64(v)
-				if v > eps {
-					s.NonZero++
-				}
-				s.SampleSize++
-			}
-		}
-	}
-	if s.SampleSize > 0 {
-		s.Mean = sum / float64(s.SampleSize)
-		s.NonZero /= float64(s.SampleSize)
-	}
-	return s
 }

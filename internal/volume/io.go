@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 
 	"sfcmem/internal/core"
 	"sfcmem/internal/grid"
@@ -14,8 +13,7 @@ import (
 // most scientific-visualization corpora) is a headerless stream of
 // little-endian samples in row-major order. The element type is part
 // of the filename convention, not the stream, so the caller picks the
-// dtype: SaveRawOf/LoadRawOf move any grid.Scalar element width, and
-// the plain SaveRaw/LoadRaw keep the original float32 signatures.
+// dtype: SaveRawOf/LoadRawOf move any grid.Scalar element width.
 // Loads are strict about size: a short stream and a long stream are
 // both rejected with the expected and actual byte counts, because a
 // silent mismatch usually means wrong extents or wrong dtype.
@@ -47,10 +45,6 @@ func SaveRawOf[T grid.Scalar](w io.Writer, g *grid.Grid[T]) error {
 	}
 	return bw.Flush()
 }
-
-// SaveRaw writes g as little-endian float32 in row-major (x fastest)
-// order, whatever g's in-memory layout is.
-func SaveRaw(w io.Writer, g *grid.Grid[float32]) error { return SaveRawOf(w, g) }
 
 // LoadRawOf reads an nx×ny×nz little-endian row-major volume of T
 // samples into a grid under the given layout. It reads one x-row per
@@ -105,41 +99,4 @@ func LoadRawOf[T grid.Scalar](r io.Reader, l core.Layout) (*grid.Grid[T], error)
 			dt, want+extra, want, nx, ny, nz, es)
 	}
 	return g, nil
-}
-
-// LoadRaw reads an nx×ny×nz little-endian float32 row-major volume into
-// a grid under the given layout.
-func LoadRaw(r io.Reader, l core.Layout) (*grid.Grid[float32], error) {
-	return LoadRawOf[float32](r, l)
-}
-
-// SaveRawFileOf writes g to a file via SaveRawOf.
-func SaveRawFileOf[T grid.Scalar](path string, g *grid.Grid[T]) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := SaveRawOf(f, g); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// SaveRawFile writes g to a file via SaveRaw.
-func SaveRawFile(path string, g *grid.Grid[float32]) error { return SaveRawFileOf(path, g) }
-
-// LoadRawFileOf reads a raw volume file via LoadRawOf.
-func LoadRawFileOf[T grid.Scalar](path string, l core.Layout) (*grid.Grid[T], error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadRawOf[T](f, l)
-}
-
-// LoadRawFile reads a raw volume file via LoadRaw.
-func LoadRawFile(path string, l core.Layout) (*grid.Grid[float32], error) {
-	return LoadRawFileOf[float32](path, l)
 }

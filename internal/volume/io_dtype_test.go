@@ -79,14 +79,14 @@ func TestLoadRawOversizedNamesByteCounts(t *testing.T) {
 }
 
 func TestLoadRawFloat32ByteCountErrors(t *testing.T) {
-	// The float32 wrappers report counts too (the pre-generic messages
+	// float32 streams report byte counts too (the pre-generic messages
 	// named coordinates only).
 	l := core.NewZOrder(3, 3, 3) // wants 27 float32 = 108 bytes
-	_, err := LoadRaw(bytes.NewReader(make([]byte, 100)), l)
+	_, err := LoadRawOf[float32](bytes.NewReader(make([]byte, 100)), l)
 	if err == nil || !strings.Contains(err.Error(), "want 108") {
 		t.Errorf("float32 truncation error %v should name want 108", err)
 	}
-	_, err = LoadRaw(bytes.NewReader(make([]byte, 112)), l)
+	_, err = LoadRawOf[float32](bytes.NewReader(make([]byte, 112)), l)
 	if err == nil || !strings.Contains(err.Error(), "got 112 bytes") {
 		t.Errorf("float32 oversize error %v should name got 112", err)
 	}

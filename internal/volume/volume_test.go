@@ -3,6 +3,7 @@ package volume
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -107,7 +108,7 @@ func TestFBMRange(t *testing.T) {
 func TestMRIPhantomProperties(t *testing.T) {
 	l := core.NewArrayOrder(32, 32, 32)
 	g := MRIPhantom(l, 1, 0.05)
-	s := Describe(g)
+	s := describe(g)
 	if s.Min < 0 || s.Max > 1 {
 		t.Errorf("values outside [0,1]: %v..%v", s.Min, s.Max)
 	}
@@ -146,7 +147,7 @@ func TestMRIPhantomLayoutInvariant(t *testing.T) {
 func TestCombustionPlumeProperties(t *testing.T) {
 	l := core.NewZOrder(32, 32, 32)
 	g := CombustionPlume(l, 3)
-	s := Describe(g)
+	s := describe(g)
 	if s.Min < 0 || s.Max > 1 {
 		t.Errorf("values outside [0,1]: %v..%v", s.Min, s.Max)
 	}
@@ -175,14 +176,14 @@ func TestConstant(t *testing.T) {
 }
 
 func TestRampX(t *testing.T) {
-	g := RampX(core.NewArrayOrder(11, 4, 4))
+	g := rampX(core.NewArrayOrder(11, 4, 4))
 	if g.At(0, 0, 0) != 0 || g.At(10, 3, 3) != 1 {
 		t.Errorf("ramp endpoints %v..%v", g.At(0, 0, 0), g.At(10, 3, 3))
 	}
 	if g.At(5, 2, 1) != 0.5 {
 		t.Errorf("ramp midpoint %v", g.At(5, 2, 1))
 	}
-	one := RampX(core.NewArrayOrder(1, 2, 2))
+	one := rampX(core.NewArrayOrder(1, 2, 2))
 	if one.At(0, 0, 0) != 0 {
 		t.Errorf("degenerate ramp value %v", one.At(0, 0, 0))
 	}
@@ -196,7 +197,7 @@ func TestSolidSphere(t *testing.T) {
 	if g.At(0, 0, 0) != 0 {
 		t.Error("corner not outside")
 	}
-	s := Describe(g)
+	s := describe(g)
 	// Sphere of r=8 in 32³: volume fraction ≈ (4/3)π·8³/32³ ≈ 0.065.
 	if s.NonZero < 0.03 || s.NonZero > 0.15 {
 		t.Errorf("sphere fill fraction %v implausible", s.NonZero)
@@ -205,14 +206,14 @@ func TestSolidSphere(t *testing.T) {
 
 func TestWhiteNoiseStats(t *testing.T) {
 	g := WhiteNoise(core.NewArrayOrder(24, 24, 24), 13)
-	s := Describe(g)
+	s := describe(g)
 	if math.Abs(s.Mean-0.5) > 0.02 {
 		t.Errorf("white-noise mean %v", s.Mean)
 	}
 }
 
 func TestDescribeCounts(t *testing.T) {
-	s := Describe(Constant(core.NewArrayOrder(4, 5, 6), 1))
+	s := describe(Constant(core.NewArrayOrder(4, 5, 6), 1))
 	if s.SampleSize != 120 || s.NonZero != 1 || s.Mean != 1 {
 		t.Errorf("stats %+v", s)
 	}
@@ -221,14 +222,14 @@ func TestDescribeCounts(t *testing.T) {
 func TestRawRoundtrip(t *testing.T) {
 	src := MRIPhantom(core.NewZOrder(12, 10, 8), 3, 0.05)
 	var buf bytes.Buffer
-	if err := SaveRaw(&buf, src); err != nil {
+	if err := SaveRawOf(&buf, src); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 12*10*8*4 {
 		t.Errorf("raw size %d bytes", buf.Len())
 	}
 	// Load into a different layout: contents must match exactly.
-	back, err := LoadRaw(&buf, core.NewHilbert(12, 10, 8))
+	back, err := LoadRawOf[float32](&buf, core.NewHilbert(12, 10, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,11 +241,11 @@ func TestRawRoundtrip(t *testing.T) {
 func TestLoadRawTruncated(t *testing.T) {
 	src := Constant(core.NewArrayOrder(4, 4, 4), 1)
 	var buf bytes.Buffer
-	if err := SaveRaw(&buf, src); err != nil {
+	if err := SaveRawOf(&buf, src); err != nil {
 		t.Fatal(err)
 	}
 	short := buf.Bytes()[:buf.Len()-4]
-	if _, err := LoadRaw(bytes.NewReader(short), core.NewArrayOrder(4, 4, 4)); err == nil {
+	if _, err := LoadRawOf[float32](bytes.NewReader(short), core.NewArrayOrder(4, 4, 4)); err == nil {
 		t.Error("truncated stream accepted")
 	}
 }
@@ -252,11 +253,11 @@ func TestLoadRawTruncated(t *testing.T) {
 func TestLoadRawTrailingBytes(t *testing.T) {
 	src := Constant(core.NewArrayOrder(4, 4, 4), 1)
 	var buf bytes.Buffer
-	if err := SaveRaw(&buf, src); err != nil {
+	if err := SaveRawOf(&buf, src); err != nil {
 		t.Fatal(err)
 	}
 	buf.WriteByte(0)
-	if _, err := LoadRaw(&buf, core.NewArrayOrder(4, 4, 4)); err == nil {
+	if _, err := LoadRawOf[float32](&buf, core.NewArrayOrder(4, 4, 4)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 }
@@ -265,17 +266,75 @@ func TestRawFileRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "vol.f32")
 	src := CombustionPlume(core.NewArrayOrder(8, 8, 8), 2)
-	if err := SaveRawFile(path, src); err != nil {
+	w, err := os.Create(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadRawFile(path, core.NewZOrder(8, 8, 8))
+	if err := SaveRawOf(w, src); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	back, err := LoadRawOf[float32](r, core.NewZOrder(8, 8, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !grid.Equal(src, back) {
 		t.Error("file roundtrip changed contents")
 	}
-	if _, err := LoadRawFile(filepath.Join(dir, "missing.f32"), core.NewArrayOrder(2, 2, 2)); err == nil {
-		t.Error("missing file accepted")
+}
+
+// rampX fills a grid with a linear ramp along x, normalized to [0,1].
+func rampX(l core.Layout) *grid.Grid[float32] {
+	nx, _, _ := l.Dims()
+	den := float32(nx - 1)
+	if den == 0 {
+		den = 1
 	}
+	return grid.FromFunc(l, func(i, _, _ int) float32 { return float32(i) / den })
+}
+
+// gridStats summarizes a grid for dataset sanity checks.
+type gridStats struct {
+	Min, Max   float32
+	Mean       float64
+	NonZero    float64 // fraction of samples above eps
+	SampleSize int
+}
+
+// describe computes summary statistics over every sample of g.
+func describe[T grid.Scalar](g *grid.Grid[T]) gridStats {
+	nx, ny, nz := g.Dims()
+	s := gridStats{Min: float32(math.Inf(1)), Max: float32(math.Inf(-1))}
+	const eps = 1e-6
+	var sum float64
+	for k := 0; k < nz; k++ {
+		for j := 0; j < ny; j++ {
+			for i := 0; i < nx; i++ {
+				v := float32(g.At(i, j, k))
+				if v < s.Min {
+					s.Min = v
+				}
+				if v > s.Max {
+					s.Max = v
+				}
+				sum += float64(v)
+				if v > eps {
+					s.NonZero++
+				}
+				s.SampleSize++
+			}
+		}
+	}
+	if s.SampleSize > 0 {
+		s.Mean = sum / float64(s.SampleSize)
+		s.NonZero /= float64(s.SampleSize)
+	}
+	return s
 }

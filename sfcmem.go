@@ -37,6 +37,7 @@ import (
 	"sfcmem/internal/core"
 	"sfcmem/internal/filter"
 	"sfcmem/internal/grid"
+	"sfcmem/internal/multires"
 	"sfcmem/internal/parallel"
 	"sfcmem/internal/render"
 	"sfcmem/internal/volume"
@@ -59,6 +60,14 @@ const (
 	Tiled = core.TiledKind
 	// Hilbert is the Hilbert space-filling curve layout.
 	Hilbert = core.HilbertKind
+	// ZTiled is the Morton-within-bricks layout: Z-order locality at
+	// cache-line and page scale without the power-of-two padding blowup
+	// of pure Z order (the paper's §V limitation).
+	ZTiled = core.ZTiledKind
+	// HZOrder is the hierarchical Z-order layout (Pascucci & Frank
+	// 2001): Morton samples regrouped by resolution level so every
+	// power-of-two subsampling lattice is a contiguous buffer prefix.
+	HZOrder = core.HZKind
 )
 
 // NewLayout constructs a layout of the given kind for an nx×ny×nz grid.
@@ -77,14 +86,6 @@ func ParseLayoutSpec(spec string, nx, ny, nz int) (Layout, error) {
 	return core.ParseSpec(spec, nx, ny, nz)
 }
 
-// NewBitLayout constructs a generalized Morton (bit-interleave) layout
-// from an explicit interleave string, e.g. "xyzxyzxyz" (≡ Z order) or
-// "xxyyzzxyz" (4×4×4 row-major-ish bricks on a Morton spine); see
-// core.BitLayout.
-func NewBitLayout(nx, ny, nz int, order string) (Layout, error) {
-	return core.NewBitLayout(nx, ny, nz, order)
-}
-
 // StrideStats quantifies a layout's physical-memory locality for a
 // given access direction; see core.AxisStride and core.RayStride.
 type StrideStats = core.StrideStats
@@ -92,10 +93,6 @@ type StrideStats = core.StrideStats
 // AxisStride measures stride statistics for unit steps along axis
 // (0=x, 1=y, 2=z).
 func AxisStride(l Layout, axis int) StrideStats { return core.AxisStride(l, axis) }
-
-// RayStride measures stride statistics along straight rays of direction
-// (dx, dy, dz) crossing the volume.
-func RayStride(l Layout, dx, dy, dz float64) StrideStats { return core.RayStride(l, dx, dy, dz) }
 
 // Grid is a 3D float32 volume stored behind a Layout.
 type Grid = grid.Grid[float32]
@@ -109,13 +106,6 @@ type (
 
 // NewGrid allocates a zero-filled grid under the given layout.
 func NewGrid(l Layout) *Grid { return grid.New(l) }
-
-// GridFromFunc allocates a grid and fills element (i,j,k) with f(i,j,k).
-func GridFromFunc(l Layout, f func(i, j, k int) float32) *Grid { return grid.FromFunc(l, f) }
-
-// SampleTrilinear returns the trilinearly interpolated value at a
-// continuous position in index coordinates.
-func SampleTrilinear(r Reader, x, y, z float64) float32 { return grid.SampleTrilinear(r, x, y, z) }
 
 // Traced is a view of a Grid that reports every access to a Sink (for
 // cache simulation); Sink consumes the access stream.
@@ -175,19 +165,12 @@ type (
 	Image = render.Image
 	// RGBA is a straight-alpha color sample.
 	RGBA = render.RGBA
-	// ControlPoint anchors a transfer function at a scalar value.
-	ControlPoint = render.ControlPoint
 )
 
 // Orbit returns the camera for orbit position view of nViews around an
 // nx×ny×nz volume (the paper's viewpoint sweep).
 func Orbit(view, nViews, nx, ny, nz, imgW, imgH int) Camera {
 	return render.Orbit(view, nViews, nx, ny, nz, imgW, imgH)
-}
-
-// NewTransferFunc builds a piecewise-linear transfer function.
-func NewTransferFunc(points []ControlPoint) (*TransferFunc, error) {
-	return render.NewTransferFunc(points)
 }
 
 // DefaultTransferFunc is a flame-like transfer function suited to the
@@ -207,10 +190,6 @@ type (
 // (32K L1 / 256K L2 private, 30M shared L3).
 func IvyBridgePlatform() Platform { return cache.IvyBridge() }
 
-// MICPlatform models the paper's Intel MIC test machine (32K L1 / 512K
-// L2 private, no L3).
-func MICPlatform() Platform { return cache.MIC() }
-
 // ScaledPlatform divides a platform's cache capacities by a power-of-two
 // factor, for simulating shrunken volumes at preserved working-set
 // ratios.
@@ -220,12 +199,19 @@ func ScaledPlatform(p Platform, factor int) Platform { return cache.Scaled(p, fa
 // hierarchy per simulated thread.
 func NewCacheSystem(p Platform, threads int) *CacheSystem { return cache.NewSystem(p, threads) }
 
+// QueryCost reports the cache lines, pages and byte span a
+// multiresolution query touches.
+type QueryCost = multires.QueryCost
+
+// SubsampleCost measures the memory a layout must touch to read the
+// level-L subsampling lattice (the ref [7] use case).
+func SubsampleCost(l Layout, level int) (QueryCost, error) {
+	return multires.SubsampleCost(l, level)
+}
+
 // Dataset generators (the experiment stand-ins; see DESIGN.md §2).
 
 // MRIPhantom synthesizes an MRI-like head phantom with additive noise.
 func MRIPhantom(l Layout, seed uint64, noiseSigma float64) *Grid {
 	return volume.MRIPhantom(l, seed, noiseSigma)
 }
-
-// CombustionPlume synthesizes a combustion-like turbulent plume field.
-func CombustionPlume(l Layout, seed uint64) *Grid { return volume.CombustionPlume(l, seed) }
