@@ -1,17 +1,18 @@
 package main
 
-// The async jobs API: POST /jobs enqueues a render or filter through
-// the internal/jobs batching scheduler, GET /jobs/{id} reports status,
+// The async jobs API: POST /jobs enqueues a render or filter on one of
+// the internal/jobs priority lanes, GET /jobs/{id} reports status,
 // GET /jobs/{id}/events streams progressive results over SSE (for
 // render jobs: a coarse preview from the multires subsample, then the
 // full-resolution refinement), and DELETE /jobs/{id} cancels.
 //
-// Jobs compatible on (volume, generation, dtype, coarse level) batch
-// together: the batch fetches the prepared volume (prepared.go, shared
-// with sync renders) and builds the coarse subsample once, and every
-// job in it reuses them. A render job's final frame is
-// stored in the response cache under the same digest a synchronous
-// /render would compute, so the job warms the cache for everyone.
+// Jobs run as they arrive. What jobs of one volume generation have in
+// common — the converted view, the prepared volume and the coarse
+// subsample — comes from the store's per-generation derived values
+// (prepared.go), shared with sync requests and built once. A render
+// job's final frame is stored in the response cache under the same
+// digest a synchronous /render would compute, so the job warms the
+// cache for everyone.
 
 import (
 	"bytes"
@@ -35,9 +36,11 @@ import (
 // from failures in /ops/trace/recent.
 const statusClientClosedRequest = 499
 
-// enableJobs wires the batching job manager and publishes the jobs.*
-// metrics family: lifecycle counters, queue-depth gauges, and the
-// time-to-first-coarse-frame histogram.
+// enableJobs wires the job manager and publishes the jobs.* metrics
+// family: lifecycle counters, queue-depth gauges, and the
+// time-to-first-coarse-frame histogram. jobs.batches keeps its name
+// from when runners dispatched batches of jobs; it counts runner
+// dispatches, one per job that started.
 func (s *server) enableJobs(cfg jobs.Config) {
 	s.jobs = jobs.New(cfg)
 	stat := func(f func(jobs.Stats) any) metrics.GaugeFunc {
@@ -47,9 +50,8 @@ func (s *server) enableJobs(cfg jobs.Config) {
 	s.reg.Register("jobs.done", stat(func(st jobs.Stats) any { return st.Done }))
 	s.reg.Register("jobs.failed", stat(func(st jobs.Stats) any { return st.Failed }))
 	s.reg.Register("jobs.cancelled", stat(func(st jobs.Stats) any { return st.Cancelled }))
-	s.reg.Register("jobs.batches", stat(func(st jobs.Stats) any { return st.Batches }))
+	s.reg.Register("jobs.batches", stat(func(st jobs.Stats) any { return st.Dispatched }))
 	s.reg.Register("jobs.pending", stat(func(st jobs.Stats) any { return st.Pending }))
-	s.reg.Register("jobs.ready", stat(func(st jobs.Stats) any { return st.Ready }))
 	s.reg.Register("jobs.running", stat(func(st jobs.Stats) any { return st.Running }))
 	s.jobTTFB = s.reg.Histogram("jobs.ttfb")
 }
@@ -117,7 +119,7 @@ func (s *server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 			op = "filter"
 		}
 	}
-	var spec jobs.Spec
+	var run jobRun
 	var herr *httpErr
 	switch op {
 	case "render":
@@ -125,13 +127,13 @@ func (s *server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, `"render" body required for a render job`, http.StatusBadRequest)
 			return
 		}
-		spec, herr = s.renderJobSpec(*req.Render, lane, coarseLevel, r.Header)
+		run, herr = s.renderJob(*req.Render, coarseLevel)
 	case "filter":
 		if req.Filter == nil {
 			http.Error(w, `"filter" body required for a filter job`, http.StatusBadRequest)
 			return
 		}
-		spec, herr = s.filterJobSpec(*req.Filter, lane, r.Header)
+		run, herr = s.filterJob(*req.Filter)
 	default:
 		http.Error(w, fmt.Sprintf("unknown op %q (want render or filter)", op), http.StatusBadRequest)
 		return
@@ -140,12 +142,35 @@ func (s *server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, herr.msg, herr.code)
 		return
 	}
-	j, err := s.jobs.Submit(spec)
+	s.submit(w, r, lane, run)
+}
+
+// jobRun is a validated job's work, run on a scheduler runner under the
+// job's trace jt, which ctx carries too.
+type jobRun func(ctx context.Context, jt *obs.Trace, j *jobs.Job) error
+
+// submit starts the job's trace, hands the job to the manager on lane
+// and answers 202 with its Location and {id, state, events_url}; 503
+// while draining, 500 on any other refusal, either of which also
+// closes the trace. The state is the one at acceptance, queued: a
+// runner may already have started the job by the time the body is
+// written.
+func (s *server) submit(w http.ResponseWriter, r *http.Request, lane jobs.Lane, run jobRun) {
+	jt, _ := s.hub.Start(context.Background(), "job", r.Header)
+	j, err := s.jobs.Submit(jobs.Spec{
+		Lane: lane,
+		Run: func(ctx context.Context, j *jobs.Job) error {
+			s.recordQueueSpan(jt, j)
+			return run(obs.With(ctx, jt), jt, j)
+		},
+		Done: s.jobDone(jt),
+	})
 	if err != nil {
 		code := http.StatusInternalServerError
 		if errors.Is(err, jobs.ErrDraining) {
 			code = http.StatusServiceUnavailable
 		}
+		s.hub.Finish(jt, code, 0, "")
 		http.Error(w, err.Error(), code)
 		return
 	}
@@ -154,7 +179,7 @@ func (s *server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusAccepted)
 	json.NewEncoder(w).Encode(map[string]any{ //nolint:errcheck // headers are out
 		"id":         j.ID,
-		"state":      j.State(),
+		"state":      jobs.StateQueued,
 		"events_url": "/jobs/" + j.ID + "/events",
 	})
 }
@@ -170,85 +195,60 @@ func maxCoarseLevel(nx, ny, nz int) int {
 	return level
 }
 
-// renderJobSpec builds the scheduler spec for a render job. Batch
-// compatibility covers exactly what Setup resolves — the volume's
-// contents (name + generation), the element type of the run, and the
-// coarse level — so framing (view, size, format) varies freely within
-// a batch while the coarse subsample is shared. The full pass shares
-// the prepared volume through the store, as sync renders do.
+// renderJob validates a render job and returns its run, runRenderJob.
+// The full pass shares the prepared volume through the store, as sync
+// renders do, and the preview pass shares the coarse subsample the same
+// way.
 //
 // The requested coarse level is clamped to the volume's deepest
-// meaningful level before it reaches the batch key or the subsample:
-// a level-4 preview of an 8³ volume would collapse axes to a point.
-// The coarse event reports the effective (clamped) level, so clients
-// see the level that actually rendered.
-func (s *server) renderJobSpec(req renderRequest, lane jobs.Lane, coarseLevel int, hdr http.Header) (jobs.Spec, *httpErr) {
+// meaningful level before it reaches the subsample: a level-4 preview
+// of an 8³ volume would collapse axes to a point. The coarse event
+// reports the effective (clamped) level, so clients see the level that
+// actually rendered.
+func (s *server) renderJob(req renderRequest, coarseLevel int) (jobRun, *httpErr) {
 	plan, herr := s.planRender(req)
 	if herr != nil {
-		return jobs.Spec{}, herr
+		return nil, herr
 	}
 	if lmax := maxCoarseLevel(plan.vol.Grid.Dims()); coarseLevel > lmax {
 		coarseLevel = lmax
 	}
 	// Probe the stored layout spec at the full extents so a corrupt
-	// string fails the request, not the job. The Setup closure re-parses
-	// at the coarse dims; a spec valid at the full extents is valid at
+	// string fails the request, not the job: coarse re-parses it at the
+	// subsampled dims, and a spec valid at the full extents is valid at
 	// every subsampled size (smaller extents need fewer bits, and a bit
 	// spec's surplus occurrences are inert).
 	fnx, fny, fnz := plan.vol.Grid.Dims()
 	if _, err := sfcmem.ParseLayoutSpec(plan.vol.Layout, fnx, fny, fnz); err != nil {
 		// Stored layouts were parsed at volume creation; this is a bug,
 		// not a client error.
-		return jobs.Spec{}, &httpErr{http.StatusInternalServerError, err.Error()}
+		return nil, &httpErr{http.StatusInternalServerError, err.Error()}
 	}
-	layoutSpec := plan.vol.Layout
-	jt, _ := s.hub.Start(context.Background(), "job", hdr)
-	return jobs.Spec{
-		BatchKey: digest("render", plan.vol.Name, plan.vol.Gen, plan.dt, coarseLevel),
-		Lane:     lane,
-		Setup: func(ctx context.Context) (any, error) {
-			if coarseLevel == 0 {
-				return nil, nil // no preview: nothing to share
-			}
-			g, err := s.converted(nil, plan.vol, plan.dt)
-			if err != nil {
-				return nil, err
-			}
-			return sfcmem.SubsampleAny(g, coarseLevel, func(nx, ny, nz int) sfcmem.Layout {
-				l, err := sfcmem.ParseLayoutSpec(layoutSpec, nx, ny, nz)
-				if err != nil {
-					// Unreachable: the spec parsed at the full extents
-					// above, and shrinking extents never invalidates it.
-					panic(fmt.Sprintf("layout spec %q invalid at %dx%dx%d: %v", layoutSpec, nx, ny, nz, err))
-				}
-				return l
-			})
-		},
-		Run: func(ctx context.Context, shared any, j *jobs.Job) error {
-			coarse, _ := shared.(*sfcmem.AnyGrid) // nil at coarse level 0
-			return s.runRenderJob(obs.With(ctx, jt), jt, coarse, plan, coarseLevel, j)
-		},
-		Done: s.jobDone(jt),
+	return func(ctx context.Context, jt *obs.Trace, j *jobs.Job) error {
+		return s.runRenderJob(ctx, jt, plan, coarseLevel, j)
 	}, nil
 }
 
 // runRenderJob is a render job's kernel path, executed on a scheduler
-// runner: the coarse preview (subsampled volume at reduced resolution,
-// under its own admission slot), then the full-resolution pass through
-// the response cache under the digest a sync /render computes. The
-// full pass is renderOnce, so a job and a sync request for one digest
-// run the kernel once, and a job over an already-served digest is a
-// cache hit.
-func (s *server) runRenderJob(ctx context.Context, jt *obs.Trace, coarse *sfcmem.AnyGrid, plan *renderPlan, coarseLevel int, j *jobs.Job) error {
-	s.recordQueueSpans(jt, j)
+// runner: the coarse preview (the volume's shared subsample at reduced
+// resolution, under its own admission slot; skipped at level 0), then
+// the full-resolution pass through the response cache under the digest
+// a sync /render computes. The full pass is renderOnce, so a job and a
+// sync request for one digest run the kernel once, and a job over an
+// already-served digest is a cache hit.
+func (s *server) runRenderJob(ctx context.Context, jt *obs.Trace, plan *renderPlan, coarseLevel int, j *jobs.Job) error {
 	req := plan.req
-	if coarse != nil {
+	if coarseLevel > 0 {
+		g, err := s.coarse(jt, plan.vol, plan.dt, coarseLevel)
+		if err != nil {
+			return err
+		}
 		cw, ch := max(req.Width>>coarseLevel, 16), max(req.Height>>coarseLevel, 16)
 		release, err := s.admit(ctx)
 		if err != nil {
 			return err
 		}
-		cv, err := s.rasterize(ctx, jt, coarse, nil, req, cw, ch, "kernel.coarse")
+		cv, err := s.rasterize(ctx, jt, g, nil, req, cw, ch, "kernel.coarse")
 		release()
 		if err != nil {
 			return err
@@ -274,53 +274,39 @@ func (s *server) runRenderJob(ctx context.Context, jt *obs.Trace, coarse *sfcmem
 	return nil
 }
 
-// filterJobSpec builds the scheduler spec for a filter job. It runs
-// runFilter, the sync /filter path: the result volume lands in the
+// filterJob validates a filter job and returns its run: runFilter, the sync /filter path: the result volume lands in the
 // store and the response body in the cache exactly as a sync /filter
 // would leave them, and a job and a sync request for one digest run
 // the kernel once. The source's converted view is shared through the
-// store, so the batch needs no Setup.
-func (s *server) filterJobSpec(req filterRequest, lane jobs.Lane, hdr http.Header) (jobs.Spec, *httpErr) {
+// store.
+func (s *server) filterJob(req filterRequest) (jobRun, *httpErr) {
 	plan, herr := s.planFilter(req)
 	if herr != nil {
-		return jobs.Spec{}, herr
+		return nil, herr
 	}
-	jt, _ := s.hub.Start(context.Background(), "job", hdr)
-	return jobs.Spec{
-		BatchKey: digest("filter", plan.src.Name, plan.src.Gen, plan.dt),
-		Lane:     lane,
-		Run: func(ctx context.Context, _ any, j *jobs.Job) error {
-			ctx = obs.With(ctx, jt)
-			s.recordQueueSpans(jt, j)
-			v, _, err := s.runFilter(ctx, jt, plan)
-			if err != nil {
-				return err
-			}
-			j.SetResult(&v)
-			j.Emit("result", json.RawMessage(bytes.TrimSpace(v.Body)))
-			return nil
-		},
-		Done: s.jobDone(jt),
+	return func(ctx context.Context, jt *obs.Trace, j *jobs.Job) error {
+		v, _, err := s.runFilter(ctx, jt, plan)
+		if err != nil {
+			return err
+		}
+		j.SetResult(&v)
+		j.Emit("result", json.RawMessage(bytes.TrimSpace(v.Body)))
+		return nil
 	}, nil
 }
 
-// recordQueueSpans backfills the job's scheduler phases into its
-// trace. Trace.Stage cannot be used here — submit, seal, and run
-// happen on three goroutines — so the spans are recorded retroactively
-// from the lifecycle timestamps via StageAt, which is safe from any
-// goroutine.
-func (s *server) recordQueueSpans(jt *obs.Trace, j *jobs.Job) {
+// recordQueueSpan backfills the job's wait for a runner (submitted →
+// started) into its trace as a "job.queued" span. Trace.Stage cannot be
+// used here — submit and run happen on two goroutines — so the span is
+// recorded retroactively from the lifecycle timestamps via StageAt,
+// which is safe from any goroutine. Called by Run, once started.
+func (s *server) recordQueueSpan(jt *obs.Trace, j *jobs.Job) {
 	tm := j.Times()
-	if !tm.Sealed.IsZero() {
-		jt.StageAt("job.queued", tm.Submitted, tm.Sealed.Sub(tm.Submitted))
-		if !tm.Started.IsZero() {
-			jt.StageAt("job.batched", tm.Sealed, tm.Started.Sub(tm.Sealed))
-		}
-	}
+	jt.StageAt("job.queued", tm.Submitted, tm.Started.Sub(tm.Submitted))
 }
 
 // jobDone closes out a job's trace when it terminates (from whichever
-// goroutine drove the terminal transition), so queued/batched/coarse/
+// goroutine drove the terminal transition), so the queued, coarse and
 // refine phases of every job show up in /ops/trace/recent alongside
 // synchronous requests.
 func (s *server) jobDone(jt *obs.Trace) func(*jobs.Job) {

@@ -1,11 +1,11 @@
 package main
 
 // End-to-end coverage of the /jobs API: progressive SSE delivery
-// (coarse frame strictly before the full render completes), batching
-// of compatible jobs, byte-identity of batched output with the sync
-// path, cancellation mid-refine releasing admission slots, mixed-
-// priority concurrent load, and drain semantics — all meant to run
-// under -race.
+// (coarse frame strictly before the full render completes), one coarse
+// subsample per volume generation, byte-identity of job output with
+// the sync path, cancellation mid-refine releasing admission slots,
+// mixed-priority concurrent load, and drain semantics — all meant to
+// run under -race.
 
 import (
 	"bufio"
@@ -208,7 +208,7 @@ func TestJobProgressiveSSE(t *testing.T) {
 
 	close(hook.release)
 	readUntil("done")
-	want := []string{"queued", "batched", "coarse", "refined", "done"}
+	want := []string{"queued", "coarse", "refined", "done"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("event sequence %v, want %v", got, want)
 	}
@@ -257,57 +257,78 @@ func TestJobProgressiveSSE(t *testing.T) {
 	}
 }
 
-// TestJobBatchBurst submits a burst of 8 compatible jobs and checks
-// they coalesce into at most 2 batches sharing setup, every output is
-// byte-identical to its synchronous equivalent, and the final frames
-// land in the response cache under the sync digests.
-func TestJobBatchBurst(t *testing.T) {
+// TestJobsShareCoarseSubsample submits render jobs for one volume
+// generation, dtype and coarse level one after another: the coarse
+// subsample is built once and reused, a PUT of the volume drops it with
+// the old generation and the next job builds it again, and every
+// refined frame is byte-identical to the sync /render of its
+// parameters, which the job left in the response cache.
+func TestJobsShareCoarseSubsample(t *testing.T) {
 	cfg := testConfig()
 	cfg.cacheBytes = 1 << 20
-	cfg.jobLinger = 50 * time.Millisecond // generous window so the burst lands in one linger
 	a, _, _ := startApp(t, cfg)
 	base := "http://" + a.apiAddr()
+	st := a.srv.store.(*store.Store)
 
-	const n = 8
-	ids := make([]string, n)
-	for i := 0; i < n; i++ {
-		req := renderRequest{Volume: "demo", View: i, Views: n, Width: 32, Height: 32, Workers: 1}
-		ids[i] = submitJob(t, base, jobRequest{Render: &req})
-	}
-	for i, id := range ids {
-		waitFor(t, fmt.Sprintf("job %d terminal", i), func() bool {
-			st := jobState(t, base, id)
-			return st == "done" || st == "failed" || st == "cancelled"
-		})
-		if st := jobState(t, base, id); st != "done" {
-			t.Fatalf("job %d: state %s", i, st)
+	// runJobs runs one uint8 render job per view, each after the last
+	// has finished, and checks its refined frame against the cache.
+	runJobs := func(views ...int) {
+		t.Helper()
+		for _, v := range views {
+			req := renderRequest{Volume: "pv", View: v, Views: 8, Width: 32, Height: 32, Workers: 1, Dtype: "uint8"}
+			id := submitJob(t, base, jobRequest{Render: &req})
+			frame := jobRefinedFrame(t, base, id)
+			waitFor(t, "job done", func() bool { return jobState(t, base, id) == "done" })
+			resp := postJSON(t, base+"/render", req)
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" {
+				t.Errorf("sync render of view %d after its job: status %d, X-Cache %q, want a hit", v, resp.StatusCode, resp.Header.Get("X-Cache"))
+			}
+			if !bytes.Equal(frame, body) {
+				t.Errorf("view %d: refined frame (%d bytes) differs from the sync render (%d bytes)", v, len(frame), len(body))
+			}
 		}
-	}
-	st := a.srv.jobs.Stats()
-	if st.Batches > 2 {
-		t.Errorf("burst of %d compatible jobs ran as %d batches, want <= 2", n, st.Batches)
-	}
-	if st.Done != n {
-		t.Errorf("done %d, want %d", st.Done, n)
 	}
 
-	// Each job warmed the cache under the digest a sync request
-	// computes: every one of these must be a hit, and the bytes must
-	// match a batched job's output exactly.
-	for i := 0; i < n; i++ {
-		req := renderRequest{Volume: "demo", View: i, Views: n, Width: 32, Height: 32, Workers: 1}
-		resp := postJSON(t, base+"/render", req)
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("sync render %d: status %d", i, resp.StatusCode)
-		}
-		if out := resp.Header.Get("X-Cache"); out != "hit" {
-			t.Errorf("sync render %d after job: X-Cache %q, want hit (job should have warmed the cache)", i, out)
-		}
-		if _, err := png.Decode(bytes.NewReader(body)); err != nil {
-			t.Errorf("cached frame %d is not a PNG: %v", i, err)
-		}
+	putPlume(t, base, "pv")
+	runJobs(0, 1, 2, 3)
+	if got := spanCount(a, "job", "subsample"); got != 1 {
+		t.Errorf("4 jobs on one generation: %d subsample builds, want 1", got)
+	}
+	vol, err := st.Get("pv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := a.srv.coarse(nil, vol, sfcmem.U8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u8, err := a.srv.converted(nil, vol, sfcmem.U8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := a.srv.prepare(nil, vol, sfcmem.U8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := st.ResidentBytes(), residentVolumeBytes(st)+u8.Bytes()+p.accel.Bytes()+g.Bytes(); got != want {
+		t.Errorf("resident bytes %d, want %d: the subsample must count against the RAM tier", got, want)
+	}
+	if nx, ny, nz := g.Dims(); nx != 8 || ny != 8 || nz != 8 || g.Dtype() != sfcmem.U8 {
+		t.Errorf("coarse grid %dx%dx%d %v, want the 8³ uint8 level-2 subsample of the 32³ volume", nx, ny, nz, g.Dtype())
+	}
+
+	putPlume(t, base, "pv")
+	if got, want := st.ResidentBytes(), residentVolumeBytes(st); got != want {
+		t.Errorf("after PUT resident bytes %d, want %d: the old generation's subsample must go", got, want)
+	}
+	runJobs(4, 5)
+	if got := spanCount(a, "job", "subsample"); got != 2 {
+		t.Errorf("PUT + 2 jobs: %d subsample builds in all, want 2", got)
+	}
+	if st := a.srv.jobs.Stats(); st.Done != 6 || st.Dispatched != 6 {
+		t.Errorf("job stats %+v, want 6 dispatched and done", st)
 	}
 }
 
@@ -450,16 +471,18 @@ func TestJobsMixedPriorityConcurrent(t *testing.T) {
 	}
 }
 
-// TestJobDrainCompletesQueuedWork submits jobs still lingering in a
-// pending batch and immediately begins shutdown: the drain must seal
-// and run them to completion, and run() must exit clean.
+// TestJobDrainCompletesQueuedWork parks the only runner in a kernel,
+// queues jobs behind it and begins shutdown: the drain must run the
+// queued jobs to completion, and run() must exit clean.
 func TestJobDrainCompletesQueuedWork(t *testing.T) {
 	cfg := testConfig()
-	cfg.jobLinger = time.Hour // only the drain can seal the batch
+	cfg.slots = 1 // one runner
 	a, err := newApp(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	hook := newBlockingHook()
+	a.srv.renderImage = hook.render
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
@@ -467,11 +490,26 @@ func TestJobDrainCompletesQueuedWork(t *testing.T) {
 	base := "http://" + a.apiAddr()
 
 	var ids []string
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		req := renderRequest{Volume: "demo", View: i, Views: 8, Width: 24, Height: 24, Workers: 1}
 		ids = append(ids, submitJob(t, base, jobRequest{Render: &req}))
+		if i == 0 {
+			<-hook.entered // the runner is parked in the first job
+		}
+	}
+	for _, id := range ids[1:] {
+		if st := jobState(t, base, id); st != "queued" {
+			t.Fatalf("job %s is %s behind a parked runner, want queued", id, st)
+		}
 	}
 	cancel() // SIGTERM equivalent
+	// Release the kernel only once the manager refuses new work, so the
+	// queued jobs are run by the drain.
+	waitFor(t, "drain began", func() bool {
+		_, err := a.srv.jobs.Submit(jobs.Spec{Run: func(context.Context, *jobs.Job) error { return nil }})
+		return errors.Is(err, jobs.ErrDraining)
+	})
+	close(hook.release)
 	if err := <-done; err != nil {
 		t.Fatalf("app.run during drain: %v", err)
 	}
@@ -483,6 +521,43 @@ func TestJobDrainCompletesQueuedWork(t *testing.T) {
 		if j.State() != jobs.StateDone {
 			t.Errorf("job %s drained to %s, want done", id, j.State())
 		}
+	}
+}
+
+// TestJobRefusedWhileDraining: a job submitted after the drain began
+// answers 503 and its trace is closed with that status, not left in
+// /ops/requests as a request that never ends.
+func TestJobRefusedWhileDraining(t *testing.T) {
+	a, err := newApp(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		a.apiLn.Close()
+		a.opsLn.Close()
+	})
+	if err := a.srv.jobs.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	a.srv.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(`{"render":{"volume":"demo"}}`)))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("POST /jobs while draining: status %d, want 503", rec.Code)
+	}
+	in := httptest.NewRecorder()
+	a.srv.hub.HandleInflight(in, nil)
+	var inflight []json.RawMessage
+	if err := json.Unmarshal(in.Body.Bytes(), &inflight); err != nil || len(inflight) != 0 {
+		t.Errorf("in-flight requests %s (err %v), want none", in.Body, err)
+	}
+	var statuses []int
+	for _, tr := range a.srv.hub.Ring().Recent(0) {
+		if tr.Route == "job" {
+			statuses = append(statuses, tr.Status)
+		}
+	}
+	if len(statuses) != 1 || statuses[0] != http.StatusServiceUnavailable {
+		t.Errorf("job trace statuses %v, want the refused job's 503", statuses)
 	}
 }
 

@@ -21,9 +21,11 @@
 // POST /jobs runs the same render/filter work asynchronously with
 // progressive delivery: a job streams a coarse preview frame (the
 // multiresolution subsample) over SSE (GET /jobs/{id}/events) before
-// the full-resolution refinement, compatible jobs batch together to
-// share dtype conversion and subsample setup (-job-batch, -job-linger),
-// and an interactive lane preempts bulk work at every dispatch.
+// the full-resolution refinement. Jobs run as they arrive, on -slots
+// runners, and an interactive lane preempts bulk work at every
+// dispatch; the converted view, prepared volume and subsample a job
+// needs are built once per stored generation and shared with every
+// other request.
 // DELETE /jobs/{id} (or a dropped SSE connection) cancels through the
 // kernels' context plumbing.
 //
@@ -89,8 +91,6 @@ type config struct {
 	slots           int
 	queueDepth      int
 	cacheBytes      int64
-	jobBatch        int
-	jobLinger       time.Duration
 	defaultDeadline time.Duration
 	maxDeadline     time.Duration
 	drainTimeout    time.Duration
@@ -131,8 +131,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	fs.IntVar(&cfg.slots, "slots", 2, "requests running kernels concurrently")
 	fs.IntVar(&cfg.queueDepth, "queue", 8, "admitted requests waiting beyond the running ones; overflow gets 429")
 	fs.Int64Var(&cfg.cacheBytes, "cache-bytes", 0, "render/filter response cache budget in bytes; 0 disables caching and request coalescing")
-	fs.IntVar(&cfg.jobBatch, "job-batch", 8, "jobs per batch before a pending /jobs batch runs immediately")
-	fs.DurationVar(&cfg.jobLinger, "job-linger", 25*time.Millisecond, "how long a pending /jobs batch waits for compatible company before running")
 	fs.DurationVar(&cfg.defaultDeadline, "deadline", 30*time.Second, "per-request deadline when the request sets none")
 	fs.DurationVar(&cfg.maxDeadline, "max-deadline", 2*time.Minute, "upper bound on client-requested deadlines")
 	fs.DurationVar(&cfg.drainTimeout, "drain", 30*time.Second, "how long shutdown waits for in-flight requests")
@@ -211,8 +209,8 @@ func newApp(cfg config) (*app, error) {
 	srv.enableCache(cfg.cacheBytes)
 	// Runner count tracks -slots: each running job holds one admission
 	// run slot for its kernel passes, so more runners than slots would
-	// only park batches in the admission queue.
-	srv.enableJobs(jobs.Config{MaxBatch: cfg.jobBatch, Linger: cfg.jobLinger, Runners: cfg.slots})
+	// only park jobs in the admission queue.
+	srv.enableJobs(jobs.Config{Runners: cfg.slots})
 	if !cfg.obsOff {
 		logw := cfg.accessLog
 		if logw == nil {

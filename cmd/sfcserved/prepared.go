@@ -7,9 +7,16 @@ package main
 // nothing. Both now happen once per stored generation and dtype, and
 // every render of that generation — sync /render misses and the
 // full-resolution pass of render jobs — reuses them. Filter misses,
-// sync and job, share the same converted views.
+// sync and job, share the same converted views, and render jobs' coarse
+// previews share one subsample per generation, dtype and level.
+//
+// All three live in the store as values derived from the volume
+// (store.Derived), which is what pays for layout-dependent data
+// movement once per stored generation instead of once per request.
 
 import (
+	"fmt"
+
 	"sfcmem"
 	"sfcmem/internal/obs"
 	"sfcmem/internal/store"
@@ -77,4 +84,39 @@ func (s *server) prepare(t *obs.Trace, vol *store.Volume, dt sfcmem.Dtype) (*pre
 		t.Note("prepared", "reused")
 	}
 	return val.(*prepared), nil
+}
+
+// coarse returns vol's subsample at dt and level (2^level per axis, in
+// the volume's own layout), the grid a render job's preview pass
+// raycasts. The store builds it from the converted view once per
+// resident generation, dtype and level (single-flight), charges it to
+// the RAM tier and drops it with the volume; a build records a
+// "subsample" stage in t. The caller checks that vol.Layout parses at
+// the full extents, which makes it parse at every subsampled size.
+func (s *server) coarse(t *obs.Trace, vol *store.Volume, dt sfcmem.Dtype, level int) (*sfcmem.AnyGrid, error) {
+	val, _, err := s.store.Derived(vol, fmt.Sprintf("coarse:%s:%d", dt, level), func() (any, int64, error) {
+		g, err := s.converted(t, vol, dt)
+		if err != nil {
+			return nil, 0, err
+		}
+		endSubsample := t.Stage("subsample")
+		c, err := sfcmem.SubsampleAny(g, level, func(nx, ny, nz int) sfcmem.Layout {
+			l, err := sfcmem.ParseLayoutSpec(vol.Layout, nx, ny, nz)
+			if err != nil {
+				// Unreachable: the spec parsed at the full extents, and
+				// shrinking extents never invalidates it.
+				panic(fmt.Sprintf("layout spec %q invalid at %dx%dx%d: %v", vol.Layout, nx, ny, nz, err))
+			}
+			return l
+		})
+		endSubsample()
+		if err != nil {
+			return nil, 0, err
+		}
+		return c, c.Bytes(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return val.(*sfcmem.AnyGrid), nil
 }

@@ -107,42 +107,25 @@ func (s *server) handleTuneVolume(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	spec, herr := s.tuneJobSpec(r.PathValue("name"), req, r.Header)
+	lane, err := jobs.ParseLane(valueOr(req.Priority, "bulk"))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	run, herr := s.tuneJob(r.PathValue("name"), req)
 	if herr != nil {
 		http.Error(w, herr.msg, herr.code)
 		return
 	}
-	j, err := s.jobs.Submit(spec)
-	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, jobs.ErrDraining) {
-			code = http.StatusServiceUnavailable
-		}
-		http.Error(w, err.Error(), code)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Location", "/jobs/"+j.ID)
-	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(map[string]any{ //nolint:errcheck // headers are out
-		"id":         j.ID,
-		"state":      j.State(),
-		"events_url": "/jobs/" + j.ID + "/events",
-	})
+	s.submit(w, r, lane, run)
 }
 
-// tuneJobSpec validates the request against the volume and builds the
-// scheduler spec. Identical tune submissions (same volume generation
-// and search parameters) share a batch key, so a duplicated request
-// coalesces instead of running the search twice.
-func (s *server) tuneJobSpec(name string, req tuneRequest, hdr http.Header) (jobs.Spec, *httpErr) {
+// tuneJob validates the request against the volume and returns the
+// job's run, runTuneJob.
+func (s *server) tuneJob(name string, req tuneRequest) (jobRun, *httpErr) {
 	kernel, err := tune.ParseKernel(valueOr(req.Kernel, string(tune.KernelBilateral)))
 	if err != nil {
-		return jobs.Spec{}, &httpErr{http.StatusBadRequest, err.Error()}
-	}
-	lane, err := jobs.ParseLane(valueOr(req.Priority, "bulk"))
-	if err != nil {
-		return jobs.Spec{}, &httpErr{http.StatusBadRequest, err.Error()}
+		return nil, &httpErr{http.StatusBadRequest, err.Error()}
 	}
 	if req.Seed == 0 {
 		req.Seed = 1
@@ -157,16 +140,16 @@ func (s *server) tuneJobSpec(name string, req tuneRequest, hdr http.Header) (job
 		req.Workers = 2
 	}
 	if req.Population > 64 || req.Generations > 32 || req.Workers > 16 {
-		return jobs.Spec{}, &httpErr{http.StatusBadRequest, "population, generations or workers out of range"}
+		return nil, &httpErr{http.StatusBadRequest, "population, generations or workers out of range"}
 	}
 	apply := req.Apply == nil || *req.Apply
 	vol, herr := s.getVolume(name)
 	if herr != nil {
-		return jobs.Spec{}, herr
+		return nil, herr
 	}
 	nx, ny, nz := vol.Grid.Dims()
 	if nx*ny*nz > maxTuneElems {
-		return jobs.Spec{}, &httpErr{http.StatusUnprocessableEntity,
+		return nil, &httpErr{http.StatusUnprocessableEntity,
 			fmt.Sprintf("volume %d×%d×%d exceeds the %d-element tuning limit", nx, ny, nz, maxTuneElems)}
 	}
 	cfg := tune.InterleaveConfig{
@@ -185,15 +168,8 @@ func (s *server) tuneJobSpec(name string, req tuneRequest, hdr http.Header) (job
 		Population:  req.Population,
 		Generations: req.Generations,
 	}
-	jt, _ := s.hub.Start(context.Background(), "job", hdr)
-	return jobs.Spec{
-		BatchKey: digest("tune", vol.Name, vol.Gen, kernel, req.Seed,
-			req.Population, req.Generations, req.Workers, apply),
-		Lane: lane,
-		Run: func(ctx context.Context, _ any, j *jobs.Job) error {
-			return s.runTuneJob(obs.With(ctx, jt), jt, vol, cfg, apply, j)
-		},
-		Done: s.jobDone(jt),
+	return func(ctx context.Context, jt *obs.Trace, j *jobs.Job) error {
+		return s.runTuneJob(ctx, jt, vol, cfg, apply, j)
 	}, nil
 }
 
@@ -202,7 +178,6 @@ func (s *server) tuneJobSpec(name string, req tuneRequest, hdr http.Header) (job
 // bump), result event. The admission slot covers both phases — the
 // search occupies simulator CPU, the re-layout streams the volume.
 func (s *server) runTuneJob(ctx context.Context, jt *obs.Trace, vol *store.Volume, cfg tune.InterleaveConfig, apply bool, j *jobs.Job) error {
-	s.recordQueueSpans(jt, j)
 	release, err := s.admit(ctx)
 	if err != nil {
 		return err

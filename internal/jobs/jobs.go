@@ -1,30 +1,24 @@
 // Package jobs is the async job subsystem behind sfcserved's /jobs
-// API: a bounded-lifecycle job queue with a batching scheduler and two
-// priority lanes.
+// API: a bounded-lifecycle job queue with two priority lanes.
 //
-// The scheduler groups compatible queued jobs — callers tag each
-// submission with a BatchKey (sfcserved uses volume × generation ×
-// dtype × layout) — into batches sealed by either a size trigger
-// (MaxBatch jobs pending for one key) or a deadline trigger (the
-// oldest pending job has lingered Linger). A batch runs its Setup
-// function once and shares the result with every job in it: for
-// SFC-layout volumes that is exactly the amortization Walker &
-// Skjellum argue for — the dtype-converted flat view and the coarse
-// subsample level are resolved once per batch instead of once per
-// request, so the data movement that dominates structured-memory
-// workloads is paid once.
+// Submit appends a job to its lane's FIFO, and a fixed pool of runners
+// executes jobs one at a time as they arrive. Nothing waits for
+// company: the work a job could share with others of its volume
+// generation (converted views, prepared volumes, coarse subsamples)
+// is shared by the caller's per-generation cache, which pays for it
+// once per stored generation rather than once per group of jobs.
 //
-// Two lanes order dispatch, not execution: a sealed interactive batch
-// is always picked before a sealed bulk batch, so interactive jobs
-// overtake bulk sweeps at every scheduling point, but a batch already
-// running is never interrupted (its jobs still honor per-job context
+// Two lanes order dispatch, not execution: a runner always takes the
+// oldest interactive job before any bulk job, so interactive jobs
+// overtake bulk sweeps at every scheduling point, but a job already
+// running is never interrupted (it still honors its own context's
 // cancellation).
 //
-// Every job carries an ordered event log (queued, batched, progressive
-// events emitted by Run, then exactly one terminal event). Subscribers
-// get the full past replayed and then live delivery, so an SSE stream
-// attached late — or re-attached after a disconnect — sees the same
-// sequence as one attached at submit time.
+// Every job carries an ordered event log (queued, progressive events
+// emitted by Run, then exactly one terminal event). Subscribers get the
+// full past replayed and then live delivery, so an SSE stream attached
+// late — or re-attached after a disconnect — sees the same sequence as
+// one attached at submit time.
 package jobs
 
 import (
@@ -34,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,7 +41,7 @@ const (
 	// Interactive jobs are dispatched before bulk jobs at every
 	// scheduling decision.
 	Interactive Lane = iota
-	// Bulk jobs run when no interactive batch is waiting.
+	// Bulk jobs run when no interactive job is waiting.
 	Bulk
 	laneCount
 )
@@ -80,11 +75,10 @@ type State string
 
 // Job lifecycle states.
 const (
-	StateQueued    State = "queued"    // submitted, batch not sealed
-	StateBatched   State = "batched"   // batch sealed, waiting for a runner
+	StateQueued    State = "queued"    // submitted, waiting for a runner
 	StateRunning   State = "running"   // Run executing
 	StateDone      State = "done"      // Run returned nil
-	StateFailed    State = "failed"    // Run (or Setup) returned an error
+	StateFailed    State = "failed"    // Run returned an error
 	StateCancelled State = "cancelled" // cancelled by the caller
 )
 
@@ -105,21 +99,13 @@ type Event struct {
 
 // Spec describes one job submission.
 type Spec struct {
-	// BatchKey groups compatible jobs: submissions with equal keys on
-	// the same lane may share a batch (and its Setup result).
-	BatchKey string
 	// Lane selects the scheduling priority.
 	Lane Lane
-	// Setup, when non-nil, runs once per batch before any of its jobs
-	// and its result is passed to every Run in the batch. An error
-	// fails every job in the batch that is still live.
-	Setup func(ctx context.Context) (any, error)
 	// Run executes the job. ctx is the job's own context (cancelled by
-	// Job.Cancel or manager drain expiry); shared is the batch's Setup
-	// result (nil without Setup). Run may emit progressive events via
-	// Job.Emit. A nil return completes the job; a context error
-	// cancels or fails it depending on who cancelled.
-	Run func(ctx context.Context, shared any, j *Job) error
+	// Job.Cancel or manager drain expiry). Run may emit progressive
+	// events via Job.Emit. A nil return completes the job; a context
+	// error cancels or fails it depending on who cancelled.
+	Run func(ctx context.Context, j *Job) error
 	// Done, when non-nil, is called exactly once after the job's
 	// terminal event is published — the hook sfcserved uses to close
 	// out the job's trace and metrics.
@@ -130,7 +116,6 @@ type Spec struct {
 // was never reached.
 type Times struct {
 	Submitted time.Time
-	Sealed    time.Time // batch sealed (job left the pending set)
 	Started   time.Time // Run began
 	Finished  time.Time // terminal state reached
 }
@@ -146,26 +131,24 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu        sync.Mutex
-	state     State
-	err       string
-	times     Times
-	events    []Event
-	subs      map[chan Event]struct{}
-	userCncl  bool // Cancel() was called (vs ctx dying for another reason)
-	result    any
-	batchSize int
-	done      chan struct{}
+	mu       sync.Mutex
+	state    State
+	err      string
+	times    Times
+	events   []Event
+	subs     map[chan Event]struct{}
+	userCncl bool // Cancel() was called (vs ctx dying for another reason)
+	result   any
+	done     chan struct{}
 }
 
 // Status is a job's JSON snapshot for the GET /jobs/{id} endpoint.
 type Status struct {
-	ID        string `json:"id"`
-	State     State  `json:"state"`
-	Lane      string `json:"lane"`
-	BatchSize int    `json:"batch_size,omitempty"`
-	Error     string `json:"error,omitempty"`
-	Events    int    `json:"events"`
+	ID     string `json:"id"`
+	State  State  `json:"state"`
+	Lane   string `json:"lane"`
+	Error  string `json:"error,omitempty"`
+	Events int    `json:"events"`
 
 	SubmittedAt time.Time  `json:"submitted_at"`
 	StartedAt   *time.Time `json:"started_at,omitempty"`
@@ -180,7 +163,6 @@ func (j *Job) Snapshot() Status {
 		ID:          j.ID,
 		State:       j.state,
 		Lane:        j.spec.Lane.String(),
-		BatchSize:   j.batchSize,
 		Error:       j.err,
 		Events:      len(j.events),
 		SubmittedAt: j.times.Submitted,
@@ -217,14 +199,6 @@ func (j *Job) Err() string {
 	return j.err
 }
 
-// BatchSize reports how many jobs shared this job's batch (0 until
-// sealed).
-func (j *Job) BatchSize() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.batchSize
-}
-
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
@@ -243,10 +217,10 @@ func (j *Job) Result() any {
 	return j.result
 }
 
-// Cancel requests cancellation. A queued or batched job transitions to
-// Cancelled immediately (its Run never starts); a running job has its
-// context cancelled and reaches Cancelled when Run returns. Cancel on
-// a terminal job is a no-op.
+// Cancel requests cancellation. A queued job transitions to Cancelled
+// immediately and leaves its lane (its Run never starts); a running job
+// has its context cancelled and reaches Cancelled when Run returns.
+// Cancel on a terminal job is a no-op.
 func (j *Job) Cancel() {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -260,8 +234,11 @@ func (j *Job) Cancel() {
 	}
 	j.mu.Unlock()
 	j.cancel()
-	if !running && j.spec.Done != nil {
-		j.spec.Done(j)
+	if !running {
+		j.mgr.dequeue(j)
+		if j.spec.Done != nil {
+			j.spec.Done(j)
+		}
 	}
 }
 
@@ -361,17 +338,9 @@ func (j *Job) finish(st State, errMsg string) bool {
 // Config tunes the manager. Zero values take the defaults noted on
 // each field.
 type Config struct {
-	// MaxBatch seals a pending batch when it reaches this many jobs
-	// (default 8).
-	MaxBatch int
-	// Linger seals a pending batch when its first job has waited this
-	// long (default 25ms) — the deadline half of the size/deadline
-	// trigger, bounding the latency cost of waiting for company.
-	Linger time.Duration
-	// Runners is how many batches execute concurrently (default 2).
-	// Jobs inside a batch run sequentially; the kernel-level admission
-	// gate is the caller's (sfcserved acquires its run slots inside
-	// Run).
+	// Runners is how many jobs execute concurrently (default 2). The
+	// kernel-level admission gate is the caller's (sfcserved acquires
+	// its run slots inside Run).
 	Runners int
 	// Keep bounds how many terminal jobs stay queryable (default 128);
 	// the oldest are dropped first. Live jobs are never dropped.
@@ -379,12 +348,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
-	}
-	if c.Linger <= 0 {
-		c.Linger = 25 * time.Millisecond
-	}
 	if c.Runners <= 0 {
 		c.Runners = 2
 	}
@@ -397,35 +360,20 @@ func (c Config) withDefaults() Config {
 // Stats is a point-in-time snapshot of the manager's counters and
 // queue state.
 type Stats struct {
-	Submitted uint64 // jobs accepted
-	Done      uint64 // jobs completed successfully
-	Failed    uint64 // jobs failed (incl. setup failures and drain expiry)
-	Cancelled uint64 // jobs cancelled
-	Batches   uint64 // batches dispatched to a runner
-	Pending   int    // jobs in unsealed batches
-	Ready     int    // jobs in sealed batches awaiting a runner
-	Running   int    // batches currently executing
-}
-
-// batch is a group of compatible jobs that share one Setup.
-type batch struct {
-	key    string
-	lane   Lane
-	jobs   []*Job
-	sealed bool
-	timer  *time.Timer
-}
-
-type pendingKey struct {
-	lane Lane
-	key  string
+	Submitted  uint64 // jobs accepted
+	Done       uint64 // jobs completed successfully
+	Failed     uint64 // jobs failed (incl. drain expiry)
+	Cancelled  uint64 // jobs cancelled
+	Dispatched uint64 // jobs a runner started
+	Pending    int    // jobs waiting for a runner
+	Running    int    // jobs currently executing
 }
 
 // ErrDraining is returned by Submit once Drain has begun.
 var ErrDraining = errors.New("jobs: manager is draining")
 
-// Manager owns the queue, the batching scheduler, and the runner pool.
-// Construct with New; call Drain exactly once to shut down.
+// Manager owns the two lane queues and the runner pool. Construct with
+// New; call Drain exactly once to shut down.
 type Manager struct {
 	cfg    Config
 	ctx    context.Context
@@ -435,18 +383,15 @@ type Manager struct {
 	cond     *sync.Cond
 	jobs     map[string]*Job
 	order    []string // insertion order, for GC
-	pending  map[pendingKey]*batch
-	ready    [laneCount][]*batch
-	pendingN int
-	readyN   int
+	queue    [laneCount][]*Job
 	running  int
 	draining bool
 
-	submitted atomic.Uint64
-	doneN     atomic.Uint64
-	failed    atomic.Uint64
-	cancelled atomic.Uint64
-	batches   atomic.Uint64
+	submitted  atomic.Uint64
+	doneN      atomic.Uint64
+	failed     atomic.Uint64
+	cancelled  atomic.Uint64
+	dispatched atomic.Uint64
 
 	wg sync.WaitGroup
 }
@@ -456,11 +401,10 @@ func New(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		cfg:     cfg,
-		ctx:     ctx,
-		cancel:  cancel,
-		jobs:    make(map[string]*Job),
-		pending: make(map[pendingKey]*batch),
+		cfg:    cfg,
+		ctx:    ctx,
+		cancel: cancel,
+		jobs:   make(map[string]*Job),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	for i := 0; i < cfg.Runners; i++ {
@@ -479,9 +423,9 @@ func newID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Submit enqueues a job. The returned Job is immediately queryable and
-// subscribable; its "queued" event is already published. Fails with
-// ErrDraining after Drain begins.
+// Submit appends a job to its lane's queue. The returned Job is
+// immediately queryable and subscribable; its "queued" event is
+// already published. Fails with ErrDraining after Drain begins.
 func (m *Manager) Submit(spec Spec) (*Job, error) {
 	if spec.Run == nil {
 		return nil, errors.New("jobs: Spec.Run must be non-nil")
@@ -497,10 +441,11 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 		done:   make(chan struct{}),
 	}
 	j.times.Submitted = time.Now()
+	j.publishLocked(string(StateQueued), nil) // j is not shared yet
 
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.draining {
-		m.mu.Unlock()
 		jcancel()
 		return nil, ErrDraining
 	}
@@ -508,63 +453,21 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j.ID)
 	m.gcLocked()
-
-	j.mu.Lock()
-	j.publishLocked(string(StateQueued), nil)
-	j.mu.Unlock()
-
-	pk := pendingKey{spec.Lane, spec.BatchKey}
-	b := m.pending[pk]
-	if b == nil {
-		b = &batch{key: spec.BatchKey, lane: spec.Lane}
-		m.pending[pk] = b
-		// Deadline trigger: seal when the first job has lingered long
-		// enough, whether or not company arrived.
-		b.timer = time.AfterFunc(m.cfg.Linger, func() {
-			m.mu.Lock()
-			m.sealLocked(pk, b)
-			m.mu.Unlock()
-		})
-	}
-	b.jobs = append(b.jobs, j)
-	m.pendingN++
-	if len(b.jobs) >= m.cfg.MaxBatch {
-		// Size trigger.
-		m.sealLocked(pk, b)
-	}
-	m.mu.Unlock()
+	m.queue[spec.Lane] = append(m.queue[spec.Lane], j)
+	m.cond.Broadcast()
 	return j, nil
 }
 
-// sealLocked moves a pending batch to its lane's ready queue and marks
-// its jobs batched. Callers hold m.mu; safe to call twice (the linger
-// timer and the size trigger can race).
-func (m *Manager) sealLocked(pk pendingKey, b *batch) {
-	if b.sealed || m.pending[pk] != b {
-		return
+// dequeue drops a job cancelled while queued from its lane, so it no
+// longer counts as pending. A runner that popped it first skips it.
+func (m *Manager) dequeue(j *Job) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	q := m.queue[j.spec.Lane]
+	if i := slices.Index(q, j); i >= 0 {
+		m.queue[j.spec.Lane] = slices.Delete(q, i, i+1)
+		m.cond.Broadcast() // Drain waits for the queues to empty
 	}
-	b.sealed = true
-	delete(m.pending, pk)
-	if b.timer != nil {
-		b.timer.Stop()
-	}
-	now := time.Now()
-	size := len(b.jobs)
-	for _, j := range b.jobs {
-		j.mu.Lock()
-		if !j.state.Terminal() {
-			j.state = StateBatched
-			j.times.Sealed = now
-			j.batchSize = size
-			data, _ := json.Marshal(map[string]any{"batch_size": size, "lane": b.lane.String()}) //nolint:errcheck
-			j.publishLocked(string(StateBatched), data)
-		}
-		j.mu.Unlock()
-	}
-	m.ready[b.lane] = append(m.ready[b.lane], b)
-	m.pendingN -= size
-	m.readyN += size
-	m.cond.Broadcast()
 }
 
 // Get returns the job with the given ID while it is still retained.
@@ -578,18 +481,23 @@ func (m *Manager) Get(id string) (*Job, bool) {
 // Stats snapshots the counters and queue depths.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
-	pending, ready, running := m.pendingN, m.readyN, m.running
+	pending, running := m.pendingLocked(), m.running
 	m.mu.Unlock()
 	return Stats{
-		Submitted: m.submitted.Load(),
-		Done:      m.doneN.Load(),
-		Failed:    m.failed.Load(),
-		Cancelled: m.cancelled.Load(),
-		Batches:   m.batches.Load(),
-		Pending:   pending,
-		Ready:     ready,
-		Running:   running,
+		Submitted:  m.submitted.Load(),
+		Done:       m.doneN.Load(),
+		Failed:     m.failed.Load(),
+		Cancelled:  m.cancelled.Load(),
+		Dispatched: m.dispatched.Load(),
+		Pending:    pending,
+		Running:    running,
 	}
+}
+
+// pendingLocked counts the queued jobs of both lanes. Callers hold
+// m.mu.
+func (m *Manager) pendingLocked() int {
+	return len(m.queue[Interactive]) + len(m.queue[Bulk])
 }
 
 // gcLocked drops the oldest terminal jobs past the Keep bound. Callers
@@ -620,94 +528,62 @@ func (m *Manager) gcLocked() {
 	m.order = keep
 }
 
-// runner executes sealed batches, interactive lane first, until the
-// ready queues are empty and the manager is draining.
+// runner executes queued jobs one at a time, interactive lane first,
+// until the queues are empty and the manager is draining.
 func (m *Manager) runner() {
 	defer m.wg.Done()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for {
-		m.mu.Lock()
-		var b *batch
-		for {
-			if b = m.popLocked(); b != nil {
-				break
-			}
+		j := m.popLocked()
+		if j == nil {
 			if m.draining {
-				m.mu.Unlock()
 				return
 			}
 			m.cond.Wait()
+			continue
 		}
 		m.running++
-		m.readyN -= len(b.jobs)
 		m.mu.Unlock()
-
-		m.batches.Add(1)
-		m.runBatch(b)
-
+		m.run(j)
 		m.mu.Lock()
 		m.running--
 		m.cond.Broadcast() // Drain waits on running==0
-		m.mu.Unlock()
 	}
 }
 
-// popLocked takes the next ready batch, preferring the interactive
+// popLocked takes the next queued job, preferring the interactive
 // lane. Callers hold m.mu.
-func (m *Manager) popLocked() *batch {
+func (m *Manager) popLocked() *Job {
 	for lane := Lane(0); lane < laneCount; lane++ {
-		if q := m.ready[lane]; len(q) > 0 {
-			m.ready[lane] = q[1:]
+		if q := m.queue[lane]; len(q) > 0 {
+			m.queue[lane] = q[1:]
 			return q[0]
 		}
 	}
 	return nil
 }
 
-// runBatch executes one sealed batch: Setup once, then each live job
-// in submit order.
-func (m *Manager) runBatch(b *batch) {
-	live := b.jobs[:0]
-	for _, j := range b.jobs {
-		if !j.State().Terminal() {
-			live = append(live, j)
-		}
-	}
-	if len(live) == 0 {
+// run executes one job unless it was cancelled while queued.
+func (m *Manager) run(j *Job) {
+	j.mu.Lock()
+	if j.state.Terminal() {
+		j.mu.Unlock()
 		return
 	}
+	j.state = StateRunning
+	j.times.Started = time.Now()
+	j.mu.Unlock()
+	m.dispatched.Add(1)
 
-	var shared any
-	if setup := live[0].spec.Setup; setup != nil {
-		var err error
-		// Setup runs under the manager's context: it serves the whole
-		// batch, so one job's cancellation must not abort it.
-		if shared, err = setup(m.ctx); err != nil {
-			for _, j := range live {
-				j.finish(StateFailed, "batch setup: "+err.Error())
-			}
-			return
-		}
-	}
-
-	for _, j := range live {
-		j.mu.Lock()
-		if j.state.Terminal() {
-			j.mu.Unlock()
-			continue
-		}
-		j.state = StateRunning
-		j.times.Started = time.Now()
-		j.mu.Unlock()
-
-		err := j.spec.Run(j.ctx, shared, j)
-		switch {
-		case err == nil:
-			j.finish(StateDone, "")
-		case errors.Is(err, context.Canceled) && j.cancelRequested():
-			j.finish(StateCancelled, "cancelled")
-		default:
-			j.finish(StateFailed, err.Error())
-		}
+	err := j.spec.Run(j.ctx, j)
+	switch {
+	case err == nil:
+		j.finish(StateDone, "")
+	case errors.Is(err, context.Canceled) && j.cancelRequested():
+		j.finish(StateCancelled, "cancelled")
+	default:
+		j.finish(StateFailed, err.Error())
 	}
 }
 
@@ -719,25 +595,21 @@ func (j *Job) cancelRequested() bool {
 	return j.userCncl
 }
 
-// Drain shuts the manager down: new submissions fail with ErrDraining,
-// every pending batch seals immediately, and queued work runs to
-// completion. If ctx expires first, the manager context is cancelled —
+// Drain shuts the manager down: new submissions fail with ErrDraining
+// and queued work runs to completion. If ctx expires first, the manager context is cancelled —
 // running kernels abort through their job contexts and the affected
 // jobs terminate as failed — and Drain returns ctx.Err(). Runner
 // goroutines are joined before returning in either case.
 func (m *Manager) Drain(ctx context.Context) error {
 	m.mu.Lock()
 	m.draining = true
-	for pk, b := range m.pending {
-		m.sealLocked(pk, b)
-	}
 	m.cond.Broadcast()
 	m.mu.Unlock()
 
 	done := make(chan struct{})
 	go func() {
 		m.mu.Lock()
-		for m.readyN > 0 || m.running > 0 {
+		for m.pendingLocked() > 0 || m.running > 0 {
 			m.cond.Wait()
 		}
 		m.mu.Unlock()
@@ -750,7 +622,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		err = ctx.Err()
 		// Abort running kernels; their jobs fail, runners then find the
-		// queues drained (remaining ready jobs fail fast on dead
+		// queues drained (remaining queued jobs fail fast on dead
 		// contexts via their Run implementations or terminate normally).
 		m.cancel()
 		<-done

@@ -30,117 +30,45 @@ func drain(t *testing.T, m *Manager) {
 	}
 }
 
-func TestSizeTriggerSharesSetup(t *testing.T) {
-	// Linger far beyond the test horizon: only the size trigger can seal.
-	m := New(Config{MaxBatch: 4, Linger: time.Hour, Runners: 1})
-	var setups, runs atomic.Int32
-	spec := func() Spec {
-		return Spec{
-			BatchKey: "vol|f32|zorder",
-			Setup: func(ctx context.Context) (any, error) {
-				setups.Add(1)
-				return "shared-view", nil
-			},
-			Run: func(ctx context.Context, shared any, j *Job) error {
-				if shared != "shared-view" {
-					t.Errorf("job %s got shared %v", j.ID, shared)
-				}
-				runs.Add(1)
-				return nil
-			},
-		}
-	}
-	var js []*Job
-	for i := 0; i < 4; i++ {
-		j, err := m.Submit(spec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		js = append(js, j)
-	}
-	for _, j := range js {
-		waitTerminal(t, j)
-		if j.State() != StateDone {
-			t.Fatalf("job %s: %s (%s)", j.ID, j.State(), j.Err())
-		}
-		if j.BatchSize() != 4 {
-			t.Errorf("job %s batch size %d, want 4", j.ID, j.BatchSize())
-		}
-	}
-	if setups.Load() != 1 {
-		t.Errorf("setup ran %d times, want once per batch", setups.Load())
-	}
-	if runs.Load() != 4 {
-		t.Errorf("runs %d, want 4", runs.Load())
-	}
-	st := m.Stats()
-	if st.Submitted != 4 || st.Done != 4 || st.Batches != 1 {
-		t.Errorf("stats %+v", st)
-	}
-	drain(t, m)
-}
-
-func TestLingerTriggerSealsSingleton(t *testing.T) {
-	m := New(Config{MaxBatch: 100, Linger: 5 * time.Millisecond, Runners: 1})
-	j, err := m.Submit(Spec{
-		BatchKey: "k",
-		Run:      func(ctx context.Context, shared any, j *Job) error { return nil },
-	})
+// park occupies one runner with a job that blocks until the returned
+// release is called (at the latest when the test ends), so later
+// submissions stay queued until then.
+func park(t *testing.T, m *Manager) (gate *Job, release func()) {
+	t.Helper()
+	started, block := make(chan struct{}), make(chan struct{})
+	gate, err := m.Submit(Spec{Run: func(context.Context, *Job) error {
+		close(started)
+		<-block
+		return nil
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitTerminal(t, j)
-	if j.State() != StateDone || j.BatchSize() != 1 {
-		t.Fatalf("state %s size %d", j.State(), j.BatchSize())
-	}
-	tm := j.Times()
-	if tm.Sealed.Before(tm.Submitted) || tm.Started.Before(tm.Sealed) || tm.Finished.Before(tm.Started) {
-		t.Errorf("timestamps out of order: %+v", tm)
-	}
-	drain(t, m)
-}
-
-func TestDistinctKeysDoNotBatch(t *testing.T) {
-	m := New(Config{MaxBatch: 2, Linger: 5 * time.Millisecond, Runners: 2})
-	a, _ := m.Submit(Spec{BatchKey: "a", Run: func(context.Context, any, *Job) error { return nil }})
-	b, _ := m.Submit(Spec{BatchKey: "b", Run: func(context.Context, any, *Job) error { return nil }})
-	waitTerminal(t, a)
-	waitTerminal(t, b)
-	if a.BatchSize() != 1 || b.BatchSize() != 1 {
-		t.Errorf("batch sizes %d/%d, want 1/1", a.BatchSize(), b.BatchSize())
-	}
-	if m.Stats().Batches != 2 {
-		t.Errorf("batches %d, want 2", m.Stats().Batches)
-	}
-	drain(t, m)
+	<-started
+	release = sync.OnceFunc(func() { close(block) })
+	t.Cleanup(release) // a failed test must not leave the runner parked
+	return gate, release
 }
 
 func TestInteractivePreemptsBulk(t *testing.T) {
-	// One runner, blocked on a gate job. While it is blocked, queue a
-	// bulk batch then an interactive batch; the interactive one must run
-	// first even though it sealed later.
-	m := New(Config{MaxBatch: 1, Linger: time.Hour, Runners: 1})
-	gate := make(chan struct{})
-	started := make(chan string, 3)
+	// One runner, parked on a gate job. While it is parked, queue a
+	// bulk job then an interactive job; the interactive one must run
+	// first even though it arrived later.
+	m := New(Config{Runners: 1})
+	g, release := park(t, m)
+	started := make(chan string, 2)
 	mk := func(name string, lane Lane) Spec {
 		return Spec{
-			BatchKey: name,
-			Lane:     lane,
-			Run: func(ctx context.Context, _ any, j *Job) error {
+			Lane: lane,
+			Run: func(context.Context, *Job) error {
 				started <- name
-				if name == "gate" {
-					<-gate
-				}
 				return nil
 			},
 		}
 	}
-	g, _ := m.Submit(mk("gate", Bulk))
-	<-started // runner is now inside the gate job
 	bulk, _ := m.Submit(mk("bulk", Bulk))
 	inter, _ := m.Submit(mk("interactive", Interactive))
-	// Both are sealed (MaxBatch 1); let the runner loose.
-	close(gate)
+	release()
 	first := <-started
 	second := <-started
 	if first != "interactive" || second != "bulk" {
@@ -152,13 +80,55 @@ func TestInteractivePreemptsBulk(t *testing.T) {
 	drain(t, m)
 }
 
+// TestArrivalOrderAndCounts: jobs of one lane run in arrival order, one
+// dispatch each; Pending counts exactly the jobs waiting for a runner.
+func TestArrivalOrderAndCounts(t *testing.T) {
+	m := New(Config{Runners: 1})
+	_, release := park(t, m)
+	var mu sync.Mutex
+	var order []int
+	var js []*Job
+	for i := 0; i < 4; i++ {
+		j, err := m.Submit(Spec{Lane: Bulk, Run: func(context.Context, *Job) error {
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+			return nil
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		js = append(js, j)
+	}
+	if st := m.Stats(); st.Pending != 4 || st.Running != 1 || st.Dispatched != 1 {
+		t.Errorf("with the runner parked: %+v, want 4 pending, 1 running, 1 dispatched", st)
+	}
+	js[2].Cancel()
+	if st := m.Stats(); st.Pending != 3 {
+		t.Errorf("after cancelling a queued job: %d pending, want 3", st.Pending)
+	}
+	release()
+	for _, j := range js {
+		waitTerminal(t, j)
+	}
+	drain(t, m)
+	if fmt.Sprint(order) != "[0 1 3]" {
+		t.Errorf("run order %v, want [0 1 3]", order)
+	}
+	if st := m.Stats(); st.Dispatched != 4 || st.Pending != 0 || st.Running != 0 {
+		t.Errorf("after drain: %+v, want 4 dispatched (gate + 3), none pending or running", st)
+	}
+}
+
 func TestCancelQueuedNeverRuns(t *testing.T) {
-	m := New(Config{MaxBatch: 8, Linger: 20 * time.Millisecond, Runners: 1})
+	// The only runner is parked, so the job is still queued when it is
+	// cancelled.
+	m := New(Config{Runners: 1})
+	gate, release := park(t, m)
 	var ran atomic.Bool
 	var doneHook atomic.Bool
 	j, err := m.Submit(Spec{
-		BatchKey: "k",
-		Run: func(context.Context, any, *Job) error {
+		Run: func(context.Context, *Job) error {
 			ran.Store(true)
 			return nil
 		},
@@ -176,8 +146,15 @@ func TestCancelQueuedNeverRuns(t *testing.T) {
 		t.Error("Done hook not fired for queued-cancel")
 	}
 	j.Cancel() // idempotent
-	// Give the linger timer a chance to seal and the runner to (not) run it.
-	time.Sleep(50 * time.Millisecond)
+	if st := m.Stats(); st.Pending != 0 {
+		t.Errorf("cancelled job still pending: %+v", st)
+	}
+	// Once the runner is free, a job queued behind the cancelled one
+	// runs and the cancelled one does not.
+	release()
+	waitTerminal(t, gate)
+	next, _ := m.Submit(Spec{Run: func(context.Context, *Job) error { return nil }})
+	waitTerminal(t, next)
 	if ran.Load() {
 		t.Error("Run executed for a job cancelled while queued")
 	}
@@ -188,11 +165,10 @@ func TestCancelQueuedNeverRuns(t *testing.T) {
 }
 
 func TestCancelRunningAbortsViaContext(t *testing.T) {
-	m := New(Config{MaxBatch: 1, Linger: time.Hour, Runners: 1})
+	m := New(Config{Runners: 1})
 	started := make(chan struct{})
 	j, _ := m.Submit(Spec{
-		BatchKey: "k",
-		Run: func(ctx context.Context, _ any, _ *Job) error {
+		Run: func(ctx context.Context, _ *Job) error {
 			close(started)
 			<-ctx.Done() // a cancellable kernel observes ctx
 			return ctx.Err()
@@ -208,10 +184,9 @@ func TestCancelRunningAbortsViaContext(t *testing.T) {
 }
 
 func TestRunFailureMarksFailed(t *testing.T) {
-	m := New(Config{MaxBatch: 1, Linger: time.Hour, Runners: 1})
+	m := New(Config{Runners: 1})
 	j, _ := m.Submit(Spec{
-		BatchKey: "k",
-		Run:      func(context.Context, any, *Job) error { return errors.New("kernel exploded") },
+		Run: func(context.Context, *Job) error { return errors.New("kernel exploded") },
 	})
 	waitTerminal(t, j)
 	if j.State() != StateFailed || !strings.Contains(j.Err(), "kernel exploded") {
@@ -223,35 +198,12 @@ func TestRunFailureMarksFailed(t *testing.T) {
 	drain(t, m)
 }
 
-func TestSetupFailureFailsWholeBatch(t *testing.T) {
-	m := New(Config{MaxBatch: 2, Linger: time.Hour, Runners: 1})
-	spec := Spec{
-		BatchKey: "k",
-		Setup:    func(context.Context) (any, error) { return nil, errors.New("no such volume") },
-		Run: func(context.Context, any, *Job) error {
-			t.Error("Run called despite setup failure")
-			return nil
-		},
-	}
-	a, _ := m.Submit(spec)
-	b, _ := m.Submit(spec)
-	waitTerminal(t, a)
-	waitTerminal(t, b)
-	for _, j := range []*Job{a, b} {
-		if j.State() != StateFailed || !strings.Contains(j.Err(), "no such volume") {
-			t.Errorf("job %s: %s %q", j.ID, j.State(), j.Err())
-		}
-	}
-	drain(t, m)
-}
-
 func TestSubscribeReplayAndLive(t *testing.T) {
-	m := New(Config{MaxBatch: 1, Linger: time.Hour, Runners: 1})
+	m := New(Config{Runners: 1})
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	j, _ := m.Submit(Spec{
-		BatchKey: "k",
-		Run: func(ctx context.Context, _ any, j *Job) error {
+		Run: func(ctx context.Context, j *Job) error {
 			close(started)
 			<-gate
 			j.Emit("coarse", map[string]int{"level": 2})
@@ -261,8 +213,8 @@ func TestSubscribeReplayAndLive(t *testing.T) {
 	<-started
 	past, ch, cancel := j.Subscribe()
 	defer cancel()
-	// queued + batched already published.
-	if len(past) < 2 || past[0].Type != "queued" || past[1].Type != "batched" {
+	// queued already published; running is a state, not an event.
+	if len(past) != 1 || past[0].Type != "queued" {
 		t.Fatalf("replay %+v", past)
 	}
 	close(gate)
@@ -294,10 +246,9 @@ func TestSubscribeReplayAndLive(t *testing.T) {
 }
 
 func TestResultRoundTrip(t *testing.T) {
-	m := New(Config{MaxBatch: 1, Linger: time.Hour, Runners: 1})
+	m := New(Config{Runners: 1})
 	j, _ := m.Submit(Spec{
-		BatchKey: "k",
-		Run: func(ctx context.Context, _ any, j *Job) error {
+		Run: func(ctx context.Context, j *Job) error {
 			j.SetResult([]byte("png bytes"))
 			return nil
 		},
@@ -305,6 +256,10 @@ func TestResultRoundTrip(t *testing.T) {
 	waitTerminal(t, j)
 	if got, ok := j.Result().([]byte); !ok || string(got) != "png bytes" {
 		t.Errorf("result %v", j.Result())
+	}
+	tm := j.Times()
+	if tm.Started.Before(tm.Submitted) || tm.Finished.Before(tm.Started) {
+		t.Errorf("timestamps out of order: %+v", tm)
 	}
 	drain(t, m)
 }
@@ -315,20 +270,21 @@ func TestSubmitValidationAndDraining(t *testing.T) {
 		t.Error("nil Run accepted")
 	}
 	drain(t, m)
-	if _, err := m.Submit(Spec{Run: func(context.Context, any, *Job) error { return nil }}); !errors.Is(err, ErrDraining) {
+	if _, err := m.Submit(Spec{Run: func(context.Context, *Job) error { return nil }}); !errors.Is(err, ErrDraining) {
 		t.Errorf("submit after drain: %v", err)
 	}
 }
 
 func TestDrainRunsQueuedWork(t *testing.T) {
-	// Long linger: drain itself must seal the pending batch.
-	m := New(Config{MaxBatch: 100, Linger: time.Hour, Runners: 1})
+	// Three jobs wait behind a parked runner when the drain begins; the
+	// drain must run them, not drop them.
+	m := New(Config{Runners: 1})
+	gate, release := park(t, m)
 	var runs atomic.Int32
-	var js []*Job
+	js := []*Job{gate}
 	for i := 0; i < 3; i++ {
 		j, err := m.Submit(Spec{
-			BatchKey: "k",
-			Run: func(context.Context, any, *Job) error {
+			Run: func(context.Context, *Job) error {
 				runs.Add(1)
 				return nil
 			},
@@ -338,7 +294,29 @@ func TestDrainRunsQueuedWork(t *testing.T) {
 		}
 		js = append(js, j)
 	}
-	drain(t, m)
+	drained := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		drained <- m.Drain(ctx)
+	}()
+	// Release the runner only once the drain has begun.
+	for {
+		m.mu.Lock()
+		draining := m.draining
+		m.mu.Unlock()
+		if draining {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if runs.Load() != 0 || m.Stats().Pending != 3 {
+		t.Fatalf("before release: %d runs, stats %+v", runs.Load(), m.Stats())
+	}
+	release()
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
 	if runs.Load() != 3 {
 		t.Errorf("drain ran %d jobs, want 3", runs.Load())
 	}
@@ -350,11 +328,10 @@ func TestDrainRunsQueuedWork(t *testing.T) {
 }
 
 func TestDrainExpiryFailsStuckJob(t *testing.T) {
-	m := New(Config{MaxBatch: 1, Linger: time.Hour, Runners: 1})
+	m := New(Config{Runners: 1})
 	started := make(chan struct{})
 	j, _ := m.Submit(Spec{
-		BatchKey: "k",
-		Run: func(ctx context.Context, _ any, _ *Job) error {
+		Run: func(ctx context.Context, _ *Job) error {
 			close(started)
 			<-ctx.Done() // kernel honors cancellation but never finishes otherwise
 			return ctx.Err()
@@ -374,12 +351,11 @@ func TestDrainExpiryFailsStuckJob(t *testing.T) {
 }
 
 func TestGCKeepsLiveAndRecent(t *testing.T) {
-	m := New(Config{MaxBatch: 1, Linger: time.Hour, Runners: 1, Keep: 2})
+	m := New(Config{Runners: 1, Keep: 2})
 	var ids []string
 	for i := 0; i < 5; i++ {
 		j, err := m.Submit(Spec{
-			BatchKey: fmt.Sprintf("k%d", i),
-			Run:      func(context.Context, any, *Job) error { return nil },
+			Run: func(context.Context, *Job) error { return nil },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -387,15 +363,10 @@ func TestGCKeepsLiveAndRecent(t *testing.T) {
 		waitTerminal(t, j)
 		ids = append(ids, j.ID)
 	}
-	// Submitting one more triggers GC of the oldest terminal jobs.
-	gate := make(chan struct{})
-	started := make(chan struct{})
-	live, _ := m.Submit(Spec{BatchKey: "live", Run: func(ctx context.Context, _ any, _ *Job) error {
-		close(started)
-		<-gate
-		return nil
-	}})
-	<-started
+	// Submitting one more triggers GC of the oldest terminal jobs; the
+	// runner stays parked on it, and a second submission stays queued.
+	live, release := park(t, m)
+	queued, _ := m.Submit(Spec{Run: func(context.Context, *Job) error { return nil }})
 	if _, ok := m.Get(ids[0]); ok {
 		t.Error("oldest terminal job survived GC past Keep")
 	}
@@ -403,10 +374,14 @@ func TestGCKeepsLiveAndRecent(t *testing.T) {
 		t.Error("recent terminal job evicted")
 	}
 	if _, ok := m.Get(live.ID); !ok {
-		t.Error("live job evicted")
+		t.Error("running job evicted")
 	}
-	close(gate)
+	if _, ok := m.Get(queued.ID); !ok {
+		t.Error("queued job evicted")
+	}
+	release()
 	waitTerminal(t, live)
+	waitTerminal(t, queued)
 	drain(t, m)
 }
 
@@ -432,9 +407,9 @@ func TestParseLaneAndStrings(t *testing.T) {
 }
 
 func TestConcurrentMixedLoad(t *testing.T) {
-	// A racy soak: 32 jobs across lanes and keys, a third cancelled
-	// mid-flight, subscribers attached concurrently.
-	m := New(Config{MaxBatch: 4, Linger: 2 * time.Millisecond, Runners: 3})
+	// A racy soak: 32 jobs across lanes, a third cancelled mid-flight,
+	// subscribers attached concurrently.
+	m := New(Config{Runners: 3})
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
@@ -445,10 +420,8 @@ func TestConcurrentMixedLoad(t *testing.T) {
 				lane = Bulk
 			}
 			j, err := m.Submit(Spec{
-				BatchKey: fmt.Sprintf("key%d", i%3),
-				Lane:     lane,
-				Setup:    func(context.Context) (any, error) { return i % 3, nil },
-				Run: func(ctx context.Context, _ any, j *Job) error {
+				Lane: lane,
+				Run: func(ctx context.Context, j *Job) error {
 					j.Emit("coarse", i)
 					select {
 					case <-time.After(time.Duration(i%5) * time.Millisecond):
@@ -484,7 +457,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	}
 	wg.Wait()
 	st := m.Stats()
-	if st.Submitted != 32 || st.Done+st.Failed+st.Cancelled != 32 {
+	if st.Submitted != 32 || st.Done+st.Failed+st.Cancelled != 32 || st.Dispatched < st.Done || st.Dispatched > 32 {
 		t.Errorf("stats %+v", st)
 	}
 	if st.Failed != 0 {
