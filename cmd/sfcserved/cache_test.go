@@ -8,20 +8,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"testing"
 	"time"
 
 	"sfcmem"
+	"sfcmem/internal/obs"
 	"sfcmem/internal/store"
 )
-
-// cacheConfig is testConfig with the response cache switched on.
-func cacheConfig() config {
-	cfg := testConfig()
-	cfg.cacheBytes = 32 << 20
-	return cfg
-}
 
 // identicalRender is the request every coalescing/caching test repeats.
 var identicalRender = renderRequest{Volume: "demo", View: 3, Views: 8, Width: 32, Height: 32, Workers: 2}
@@ -113,7 +108,7 @@ func serveBuiltApp(t *testing.T, a *app) {
 // request is a cache hit with the same bytes; a PUT over the volume
 // forces the next request back to a miss that re-runs the kernel.
 func TestRenderCacheCoalescing(t *testing.T) {
-	a, err := newApp(cacheConfig())
+	a, err := newApp(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,12 +202,11 @@ func TestRenderCacheCoalescing(t *testing.T) {
 	}
 }
 
-// TestRenderETagNotModified: with the cache on, responses carry a
-// strong ETag; replaying it via If-None-Match answers 304 with an
+// TestRenderETagNotModified: responses carry a strong ETag; replaying it via If-None-Match answers 304 with an
 // empty body, and a PUT over the volume (new generation, new tag)
 // turns the same conditional request back into a full 200.
 func TestRenderETagNotModified(t *testing.T) {
-	a, _, _ := startApp(t, cacheConfig())
+	a, _, _ := startApp(t, testConfig())
 	url := "http://" + a.apiAddr() + "/render"
 
 	resp := postJSON(t, url, identicalRender)
@@ -269,7 +263,7 @@ func TestRenderETagNotModified(t *testing.T) {
 // TestRenderCacheRawFormat: raw frames cache with their dimension
 // headers intact, and png/raw digests do not collide.
 func TestRenderCacheRawFormat(t *testing.T) {
-	a, _, _ := startApp(t, cacheConfig())
+	a, _, _ := startApp(t, testConfig())
 	url := "http://" + a.apiAddr() + "/render"
 	req := identicalRender
 	req.Format = "raw"
@@ -304,7 +298,7 @@ func TestRenderCacheRawFormat(t *testing.T) {
 // kernel run, the cached JSON replays byte-identically, and the
 // conditional request answers 304.
 func TestFilterCacheAndETag(t *testing.T) {
-	a, _, _ := startApp(t, cacheConfig())
+	a, _, _ := startApp(t, testConfig())
 	url := "http://" + a.apiAddr() + "/filter"
 	req := filterRequest{Src: "demo", Kernel: "gaussian", Radius: 1, Workers: 2}
 
@@ -389,7 +383,7 @@ func uploadZeros(t *testing.T, a *app, name string, n int) {
 // 304 here would leave clients reading the uploaded bytes while being
 // told they are the filter result.
 func TestFilterDstClobberedByUpload(t *testing.T) {
-	a, _, _ := startApp(t, cacheConfig())
+	a, _, _ := startApp(t, testConfig())
 	url := "http://" + a.apiAddr() + "/filter"
 	req := filterRequest{Src: "demo", Kernel: "gaussian", Radius: 1, Workers: 2}
 
@@ -443,8 +437,8 @@ func TestFilterDstClobberedByUpload(t *testing.T) {
 // this process has not computed — store generations restart at 1 per
 // process and prove nothing across runs.
 func TestETagProcessScoped(t *testing.T) {
-	a1, _, _ := startApp(t, cacheConfig())
-	a2, _, _ := startApp(t, cacheConfig())
+	a1, _, _ := startApp(t, testConfig())
+	a2, _, _ := startApp(t, testConfig())
 
 	r1 := postJSON(t, "http://"+a1.apiAddr()+"/render", identicalRender)
 	r1.Body.Close()
@@ -466,7 +460,7 @@ func TestETagProcessScoped(t *testing.T) {
 // every PUT over an existing name advances the generation reported by
 // /volumes, and a fresh name starts at 1.
 func TestPutVolumeBumpsGeneration(t *testing.T) {
-	a, _, _ := startApp(t, cacheConfig())
+	a, _, _ := startApp(t, testConfig())
 
 	if v, _ := a.srv.store.Get("demo"); v.Gen != 1 {
 		t.Fatalf("initial demo gen = %d, want 1", v.Gen)
@@ -494,33 +488,10 @@ func TestPutVolumeBumpsGeneration(t *testing.T) {
 	}
 }
 
-// TestCacheDisabledKeepsLegacyResponses pins the -cache-bytes=0
-// default: no ETag, no X-Cache, and no 304 handling — exactly the
-// pre-cache service.
-func TestCacheDisabledKeepsLegacyResponses(t *testing.T) {
-	a, _, _ := startApp(t, testConfig())
-	url := "http://" + a.apiAddr() + "/render"
-
-	resp := postJSON(t, url, identicalRender)
-	resp.Body.Close()
-	if resp.Header.Get("ETag") != "" || resp.Header.Get("X-Cache") != "" {
-		t.Errorf("disabled cache leaked headers: ETag=%q X-Cache=%q",
-			resp.Header.Get("ETag"), resp.Header.Get("X-Cache"))
-	}
-	resp = postWithHeader(t, url, identicalRender, "If-None-Match", `"anything"`)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("disabled cache answered conditional with %d, want 200", resp.StatusCode)
-	}
-	if _, ok := a.srv.reg.Snapshot()["cache.hits"]; ok {
-		t.Error("disabled cache registered cache metrics")
-	}
-}
-
 // TestCacheMetricsRegistered: the ops registry carries the cache
-// counters and gauges once -cache-bytes is set.
+// counters and gauges.
 func TestCacheMetricsRegistered(t *testing.T) {
-	a, _, _ := startApp(t, cacheConfig())
+	a, _, _ := startApp(t, testConfig())
 	url := "http://" + a.apiAddr() + "/render"
 	resp := postJSON(t, url, identicalRender)
 	resp.Body.Close()
@@ -588,6 +559,39 @@ func TestEtagMatches(t *testing.T) {
 	for _, h := range []string{`"abd"`, `abc`, ``} {
 		if etagMatches(h, tag) {
 			t.Errorf("etagMatches(%q, %q) = true, want false", h, tag)
+		}
+	}
+}
+
+// BenchmarkRenderCacheHit serves one resident /render response through
+// the traced handler without a network: decode, digest, cache hit and
+// respond. Its allocs/op is the hit path's allocation count.
+func BenchmarkRenderCacheHit(b *testing.B) {
+	vols := store.NewMemory(nil)
+	v, err := parseVolumeSpec("demo=plume:16:zorder")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := vols.Put(v); err != nil {
+		b.Fatal(err)
+	}
+	s := newBareServer(b, vols, testConfig())
+	s.hub = obs.NewHub(io.Discard, 0)
+	mux := s.mux()
+	body := []byte(`{"volume":"demo","view":3,"views":8,"width":64,"height":64,"workers":1}`)
+	serve := func() string {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/render", bytes.NewReader(body)))
+		return rec.Header().Get("X-Cache")
+	}
+	if xc := serve(); xc != "miss" {
+		b.Fatalf("priming request: X-Cache %q, want miss", xc)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if xc := serve(); xc != "hit" {
+			b.Fatalf("X-Cache %q, want hit", xc)
 		}
 	}
 }

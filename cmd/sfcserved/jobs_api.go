@@ -26,7 +26,6 @@ import (
 
 	"sfcmem"
 	"sfcmem/internal/jobs"
-	"sfcmem/internal/metrics"
 	"sfcmem/internal/obs"
 	"sfcmem/internal/rcache"
 )
@@ -35,26 +34,6 @@ import (
 // the client abandoned; job traces use it to mark cancellations apart
 // from failures in /ops/trace/recent.
 const statusClientClosedRequest = 499
-
-// enableJobs wires the job manager and publishes the jobs.* metrics
-// family: lifecycle counters, queue-depth gauges, and the
-// time-to-first-coarse-frame histogram. jobs.batches keeps its name
-// from when runners dispatched batches of jobs; it counts runner
-// dispatches, one per job that started.
-func (s *server) enableJobs(cfg jobs.Config) {
-	s.jobs = jobs.New(cfg)
-	stat := func(f func(jobs.Stats) any) metrics.GaugeFunc {
-		return func() any { return f(s.jobs.Stats()) }
-	}
-	s.reg.Register("jobs.submitted", stat(func(st jobs.Stats) any { return st.Submitted }))
-	s.reg.Register("jobs.done", stat(func(st jobs.Stats) any { return st.Done }))
-	s.reg.Register("jobs.failed", stat(func(st jobs.Stats) any { return st.Failed }))
-	s.reg.Register("jobs.cancelled", stat(func(st jobs.Stats) any { return st.Cancelled }))
-	s.reg.Register("jobs.batches", stat(func(st jobs.Stats) any { return st.Dispatched }))
-	s.reg.Register("jobs.pending", stat(func(st jobs.Stats) any { return st.Pending }))
-	s.reg.Register("jobs.running", stat(func(st jobs.Stats) any { return st.Running }))
-	s.jobTTFB = s.reg.Histogram("jobs.ttfb")
-}
 
 // jobRequest is the POST /jobs body: exactly one operation (render or
 // filter) plus job-level scheduling fields.
@@ -88,10 +67,6 @@ type frameEvent struct {
 }
 
 func (s *server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
-	if s.jobs == nil {
-		http.Error(w, "jobs disabled", http.StatusServiceUnavailable)
-		return
-	}
 	var req jobRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
@@ -230,40 +205,32 @@ func (s *server) renderJob(req renderRequest, coarseLevel int) (jobRun, *httpErr
 }
 
 // runRenderJob is a render job's kernel path, executed on a scheduler
-// runner: the coarse preview (the volume's shared subsample at reduced
-// resolution, under its own admission slot; skipped at level 0), then
-// the full-resolution pass through the response cache under the digest
-// a sync /render computes. The full pass is renderOnce, so a job and a
-// sync request for one digest run the kernel once, and a job over an
-// already-served digest is a cache hit.
+// runner. A frame already in the response cache is the whole job: it
+// is emitted as the refined frame, with no preview and no admission
+// slot. Otherwise the job renders the coarse preview (the volume's
+// shared subsample at reduced resolution; skipped at level 0), then
+// the full-resolution pass through cached under the digest a sync
+// /render computes, so a job and a sync request for one digest run the
+// kernel once. Both passes wait for a run slot through admitJob, never
+// for a queue token. jobs.ttfb observes whichever frame comes first.
 func (s *server) runRenderJob(ctx context.Context, jt *obs.Trace, plan *renderPlan, coarseLevel int, j *jobs.Job) error {
-	req := plan.req
-	if coarseLevel > 0 {
-		g, err := s.coarse(jt, plan.vol, plan.dt, coarseLevel)
-		if err != nil {
+	v, hit := s.cache.Get(plan.key)
+	preview := !hit && coarseLevel > 0
+	if preview {
+		if err := s.renderPreview(ctx, jt, plan, coarseLevel, j); err != nil {
 			return err
 		}
-		cw, ch := max(req.Width>>coarseLevel, 16), max(req.Height>>coarseLevel, 16)
-		release, err := s.admit(ctx)
-		if err != nil {
+	}
+	if !hit {
+		var err error
+		if v, _, err = s.cached(ctx, jt, &plan.kernelPlan, s.admitJob); err != nil {
 			return err
 		}
-		cv, err := s.rasterize(ctx, jt, g, nil, req, cw, ch, "kernel.coarse")
-		release()
-		if err != nil {
-			return err
-		}
+	}
+	if !preview { // the refined frame is the job's first
 		s.jobTTFB.Observe(time.Since(j.Times().Submitted))
-		j.Emit("coarse", frameEvent{
-			Level: coarseLevel, Width: cw, Height: ch,
-			ContentType: cv.ContentType,
-			Frame:       base64.StdEncoding.EncodeToString(cv.Body),
-		})
 	}
-	v, _, err := s.cached(ctx, jt, plan.key, s.renderOnce(jt, plan))
-	if err != nil {
-		return err
-	}
+	req := plan.req
 	j.SetResult(&v)
 	j.Emit("refined", frameEvent{
 		Level: 0, Width: req.Width, Height: req.Height,
@@ -274,18 +241,48 @@ func (s *server) runRenderJob(ctx context.Context, jt *obs.Trace, plan *renderPl
 	return nil
 }
 
-// filterJob validates a filter job and returns its run: runFilter, the sync /filter path: the result volume lands in the
-// store and the response body in the cache exactly as a sync /filter
-// would leave them, and a job and a sync request for one digest run
-// the kernel once. The source's converted view is shared through the
-// store.
+// renderPreview renders and emits a render job's coarse frame: the
+// volume's subsample at level, raycast at width>>level × height>>level
+// (at least 16 pixels a side), and observes it as the job's first
+// frame.
+func (s *server) renderPreview(ctx context.Context, jt *obs.Trace, plan *renderPlan, level int, j *jobs.Job) error {
+	g, err := s.coarse(jt, plan.vol, plan.dt, level)
+	if err != nil {
+		return err
+	}
+	req := plan.req
+	cw, ch := max(req.Width>>level, 16), max(req.Height>>level, 16)
+	release, err := s.admitJob(ctx)
+	if err != nil {
+		return err
+	}
+	cv, err := s.rasterize(ctx, jt, g, nil, req, cw, ch, "kernel.coarse")
+	release()
+	if err != nil {
+		return err
+	}
+	s.jobTTFB.Observe(time.Since(j.Times().Submitted))
+	j.Emit("coarse", frameEvent{
+		Level: level, Width: cw, Height: ch,
+		ContentType: cv.ContentType,
+		Frame:       base64.StdEncoding.EncodeToString(cv.Body),
+	})
+	return nil
+}
+
+// filterJob validates a filter job and returns its run: the plan
+// through cached, as sync /filter runs it, so the result volume lands
+// in the store and the response body in the cache exactly as a sync
+// /filter would leave them, and a job and a sync request for one digest
+// run the kernel once. The source's converted view is shared through
+// the store.
 func (s *server) filterJob(req filterRequest) (jobRun, *httpErr) {
 	plan, herr := s.planFilter(req)
 	if herr != nil {
 		return nil, herr
 	}
 	return func(ctx context.Context, jt *obs.Trace, j *jobs.Job) error {
-		v, _, err := s.runFilter(ctx, jt, plan)
+		v, _, err := s.cached(ctx, jt, &plan.kernelPlan, s.admitJob)
 		if err != nil {
 			return err
 		}
@@ -327,10 +324,6 @@ func (s *server) jobDone(jt *obs.Trace) func(*jobs.Job) {
 }
 
 func (s *server) getJob(w http.ResponseWriter, r *http.Request) (*jobs.Job, bool) {
-	if s.jobs == nil {
-		http.Error(w, "jobs disabled", http.StatusServiceUnavailable)
-		return nil, false
-	}
 	j, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
 		http.Error(w, fmt.Sprintf("unknown job %q", r.PathValue("id")), http.StatusNotFound)

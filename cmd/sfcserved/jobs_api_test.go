@@ -213,17 +213,20 @@ func TestJobProgressiveSSE(t *testing.T) {
 		t.Errorf("event sequence %v, want %v", got, want)
 	}
 
-	// Byte identity with the sync path (cache off in testConfig, so
-	// this render recomputes from scratch).
+	// Byte identity with the sync path. The job left its frame in the
+	// response cache, so the volume's own bytes are uploaded over it
+	// first: the new generation makes the sync render recompute from
+	// scratch instead of replaying the job's frame.
 	rpix, err := base64.StdEncoding.DecodeString(refined.Frame)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reuploadDemo(t, a)
 	sresp := postJSON(t, base+"/render", req)
 	sbody, _ := io.ReadAll(sresp.Body)
 	sresp.Body.Close()
-	if sresp.StatusCode != http.StatusOK {
-		t.Fatalf("sync render: status %d", sresp.StatusCode)
+	if sresp.StatusCode != http.StatusOK || sresp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("sync render: status %d, X-Cache %q, want a 200 miss", sresp.StatusCode, sresp.Header.Get("X-Cache"))
 	}
 	if !bytes.Equal(rpix, sbody) {
 		t.Errorf("refined frame (%d bytes) differs from sync render (%d bytes)", len(rpix), len(sbody))
@@ -666,7 +669,8 @@ func TestStatusWriterForwardsFlush(t *testing.T) {
 
 // TestRetryAfterDerivedFromBacklog pins the 429 Retry-After header to
 // the backlog estimate (queue occupancy × mean latency / slots)
-// instead of the old hardcoded 1 second.
+// instead of the old hardcoded 1 second. Each request asks for its own
+// view: identical ones would coalesce instead of queueing.
 func TestRetryAfterDerivedFromBacklog(t *testing.T) {
 	cfg := testConfig()
 	cfg.slots, cfg.queueDepth = 1, 1
@@ -685,19 +689,21 @@ func TestRetryAfterDerivedFromBacklog(t *testing.T) {
 	go func() { done <- a.run(ctx) }()
 
 	url := "http://" + a.apiAddr() + "/render"
-	req := renderRequest{Volume: "demo", Views: 8, Width: 16, Height: 16, Workers: 1}
+	req := func(view int) renderRequest {
+		return renderRequest{Volume: "demo", View: view, Views: 8, Width: 16, Height: 16, Workers: 1}
+	}
 	statuses := make(chan int, 2)
-	do := func() {
-		resp := postJSON(t, url, req)
+	do := func(view int) {
+		resp := postJSON(t, url, req(view))
 		resp.Body.Close()
 		statuses <- resp.StatusCode
 	}
-	go do() // takes the run slot
+	go do(0) // takes the run slot
 	<-hook.entered
-	go do() // takes the queue slot
+	go do(1) // takes the queue slot
 	waitFor(t, "queue saturated", func() bool { return len(a.srv.queue) == 2 })
 
-	resp := postJSON(t, url, req)
+	resp := postJSON(t, url, req(2))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
@@ -914,7 +920,7 @@ func jobRefinedFrame(t *testing.T, base, id string) []byte {
 func TestJobAndSyncShareOneKernelRun(t *testing.T) {
 	for _, jobFirst := range []bool{true, false} {
 		t.Run(fmt.Sprintf("jobFirst=%v", jobFirst), func(t *testing.T) {
-			cfg := cacheConfig()
+			cfg := testConfig()
 			cfg.slots = 1
 			a, err := newApp(cfg)
 			if err != nil {
@@ -982,5 +988,150 @@ func TestJobAndSyncShareOneKernelRun(t *testing.T) {
 				t.Errorf("job frame (%d bytes) differs from the sync response (%d bytes)", len(frame), len(res.body))
 			}
 		})
+	}
+}
+
+// jobEvents follows a job's event stream (replayed from the start) to
+// its terminal event and returns every event.
+func jobEvents(t *testing.T, base, id string) []sseEvent {
+	t.Helper()
+	resp, err := http.Get(base + "/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	var evs []sseEvent
+	for {
+		ev, err := readSSE(br)
+		if err != nil {
+			t.Fatalf("job %s: event stream ended after %d events: %v", id, len(evs), err)
+		}
+		evs = append(evs, ev)
+		if jobs.State(ev.event).Terminal() {
+			return evs
+		}
+	}
+}
+
+// TestJobOverCachedFrameSkipsPreview: a render job whose frame a sync
+// /render already left in the response cache is served that frame — no
+// coarse pass, no kernel call, no admission slot. Its events are
+// queued, refined, done; the refined frame is the sync body byte for
+// byte; and jobs.ttfb observes the refined frame as the job's first.
+func TestJobOverCachedFrameSkipsPreview(t *testing.T) {
+	a, err := newApp(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int32
+	a.srv.renderImage = func(ctx context.Context, vol *sfcmem.AnyGrid, cam sfcmem.Camera, tf *sfcmem.TransferFunc, o sfcmem.RenderOptions) (*sfcmem.Image, error) {
+		calls.Add(1)
+		return sfcmem.RenderAnyCtx(ctx, vol, cam, tf, o)
+	}
+	serveBuiltApp(t, a)
+	base := "http://" + a.apiAddr()
+
+	req := renderRequest{Volume: "demo", View: 2, Views: 8, Width: 64, Height: 64, Workers: 1}
+	resp := postJSON(t, base+"/render", req)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("sync render: status %d, X-Cache %q, want a 200 miss", resp.StatusCode, resp.Header.Get("X-Cache"))
+	}
+
+	id := submitJob(t, base, jobRequest{Render: &req}) // default coarse_level 2
+	var got []string
+	var refined frameEvent
+	for _, ev := range jobEvents(t, base, id) {
+		got = append(got, ev.event)
+		if ev.event == "refined" {
+			if err := json.Unmarshal(ev.data, &refined); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if want := []string{"queued", "refined", "done"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("event sequence %v, want %v", got, want)
+	}
+	frame, err := base64.StdEncoding.DecodeString(refined.Frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(frame, body) {
+		t.Errorf("refined frame (%d bytes) differs from the sync body (%d bytes)", len(frame), len(body))
+	}
+	if refined.ETag != resp.Header.Get("ETag") {
+		t.Errorf("refined ETag %q, want the sync response's %q", refined.ETag, resp.Header.Get("ETag"))
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("kernel ran %d times for one served digest, want 1", n)
+	}
+	if n := a.srv.jobTTFB.Count(); n != 1 {
+		t.Errorf("jobs.ttfb count %d, want 1 (the refined frame is the job's first)", n)
+	}
+	waitFor(t, "job trace in the ring", func() bool {
+		for _, tr := range a.srv.hub.Ring().Recent(0) {
+			if tr.Route == "job" {
+				return true
+			}
+		}
+		return false
+	})
+	for _, stage := range []string{"admission.slot", "kernel.coarse", "subsample"} {
+		if n := spanCount(a, "job", stage); n != 0 {
+			t.Errorf("cached job trace has %d %q spans, want none", n, stage)
+		}
+	}
+}
+
+// TestJobNeverShedByAdmissionQueue: at -slots 1 -queue 1, one sync
+// render parked in the kernel and a second queued behind it fill the
+// admission queue. A render job accepted then must still run to done
+// once the kernel is released: job passes wait for a run slot and take
+// no queue token, so they are never shed with "admission queue full".
+func TestJobNeverShedByAdmissionQueue(t *testing.T) {
+	cfg := testConfig()
+	cfg.slots, cfg.queueDepth = 1, 1
+	a, err := newApp(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hook := newBlockingHook()
+	a.srv.renderImage = hook.render
+	serveBuiltApp(t, a)
+	release := sync.OnceFunc(func() { close(hook.release) })
+	t.Cleanup(release) // runs before the app's drain, even after a failure
+	base := "http://" + a.apiAddr()
+
+	statuses := make(chan int, 2)
+	render := func(view int) {
+		go func() {
+			resp := postJSON(t, base+"/render", renderRequest{Volume: "demo", View: view, Views: 8, Width: 16, Height: 16, Workers: 1})
+			resp.Body.Close()
+			statuses <- resp.StatusCode
+		}()
+	}
+	render(0) // takes the run slot, parks in the hook
+	<-hook.entered
+	render(1) // takes the last queue token, waits for the run slot
+	waitFor(t, "admission queue full", func() bool { return len(a.srv.queue) == 2 })
+
+	req := renderRequest{Volume: "demo", View: 2, Views: 8, Width: 32, Height: 32, Workers: 1}
+	id := submitJob(t, base, jobRequest{Render: &req})
+	waitFor(t, "job started behind the parked kernel", func() bool { return jobState(t, base, id) != "queued" })
+	release()
+
+	for i := 0; i < 2; i++ {
+		if st := <-statuses; st != http.StatusOK {
+			t.Errorf("sync render finished with %d, want 200", st)
+		}
+	}
+	evs := jobEvents(t, base, id)
+	if last := evs[len(evs)-1]; last.event != "done" {
+		t.Fatalf("accepted job ended %s: %s", last.event, last.data)
+	}
+	if got := counterTotal(t, "http://"+a.opsAddr(), "admission.rejected"); got != 0 {
+		t.Errorf("admission.rejected = %d, want 0: nothing here exceeded the queue", got)
 	}
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"sfcmem/internal/jobs"
-	"sfcmem/internal/metrics"
 	"sfcmem/internal/store"
 )
 
@@ -71,15 +69,9 @@ func FuzzCreateJob(f *testing.F) {
 		if err := vols.Put(v); err != nil {
 			t.Fatal(err)
 		}
-		s := newServer(vols, metrics.NewRegistry(), 1, 1, time.Second, time.Second)
-		s.enableJobs(jobs.Config{Runners: 1})
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			if err := s.jobs.Drain(ctx); err != nil {
-				t.Errorf("drain: %v", err)
-			}
-		}()
+		cfg := testConfig()
+		cfg.slots, cfg.queueDepth = 1, 1
+		s := newBareServer(t, vols, cfg)
 
 		rec := httptest.NewRecorder()
 		s.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))

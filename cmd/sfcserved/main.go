@@ -10,22 +10,26 @@
 // rather than piling up goroutines, and SIGINT/SIGTERM drains in-flight
 // work before exit (bounded by -drain).
 //
-// With -cache-bytes set, render and filter responses are kept in a
-// byte-budgeted LRU keyed by a content digest (volume name + store
-// generation + full request parameters): repeated requests are served
-// from memory with strong ETags (If-None-Match answers 304), and
-// concurrent identical requests coalesce onto a single kernel run.
-// Replacing a volume via PUT bumps its generation, which strands every
-// cached result for the old contents.
+// Render and filter responses are kept in a byte-budgeted LRU
+// (-cache-bytes, default 64 MiB) keyed by a content digest (volume name
+// + store generation + full request parameters): the kernels are
+// deterministic, so repeated requests are served from memory with
+// strong ETags (If-None-Match answers 304), and concurrent identical
+// requests coalesce onto a single kernel run. /render and /filter share
+// one handler over a validated plan. Replacing a volume via PUT bumps
+// its generation, which strands every cached result for the old
+// contents.
 //
 // POST /jobs runs the same render/filter work asynchronously with
 // progressive delivery: a job streams a coarse preview frame (the
 // multiresolution subsample) over SSE (GET /jobs/{id}/events) before
-// the full-resolution refinement. Jobs run as they arrive, on -slots
+// the full-resolution refinement; a job whose frame is already cached
+// emits only the refined frame. Jobs run as they arrive, on -slots
 // runners, and an interactive lane preempts bulk work at every
-// dispatch; the converted view, prepared volume and subsample a job
-// needs are built once per stored generation and shared with every
-// other request.
+// dispatch; a job pass waits for a run slot but never takes an
+// admission queue token, so an accepted job is never shed. The
+// converted view, prepared volume and subsample a job needs are built
+// once per stored generation and shared with every other request.
 // DELETE /jobs/{id} (or a dropped SSE connection) cancels through the
 // kernels' context plumbing.
 //
@@ -66,7 +70,6 @@ import (
 	"syscall"
 	"time"
 
-	"sfcmem/internal/jobs"
 	"sfcmem/internal/metrics"
 	"sfcmem/internal/obs"
 	"sfcmem/internal/store"
@@ -130,7 +133,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	fs.Int64Var(&cfg.storeRAMBytes, "store-ram-bytes", 0, "RAM budget for resident volumes when -data-dir is set; 0 keeps everything resident (disk is durability only)")
 	fs.IntVar(&cfg.slots, "slots", 2, "requests running kernels concurrently")
 	fs.IntVar(&cfg.queueDepth, "queue", 8, "admitted requests waiting beyond the running ones; overflow gets 429")
-	fs.Int64Var(&cfg.cacheBytes, "cache-bytes", 0, "render/filter response cache budget in bytes; 0 disables caching and request coalescing")
+	fs.Int64Var(&cfg.cacheBytes, "cache-bytes", 64<<20, "render/filter response cache budget in bytes (must be > 0)")
 	fs.DurationVar(&cfg.defaultDeadline, "deadline", 30*time.Second, "per-request deadline when the request sets none")
 	fs.DurationVar(&cfg.maxDeadline, "max-deadline", 2*time.Minute, "upper bound on client-requested deadlines")
 	fs.DurationVar(&cfg.drainTimeout, "drain", 30*time.Second, "how long shutdown waits for in-flight requests")
@@ -141,6 +144,10 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	}
 	if cfg.slots < 1 || cfg.queueDepth < 0 {
 		fmt.Fprintln(stderr, "sfcserved: -slots must be >= 1 and -queue >= 0")
+		return 2
+	}
+	if cfg.cacheBytes <= 0 {
+		fmt.Fprintln(stderr, "sfcserved: -cache-bytes must be > 0")
 		return 2
 	}
 	if cfg.storeRAMBytes != 0 && cfg.dataDir == "" {
@@ -205,12 +212,18 @@ func newApp(cfg config) (*app, error) {
 			return nil, err
 		}
 	}
-	srv := newServer(vols, reg, cfg.slots, cfg.queueDepth, cfg.defaultDeadline, cfg.maxDeadline)
-	srv.enableCache(cfg.cacheBytes)
-	// Runner count tracks -slots: each running job holds one admission
-	// run slot for its kernel passes, so more runners than slots would
-	// only park jobs in the admission queue.
-	srv.enableJobs(jobs.Config{Runners: cfg.slots})
+	// The listeners bind before newServer starts the job runners, so a
+	// failed bind leaves nothing running.
+	apiLn, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		return nil, err
+	}
+	opsLn, err := net.Listen("tcp", cfg.ops)
+	if err != nil {
+		apiLn.Close()
+		return nil, err
+	}
+	srv := newServer(vols, reg, cfg)
 	if !cfg.obsOff {
 		logw := cfg.accessLog
 		if logw == nil {
@@ -232,16 +245,6 @@ func newApp(cfg config) (*app, error) {
 	// service is ready the moment it can accept a connection. A bare
 	// newServer (as in unit tests) answers /readyz with 503.
 	srv.ready.Store(true)
-
-	apiLn, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		return nil, err
-	}
-	opsLn, err := net.Listen("tcp", cfg.ops)
-	if err != nil {
-		apiLn.Close()
-		return nil, err
-	}
 	opsMux := http.NewServeMux()
 	opsMux.Handle("/metrics", reg)
 	opsMux.HandleFunc("GET /version", srv.handleVersion)
@@ -295,10 +298,7 @@ func (a *app) shutdown() error {
 	// (or fail cleanly when the timeout expires and their kernels are
 	// cancelled), their SSE watchers see terminal events and return,
 	// and only then does Shutdown wait on the remaining connections.
-	var err error
-	if a.srv.jobs != nil {
-		err = a.srv.jobs.Drain(dctx)
-	}
+	err := a.srv.jobs.Drain(dctx)
 	if apiErr := a.api.Shutdown(dctx); err == nil {
 		err = apiErr
 	}

@@ -457,19 +457,19 @@ func benchApp(b *testing.B, cfg config) string {
 }
 
 // benchRender drives sequential /render requests through the full HTTP
-// path. Run with -obs on and off to measure the tracing overhead
-// recorded in DESIGN.md §11:
+// path, each for a view of its own so that every one runs the kernel
+// rather than hitting the response cache. Run with -obs on and off to
+// measure the tracing overhead recorded in DESIGN.md §11:
 //
 //	go test -run NONE -bench 'BenchmarkRenderObs' -benchtime 50x ./cmd/sfcserved/
 func benchRender(b *testing.B, obsOff bool) {
 	cfg := testConfig()
 	cfg.obsOff = obsOff
 	api := benchApp(b, cfg)
-	req := renderRequest{Volume: "demo", Views: 8, Width: 64, Height: 64, Workers: 2}
-	body, _ := json.Marshal(req)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		body, _ := json.Marshal(renderRequest{Volume: "demo", View: i, Views: 1 << 20, Width: 64, Height: 64, Workers: 2})
 		resp, err := http.Post(api+"/render", "application/json", bytes.NewReader(body))
 		if err != nil {
 			b.Fatal(err)

@@ -150,9 +150,9 @@ func TestDeleteVolume(t *testing.T) {
 			t.Fatal("re-created volume renders the deleted contents")
 		}
 	}
-	t.Run("ram", func(t *testing.T) { run(t, cacheConfig()) })
+	t.Run("ram", func(t *testing.T) { run(t, testConfig()) })
 	t.Run("tiered", func(t *testing.T) {
-		cfg := cacheConfig()
+		cfg := testConfig()
 		cfg.dataDir = t.TempDir()
 		run(t, cfg)
 	})

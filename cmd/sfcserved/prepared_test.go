@@ -21,7 +21,7 @@ import (
 // float32 volume never copies it, and DELETE drops what was prepared.
 func TestPreparedVolumeReuse(t *testing.T) {
 	sink := &logSink{}
-	cfg := cacheConfig()
+	cfg := testConfig()
 	cfg.accessLog = sink
 	cfg.queueDepth = 16 // room for every concurrent miss
 	a, _, _ := startApp(t, cfg)
@@ -198,7 +198,7 @@ func residentVolumeBytes(st *store.Store) int64 {
 // convert it once, a uint8 render then reuses that view, and a PUT
 // makes exactly one more conversion.
 func TestFilterConvertedViewReuse(t *testing.T) {
-	cfg := cacheConfig()
+	cfg := testConfig()
 	cfg.queueDepth = 16 // room for every concurrent miss
 	a, _, _ := startApp(t, cfg)
 	api := "http://" + a.apiAddr()
@@ -276,7 +276,7 @@ func mustRequest(t *testing.T, method, url string) *http.Request {
 // runs over the same prepared volume a sync render built, and its frame
 // is the one the sync path serves.
 func TestRenderJobUsesPreparedVolume(t *testing.T) {
-	a, _, _ := startApp(t, cacheConfig())
+	a, _, _ := startApp(t, testConfig())
 	api := "http://" + a.apiAddr()
 	rr := renderRequest{Volume: "demo", View: 2, Views: 8, Width: 32, Height: 32, Workers: 1, Dtype: "uint8"}
 	resp := postJSON(t, api+"/render", renderRequest{Volume: "demo", View: 1, Views: 8, Width: 32, Height: 32, Workers: 1, Dtype: "uint8"})

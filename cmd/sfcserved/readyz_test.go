@@ -9,10 +9,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"sfcmem"
-	"sfcmem/internal/metrics"
 	"sfcmem/internal/store"
 )
 
@@ -38,7 +36,7 @@ func TestReadyzLifecycle(t *testing.T) {
 // against the handler directly (the drain state cannot be probed over
 // HTTP: shutdown closes the listener before in-flight work finishes).
 func TestReadyzBeforeInitAndDuringDrain(t *testing.T) {
-	s := newServer(store.NewMemory(nil), metrics.NewRegistry(), 1, 1, time.Second, time.Second)
+	s := newBareServer(t, store.NewMemory(nil), testConfig())
 	mux := s.mux()
 	get := func(path string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()

@@ -27,7 +27,8 @@ import (
 )
 
 // server holds the request-service state: the volume store, the metrics
-// registry, and the two-stage admission gate.
+// registry, the two-stage admission gate, the response cache and the
+// job manager.
 //
 // Admission works in two stages so load sheds at the door instead of
 // piling up in goroutines. queue has capacity slots+depth and is taken
@@ -36,7 +37,8 @@ import (
 // kernel work. run has capacity slots and is taken with a blocking send
 // racing the request's deadline: holding it is the right to occupy
 // kernel workers. A request that times out while queued has consumed
-// nothing but its queue token.
+// nothing but its queue token. Jobs take only the run slot (admitJob):
+// they were accepted with 202 and already hold one of slots runners.
 type server struct {
 	store store.VolumeStore
 	reg   *metrics.Registry
@@ -57,20 +59,20 @@ type server struct {
 	// replaceable in tests to make admission behaviour deterministic.
 	renderImage func(ctx context.Context, vol *sfcmem.AnyGrid, cam sfcmem.Camera, tf *sfcmem.TransferFunc, o sfcmem.RenderOptions) (*sfcmem.Image, error)
 
-	// cache, when non-nil, is the content-addressed response cache with
-	// single-flight coalescing (-cache-bytes). Nil keeps the pre-cache
-	// behavior: every request runs the kernel.
+	// cache is the content-addressed response cache with single-flight
+	// coalescing (-cache-bytes). Every /render and /filter response and
+	// every render or filter job result goes through it (see cached).
 	cache *rcache.Cache
 	// nonce scopes cache digests (and therefore ETags) to this process;
 	// see bootNonce.
 	nonce string
 
-	// jobs, when non-nil, is the async job subsystem behind /jobs:
-	// batching scheduler, priority lanes, progressive SSE delivery.
-	// Wired by enableJobs (newApp does); nil answers /jobs with 503.
+	// jobs is the async job subsystem behind /jobs and tuning: two
+	// priority lanes, one runner per admission slot, progressive SSE
+	// delivery.
 	jobs *jobs.Manager
-	// jobTTFB observes submit-to-first-coarse-frame latency — the
-	// progressive-delivery headline number (DESIGN.md §12).
+	// jobTTFB observes submit-to-first-frame latency: the coarse preview,
+	// or the refined frame of a job that has none (DESIGN.md §12).
 	jobTTFB *metrics.Histogram
 
 	// hub is the request-observability layer: per-request traces,
@@ -101,16 +103,24 @@ type server struct {
 	tuneLatency  *metrics.Histogram
 }
 
-func newServer(vols store.VolumeStore, reg *metrics.Registry, slots, depth int, defaultDeadline, maxDeadline time.Duration) *server {
+// newServer builds the request server over vols with cfg's admission
+// gate, deadlines and cache budget, and starts its job manager with one
+// runner per admission slot: each running job holds one run slot for
+// its kernel passes, so more runners than slots would only park jobs in
+// admitJob. The caller drains s.jobs exactly once (app.shutdown does).
+func newServer(vols store.VolumeStore, reg *metrics.Registry, cfg config) *server {
 	s := &server{
 		store:           vols,
 		reg:             reg,
-		queue:           make(chan struct{}, slots+depth),
-		run:             make(chan struct{}, slots),
-		defaultDeadline: defaultDeadline,
-		maxDeadline:     maxDeadline,
+		queue:           make(chan struct{}, cfg.slots+cfg.queueDepth),
+		run:             make(chan struct{}, cfg.slots),
+		defaultDeadline: cfg.defaultDeadline,
+		maxDeadline:     cfg.maxDeadline,
 		renderImage:     sfcmem.RenderAnyCtx,
+		cache:           rcache.New(cfg.cacheBytes),
 		nonce:           bootNonce(),
+		jobs:            jobs.New(jobs.Config{Runners: cfg.slots}),
+		jobTTFB:         reg.Histogram("jobs.ttfb"),
 		preparedBuilds:  reg.Counter("render.prepared.builds", 1),
 		preparedHits:    reg.Counter("render.prepared.hits", 1),
 		renderReqs:      reg.Counter("render.requests", 1),
@@ -119,6 +129,10 @@ func newServer(vols store.VolumeStore, reg *metrics.Registry, slots, depth int, 
 		deadlineMiss:    reg.Counter("deadline.exceeded", 1),
 		renderLatency:   reg.Histogram("render.latency"),
 		filterLatency:   reg.Histogram("filter.latency"),
+		tuneReqs:        reg.Counter("tune.requests", 1),
+		tuneApplied:     reg.Counter("tune.applied", 1),
+		tuneImproved:    reg.Counter("tune.improved", 1),
+		tuneLatency:     reg.Histogram("tune.latency"),
 	}
 	// Per-route RED families. admission.rejected/deadline.exceeded stay
 	// registered for compatibility; the status-class counters supersede
@@ -132,28 +146,29 @@ func newServer(vols store.VolumeStore, reg *metrics.Registry, slots, depth int, 
 	reg.Register("admission.queued", metrics.GaugeFunc(func() any { return len(s.queue) }))
 	reg.Register("admission.running", metrics.GaugeFunc(func() any { return len(s.run) }))
 	reg.Register("build.info", metrics.Info(versionInfo()))
-	s.enableTuneMetrics()
-	return s
-}
-
-// enableCache switches on the response cache with the given byte
-// budget and publishes its counters and gauges in the metrics
-// registry. A budget <= 0 leaves caching (and coalescing) off.
-func (s *server) enableCache(budget int64) {
-	if budget <= 0 {
-		return
-	}
-	s.cache = rcache.New(budget)
-	stat := func(f func(rcache.Stats) any) metrics.GaugeFunc {
+	cacheStat := func(f func(rcache.Stats) any) metrics.GaugeFunc {
 		return func() any { return f(s.cache.Stats()) }
 	}
-	s.reg.Register("cache.hits", stat(func(st rcache.Stats) any { return st.Hits }))
-	s.reg.Register("cache.misses", stat(func(st rcache.Stats) any { return st.Misses }))
-	s.reg.Register("cache.evictions", stat(func(st rcache.Stats) any { return st.Evictions }))
-	s.reg.Register("cache.coalesced", stat(func(st rcache.Stats) any { return st.Coalesced }))
-	s.reg.Register("cache.resident_bytes", stat(func(st rcache.Stats) any { return st.ResidentBytes }))
-	s.reg.Register("cache.entries", stat(func(st rcache.Stats) any { return st.Entries }))
-	s.reg.Register("cache.budget_bytes", stat(func(st rcache.Stats) any { return st.BudgetBytes }))
+	reg.Register("cache.hits", cacheStat(func(st rcache.Stats) any { return st.Hits }))
+	reg.Register("cache.misses", cacheStat(func(st rcache.Stats) any { return st.Misses }))
+	reg.Register("cache.evictions", cacheStat(func(st rcache.Stats) any { return st.Evictions }))
+	reg.Register("cache.coalesced", cacheStat(func(st rcache.Stats) any { return st.Coalesced }))
+	reg.Register("cache.resident_bytes", cacheStat(func(st rcache.Stats) any { return st.ResidentBytes }))
+	reg.Register("cache.entries", cacheStat(func(st rcache.Stats) any { return st.Entries }))
+	reg.Register("cache.budget_bytes", cacheStat(func(st rcache.Stats) any { return st.BudgetBytes }))
+	// jobs.batches keeps its name from when runners dispatched batches of
+	// jobs; it counts runner dispatches, one per job that started.
+	jobStat := func(f func(jobs.Stats) any) metrics.GaugeFunc {
+		return func() any { return f(s.jobs.Stats()) }
+	}
+	reg.Register("jobs.submitted", jobStat(func(st jobs.Stats) any { return st.Submitted }))
+	reg.Register("jobs.done", jobStat(func(st jobs.Stats) any { return st.Done }))
+	reg.Register("jobs.failed", jobStat(func(st jobs.Stats) any { return st.Failed }))
+	reg.Register("jobs.cancelled", jobStat(func(st jobs.Stats) any { return st.Cancelled }))
+	reg.Register("jobs.batches", jobStat(func(st jobs.Stats) any { return st.Dispatched }))
+	reg.Register("jobs.pending", jobStat(func(st jobs.Stats) any { return st.Pending }))
+	reg.Register("jobs.running", jobStat(func(st jobs.Stats) any { return st.Running }))
+	return s
 }
 
 // digest hashes the canonical form of a request into the cache key /
@@ -208,18 +223,15 @@ func etagMatches(header, etag string) bool {
 	return false
 }
 
-// serveValue writes a computed-or-cached response value. The entity
-// tag and cache-outcome headers only appear when the cache is enabled,
-// keeping -cache-bytes=0 responses identical to the pre-cache service.
-func (s *server) serveValue(w http.ResponseWriter, v rcache.Value, etag string, out rcache.Outcome) {
+// serveValue writes a computed-or-cached response value with its
+// entity tag and cache outcome.
+func serveValue(w http.ResponseWriter, v rcache.Value, etag string, out rcache.Outcome) {
 	w.Header().Set("Content-Type", v.ContentType)
 	for k, val := range v.Meta {
 		w.Header().Set(k, val)
 	}
-	if s.cache != nil {
-		w.Header().Set("ETag", etag)
-		w.Header().Set("X-Cache", out.String())
-	}
+	w.Header().Set("ETag", etag)
+	w.Header().Set("X-Cache", out.String())
 	w.Write(v.Body) //nolint:errcheck // headers are out; nothing to report to
 }
 
@@ -229,8 +241,8 @@ func (s *server) serveValue(w http.ResponseWriter, v rcache.Value, etag string, 
 // not churn the trace ring or the access log.
 func (s *server) mux() *http.ServeMux {
 	m := http.NewServeMux()
-	m.HandleFunc("POST /render", s.instrument("render", s.handleRender))
-	m.HandleFunc("POST /filter", s.instrument("filter", s.handleFilter))
+	m.HandleFunc("POST /render", s.instrument("render", kernelHandler(s, s.renderReqs, s.planRender)))
+	m.HandleFunc("POST /filter", s.instrument("filter", kernelHandler(s, s.filterReqs, s.planFilter)))
 	m.HandleFunc("GET /volumes", s.instrument("volumes", s.handleListVolumes))
 	m.HandleFunc("POST /volumes", s.instrument("volumes", s.handleCreateVolume))
 	m.HandleFunc("PUT /volumes/{name}", s.instrument("volumes", s.handleUploadVolume))
@@ -249,15 +261,18 @@ func (s *server) mux() *http.ServeMux {
 // errBusy reports an admission-queue overflow.
 var errBusy = errors.New("admission queue full")
 
-// admit runs the two-stage gate. On success the caller holds a run slot
-// and must invoke the returned release. errBusy means shed the request;
-// a context error means the deadline expired while queued. Each stage
-// of the gate is a trace span — admission.queue is the (non-blocking)
-// queue-token grab, admission.slot the wait for the right to occupy
-// kernel workers — so a 504 is attributable to queueing, not kernels.
+// admitFunc is an admission gate: on success the caller holds a run
+// slot and must invoke the returned release.
+type admitFunc func(ctx context.Context) (release func(), err error)
+
+// admit is the HTTP requests' two-stage gate. errBusy means shed the
+// request; a context error means the deadline expired while queued.
+// Each stage of the gate is a trace span — admission.queue is the
+// (non-blocking) queue-token grab, admission.slot the wait for the
+// right to occupy kernel workers — so a 504 is attributable to
+// queueing, not kernels.
 func (s *server) admit(ctx context.Context) (release func(), err error) {
-	t := obs.FromContext(ctx)
-	endQueue := t.Stage("admission.queue")
+	endQueue := obs.FromContext(ctx).Stage("admission.queue")
 	select {
 	case s.queue <- struct{}{}:
 		endQueue()
@@ -265,21 +280,32 @@ func (s *server) admit(ctx context.Context) (release func(), err error) {
 		endQueue()
 		return nil, errBusy
 	}
-	endSlot := t.Stage("admission.slot")
+	releaseSlot, err := s.admitJob(ctx)
+	if err != nil {
+		<-s.queue
+		return nil, err
+	}
+	return func() { releaseSlot(); <-s.queue }, nil
+}
+
+// admitJob is a job pass's gate: the admission.slot wait alone. The
+// queue token is how HTTP requests are shed at the door; a job was
+// already accepted with 202 and holds one of the slots runners, so
+// its waiters are bounded and it never fails with errBusy.
+func (s *server) admitJob(ctx context.Context) (release func(), err error) {
+	defer obs.FromContext(ctx).Stage("admission.slot")()
 	select {
 	case s.run <- struct{}{}:
-		endSlot()
-		return func() { <-s.run; <-s.queue }, nil
+		return func() { <-s.run }, nil
 	case <-ctx.Done():
-		endSlot()
-		<-s.queue
 		return nil, ctx.Err()
 	}
 }
 
 // retryAfterSeconds estimates when a shed client should come back:
-// the work already queued ahead of it (queue occupancy × recent mean
-// request latency) divided by the service's parallelism, rounded up
+// the sync work already queued ahead of it (queue occupancy × recent
+// mean request latency; jobs hold no queue token, so they are not
+// counted) divided by the service's parallelism, rounded up
 // and clamped to [1, 30] seconds. Before any request has completed
 // there is no latency sample and the floor applies — the pre-derived
 // behavior (a constant 1) — so the header only grows once the service
@@ -381,16 +407,112 @@ func (s *server) getVolume(name string) (*store.Volume, *httpErr) {
 	return nil, &httpErr{http.StatusInternalServerError, err.Error()}
 }
 
+// kernelPlan is a validated /render or /filter request in the form the
+// shared handler (kernelHandler), the response cache (cached) and the
+// jobs run it: the response digest, which doubles as cache key and
+// ETag, the client's deadline, a freshness check and the compute.
+type kernelPlan struct {
+	key, etag  string
+	deadlineMS int
+	// fresh reports whether a cached response for key, or a 304, still
+	// describes the service's state: always for a render; for a filter
+	// only while dst holds this run's output (dstHoldsResult).
+	fresh func() bool
+	// compute produces the response on a miss: the resolved input,
+	// admission through admit, kernel, encode.
+	compute func(ctx context.Context, t *obs.Trace, admit admitFunc) (rcache.Value, error)
+}
+
+// shared returns the plan itself. renderPlan and filterPlan embed a
+// kernelPlan and so inherit it, which is how kernelHandler serves both.
+func (p *kernelPlan) shared() *kernelPlan { return p }
+
+// kernelHandler serves a kernel route, POST /render or POST /filter:
+// decode the body into R, plan it, answer a matching If-None-Match with
+// 304 while the plan is fresh, then run the plan through cached under
+// the request's deadline and write the response.
+func kernelHandler[R any, P interface{ shared() *kernelPlan }](s *server, reqs *metrics.Counter, plan func(R) (P, *httpErr)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		reqs.Inc(0)
+		t := obs.FromContext(r.Context())
+		var req R
+		endDecode := t.Stage("decode")
+		err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req)
+		endDecode()
+		if err != nil {
+			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		endDigest := t.Stage("digest")
+		planned, herr := plan(req)
+		if herr != nil {
+			endDigest()
+			http.Error(w, herr.msg, herr.code)
+			return
+		}
+		p := planned.shared()
+		// A strong ETag is derived purely from the digest, so a match
+		// can be answered 304 without the entry being resident.
+		if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, p.etag) && p.fresh() {
+			endDigest()
+			w.Header().Set("ETag", p.etag)
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		// From here to the response every step runs inside a top-level
+		// stage, so the stages account for the whole request.
+		ctx, cancel := s.requestCtx(r, p.deadlineMS)
+		defer cancel()
+		endDigest()
+
+		// As leader, the compute runs on this request's goroutine, so its
+		// stage spans land in this request's trace; a coalesced waiter's
+		// trace shows only the enclosing cache stage.
+		v, out, err := s.cached(ctx, t, p, s.admit)
+		// The response write is a stage of its own, and the deadline is
+		// released inside it: a write that blocks, or a preemption under
+		// load, would otherwise open a gap no stage accounts for.
+		defer t.Stage("respond")()
+		cancel()
+		if err != nil {
+			// Every client error is rejected by plan before any work, so
+			// what remains (a failed store write, a failed demand load) is
+			// the service's fault.
+			if !s.admissionError(w, err) {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+			}
+			return
+		}
+		serveValue(w, v, p.etag, out)
+	}
+}
+
+// cached runs p through the response cache inside a "cache" stage that
+// wraps a lookup, a coalesced wait on another caller's run, or (as
+// leader) p's whole compute under the given admission gate; the nested
+// spans and the outcome tell which. A resident entry that p no longer
+// vouches for (not fresh: a filter whose dst was replaced since the
+// run) is dropped first, so the kernel re-runs instead of replaying a
+// claim that is no longer true. The sync handler and both job kinds
+// call it, so one digest runs the kernel once however it arrives.
+func (s *server) cached(ctx context.Context, t *obs.Trace, p *kernelPlan, admit admitFunc) (rcache.Value, rcache.Outcome, error) {
+	defer t.Stage("cache")()
+	if !p.fresh() {
+		s.cache.Invalidate(p.key)
+	}
+	return s.cache.Do(ctx, p.key, func(ctx context.Context) (rcache.Value, error) {
+		return p.compute(ctx, t, admit)
+	})
+}
+
 // renderPlan is a validated render request with everything resolved
 // that both the sync path and a render job need before any kernel
-// work: the volume, the element type the render runs at, and the
-// response digest (which doubles as cache key and ETag).
+// work: the volume and the element type the render runs at.
 type renderPlan struct {
-	req  renderRequest // normalized: all defaults applied
-	vol  *store.Volume
-	dt   sfcmem.Dtype
-	key  string
-	etag string
+	kernelPlan
+	req renderRequest // normalized: all defaults applied
+	vol *store.Volume
+	dt  sfcmem.Dtype
 }
 
 // planRender normalizes and validates req and computes its digest. The
@@ -436,7 +558,15 @@ func (s *server) planRender(req renderRequest) (*renderPlan, *httpErr) {
 	}
 	key := digest(s.nonce, "render", "v1", vol.Name, vol.Gen, dt,
 		req.View, req.Views, req.Width, req.Height, req.Shade, req.Format)
-	return &renderPlan{req: req, vol: vol, dt: dt, key: key, etag: etagFor(key)}, nil
+	p := &renderPlan{req: req, vol: vol, dt: dt}
+	p.kernelPlan = kernelPlan{
+		key: key, etag: etagFor(key), deadlineMS: req.DeadlineMS,
+		fresh: func() bool { return true },
+		compute: func(ctx context.Context, t *obs.Trace, admit admitFunc) (rcache.Value, error) {
+			return s.renderFull(ctx, t, p, admit)
+		},
+	}
+	return p, nil
 }
 
 // rasterize runs the raycast kernel over g (with its empty-space map
@@ -465,101 +595,29 @@ func (s *server) rasterize(ctx context.Context, t *obs.Trace, g *sfcmem.AnyGrid,
 	return v, err
 }
 
-func (s *server) handleRender(w http.ResponseWriter, r *http.Request) {
-	s.renderReqs.Inc(0)
-	t := obs.FromContext(r.Context())
-	var req renderRequest
-	endDecode := t.Stage("decode")
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req)
-	endDecode()
+// renderFull is a render plan's compute: prepared volume, admission,
+// raycast and encode at full resolution. The prepared volume is fetched
+// inside, so cache hits skip even that lookup. Admission is taken
+// inside too: a caller coalesced onto another's run holds no slot while
+// it waits, so at -slots 1 a job cannot hold the only slot while it
+// waits on a sync leader that needs it.
+func (s *server) renderFull(ctx context.Context, t *obs.Trace, p *renderPlan, admit admitFunc) (rcache.Value, error) {
+	pv, err := s.prepare(t, p.vol, p.dt)
 	if err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return
+		return rcache.Value{}, err
 	}
-	endDigest := t.Stage("digest")
-	plan, herr := s.planRender(req)
-	if herr != nil {
-		endDigest()
-		http.Error(w, herr.msg, herr.code)
-		return
-	}
-	req = plan.req
-	etag := plan.etag
-	if s.cache != nil {
-		// A strong ETag is derived purely from the digest, so a match
-		// can be answered 304 without the entry being resident.
-		if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
-			endDigest()
-			w.Header().Set("ETag", etag)
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-	}
-	// From here to the response every step runs inside a top-level
-	// stage, so the stages account for the whole request.
-	ctx, cancel := s.requestCtx(r, req.DeadlineMS)
-	defer cancel()
-	endDigest()
-
-	// As leader, renderOnce runs on this request's goroutine, so its
-	// stage spans land in this request's trace; a coalesced waiter's
-	// trace shows only the enclosing cache stage.
-	v, out, err := s.cached(ctx, t, plan.key, s.renderOnce(t, plan))
-	// The response write is a stage of its own, and the deadline is
-	// released inside it: a write that blocks, or a preemption under
-	// load, would otherwise open a gap no stage accounts for.
-	defer t.Stage("respond")()
-	cancel()
+	release, err := admit(ctx)
 	if err != nil {
-		if !s.admissionError(w, err) {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-		return
+		return rcache.Value{}, err
 	}
-	s.serveValue(w, v, etag, out)
-}
-
-// renderOnce is plan's full-resolution compute: prepared volume,
-// admission, raycast, encode. Sync /render and render jobs both run it
-// through cached under the request digest, so one digest runs the
-// kernel once however many requests and jobs ask for it. The prepared
-// volume is fetched inside, so cache hits skip even that lookup.
-// Admission is taken inside too: a caller coalesced onto another's run
-// holds no slot while it waits, so at -slots 1 a job cannot hold the
-// only slot while it waits on a sync leader that needs it.
-func (s *server) renderOnce(t *obs.Trace, plan *renderPlan) func(context.Context) (rcache.Value, error) {
-	return func(ctx context.Context) (rcache.Value, error) {
-		p, err := s.prepare(t, plan.vol, plan.dt)
-		if err != nil {
-			return rcache.Value{}, err
-		}
-		release, err := s.admit(ctx)
-		if err != nil {
-			return rcache.Value{}, err
-		}
-		defer release()
-		start := time.Now()
-		req := plan.req
-		v, err := s.rasterize(ctx, t, p.grid, p.accel, req, req.Width, req.Height, "kernel")
-		if err != nil {
-			return rcache.Value{}, err
-		}
-		s.renderLatency.Observe(time.Since(start))
-		return v, nil
+	defer release()
+	start := time.Now()
+	v, err := s.rasterize(ctx, t, pv.grid, pv.accel, p.req, p.req.Width, p.req.Height, "kernel")
+	if err != nil {
+		return rcache.Value{}, err
 	}
-}
-
-// cached runs fn under key through the response cache, inside a
-// "cache" stage that wraps a lookup, a coalesced wait on another
-// caller's run, or (as leader) the whole fn; the nested spans and the
-// outcome tell which. With the cache off it runs fn directly.
-func (s *server) cached(ctx context.Context, t *obs.Trace, key string, fn func(context.Context) (rcache.Value, error)) (rcache.Value, rcache.Outcome, error) {
-	if s.cache == nil {
-		v, err := fn(ctx)
-		return v, rcache.Miss, err
-	}
-	defer t.Stage("cache")()
-	return s.cache.Do(ctx, key, fn)
+	s.renderLatency.Observe(time.Since(start))
+	return v, nil
 }
 
 // encodeFrame serializes a rendered image in the requested format into
@@ -612,21 +670,19 @@ type filterRequest struct {
 }
 
 // filterPlan is a validated filter request with the source volume, the
-// run's element type, the selected kernel, and the response digest
-// resolved — shared by sync /filter and filter jobs. The digest ties
-// the result to the source contents (name + generation), the full
-// kernel parameters, and the destination name — part of the observable
-// effect (which volume the result lands in). The destination's *state*
-// cannot live in the key (the run itself bumps it); it is checked via
-// dstHoldsResult instead.
+// run's element type and the selected kernel resolved — shared by sync
+// /filter and filter jobs. The digest ties the result to the source
+// contents (name + generation), the full kernel parameters, and the
+// destination name — part of the observable effect (which volume the
+// result lands in). The destination's *state* cannot live in the key
+// (the run itself bumps it); it is the plan's freshness check instead.
 type filterPlan struct {
+	kernelPlan
 	req    filterRequest // normalized: all defaults applied
 	src    *store.Volume
 	dt     sfcmem.Dtype
 	axis   sfcmem.Axis
 	kernel func(context.Context, *sfcmem.AnyGrid, *sfcmem.AnyGrid, sfcmem.FilterOptions) error
-	key    string
-	etag   string
 }
 
 // planFilter normalizes and validates req and computes its digest.
@@ -681,7 +737,15 @@ func (s *server) planFilter(req filterRequest) (*filterPlan, *httpErr) {
 	}
 	key := digest(s.nonce, "filter", "v1", src.Name, src.Gen, req.Dst, req.Kernel,
 		req.Radius, axis, req.SigmaRange, dt)
-	return &filterPlan{req: req, src: src, dt: dt, axis: axis, kernel: kernel, key: key, etag: etagFor(key)}, nil
+	p := &filterPlan{req: req, src: src, dt: dt, axis: axis, kernel: kernel}
+	p.kernelPlan = kernelPlan{
+		key: key, etag: etagFor(key), deadlineMS: req.DeadlineMS,
+		fresh: func() bool { return s.dstHoldsResult(p) },
+		compute: func(ctx context.Context, t *obs.Trace, admit admitFunc) (rcache.Value, error) {
+			return s.applyFilter(ctx, t, p, admit)
+		},
+	}
+	return p, nil
 }
 
 // dstHoldsResult reports whether the destination volume currently
@@ -696,15 +760,23 @@ func (s *server) dstHoldsResult(p *filterPlan) bool {
 	return ok && in.FilterKey == p.key
 }
 
-// applyFilter runs the filter kernel over the (already dtype-resolved)
-// source grid, stores the destination volume, and encodes the JSON
-// response body — the section shared by sync /filter and filter jobs.
-// The caller holds an admission slot.
-func (s *server) applyFilter(ctx context.Context, t *obs.Trace, srcGrid *sfcmem.AnyGrid, p *filterPlan) (rcache.Value, error) {
+// applyFilter is a filter plan's compute: the converted source view,
+// admission, the filter kernel, the destination volume's store, and the
+// JSON response body.
+func (s *server) applyFilter(ctx context.Context, t *obs.Trace, p *filterPlan, admit admitFunc) (rcache.Value, error) {
+	srcGrid, err := s.converted(t, p.src, p.dt)
+	if err != nil {
+		return rcache.Value{}, err
+	}
+	release, err := admit(ctx)
+	if err != nil {
+		return rcache.Value{}, err
+	}
+	defer release()
 	start := time.Now()
 	dst := sfcmem.NewAnyGrid(srcGrid.Dtype(), srcGrid.Layout())
 	endKernel := t.Stage("kernel")
-	err := p.kernel(ctx, srcGrid, dst, sfcmem.FilterOptions{
+	err = p.kernel(ctx, srcGrid, dst, sfcmem.FilterOptions{
 		Radius:     p.req.Radius,
 		Axis:       p.axis,
 		SigmaRange: p.req.SigmaRange,
@@ -735,78 +807,6 @@ func (s *server) applyFilter(ctx context.Context, t *obs.Trace, srcGrid *sfcmem.
 		"seconds": elapsed.Seconds(),
 	})
 	return rcache.Value{Body: buf.Bytes(), ContentType: "application/json"}, nil
-}
-
-// runFilter runs plan's filter through the response cache: converted
-// source view, admission (taken inside, as in renderOnce), kernel,
-// store. Sync /filter and filter jobs both call it, so one digest runs
-// the kernel once however it arrives.
-func (s *server) runFilter(ctx context.Context, t *obs.Trace, plan *filterPlan) (rcache.Value, rcache.Outcome, error) {
-	if s.cache != nil && !s.dstHoldsResult(plan) {
-		// The response body may still be resident, but dst no longer
-		// holds the output it describes (replaced by an upload since the
-		// run). Drop the entry so the kernel re-runs and re-stores dst
-		// instead of replaying a claim that is no longer true.
-		s.cache.Invalidate(plan.key)
-	}
-	return s.cached(ctx, t, plan.key, func(ctx context.Context) (rcache.Value, error) {
-		srcGrid, err := s.converted(t, plan.src, plan.dt)
-		if err != nil {
-			return rcache.Value{}, err
-		}
-		release, err := s.admit(ctx)
-		if err != nil {
-			return rcache.Value{}, err
-		}
-		defer release()
-		return s.applyFilter(ctx, t, srcGrid, plan)
-	})
-}
-
-func (s *server) handleFilter(w http.ResponseWriter, r *http.Request) {
-	s.filterReqs.Inc(0)
-	t := obs.FromContext(r.Context())
-	var req filterRequest
-	endDecode := t.Stage("decode")
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req)
-	endDecode()
-	if err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	endDigest := t.Stage("digest")
-	plan, herr := s.planFilter(req)
-	if herr != nil {
-		endDigest()
-		http.Error(w, herr.msg, herr.code)
-		return
-	}
-	etag := plan.etag
-	if s.cache != nil {
-		if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) && s.dstHoldsResult(plan) {
-			endDigest()
-			w.Header().Set("ETag", etag)
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-	}
-	ctx, cancel := s.requestCtx(r, plan.req.DeadlineMS)
-	defer cancel()
-	endDigest()
-
-	v, out, err := s.runFilter(ctx, t, plan)
-	defer t.Stage("respond")()
-	cancel()
-	if err != nil {
-		// Every client error is rejected by planFilter before any
-		// work, so what remains (a failed store write, a failed demand
-		// load) is the service's fault.
-		if !s.admissionError(w, err) {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-		return
-	}
-	s.serveValue(w, v, etag, out)
 }
 
 type createVolumeRequest struct {

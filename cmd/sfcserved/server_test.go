@@ -27,7 +27,8 @@ import (
 )
 
 // testConfig binds both listeners to ephemeral ports with a small demo
-// volume, so every test runs an isolated full service instance.
+// volume and a 32 MiB response cache, so every test runs an isolated
+// full service instance.
 func testConfig() config {
 	return config{
 		addr:            "127.0.0.1:0",
@@ -35,11 +36,28 @@ func testConfig() config {
 		volumes:         []string{"demo=plume:16:zorder"},
 		slots:           2,
 		queueDepth:      4,
+		cacheBytes:      32 << 20,
 		defaultDeadline: 30 * time.Second,
 		maxDeadline:     2 * time.Minute,
 		drainTimeout:    10 * time.Second,
 		accessLog:       io.Discard, // obs tests substitute a buffer
 	}
+}
+
+// newBareServer builds a server over vols with cfg's admission gate,
+// deadlines and cache budget but no listeners, and drains its job
+// manager at cleanup.
+func newBareServer(tb testing.TB, vols store.VolumeStore, cfg config) *server {
+	tb.Helper()
+	s := newServer(vols, metrics.NewRegistry(), cfg)
+	tb.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.jobs.Drain(ctx); err != nil {
+			tb.Errorf("jobs drain: %v", err)
+		}
+	})
+	return s
 }
 
 // startApp builds and serves an app, returning it with its cancel
@@ -254,7 +272,9 @@ func (h *blockingHook) render(ctx context.Context, vol *sfcmem.AnyGrid, cam sfcm
 
 // TestAdmissionOverflow429 fills one run slot and one queue slot, then
 // checks the next request is shed with 429 + Retry-After — and that the
-// two admitted requests still complete once unblocked.
+// two admitted requests still complete once unblocked. Each request
+// asks for its own view: identical ones would coalesce onto the first
+// request's run instead of queueing.
 func TestAdmissionOverflow429(t *testing.T) {
 	cfg := testConfig()
 	cfg.slots, cfg.queueDepth = 1, 1
@@ -270,19 +290,21 @@ func TestAdmissionOverflow429(t *testing.T) {
 	go func() { done <- a.run(ctx) }()
 
 	url := "http://" + a.apiAddr() + "/render"
-	req := renderRequest{Volume: "demo", Views: 8, Width: 16, Height: 16, Workers: 1}
+	req := func(view int) renderRequest {
+		return renderRequest{Volume: "demo", View: view, Views: 8, Width: 16, Height: 16, Workers: 1}
+	}
 	statuses := make(chan int, 2)
-	do := func() {
-		resp := postJSON(t, url, req)
+	do := func(view int) {
+		resp := postJSON(t, url, req(view))
 		resp.Body.Close()
 		statuses <- resp.StatusCode
 	}
-	go do() // A: takes the run slot, parks in the hook
+	go do(0) // A: takes the run slot, parks in the hook
 	<-hook.entered
-	go do() // B: takes the queue slot, waits for the run slot
+	go do(1) // B: takes the queue slot, waits for the run slot
 	waitFor(t, "request queued", func() bool { return len(a.srv.queue) == 2 })
 
-	resp := postJSON(t, url, req) // C: queue full
+	resp := postJSON(t, url, req(2)) // C: queue full
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow request: status %d, want 429", resp.StatusCode)
@@ -523,6 +545,20 @@ func TestRunExitCodes(t *testing.T) {
 	}
 }
 
+// TestCacheBytesMustBePositive: the response cache is always on, so a
+// budget of zero or below is a usage error, not a way to switch it off.
+func TestCacheBytesMustBePositive(t *testing.T) {
+	for _, v := range []string{"0", "-1"} {
+		var stderr bytes.Buffer
+		if code := run(context.Background(), []string{"-cache-bytes", v}, &stderr); code != 2 {
+			t.Errorf("-cache-bytes %s: exit %d, want 2 (stderr %q)", v, code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "-cache-bytes must be > 0") {
+			t.Errorf("-cache-bytes %s: stderr %q does not name the flag", v, stderr.String())
+		}
+	}
+}
+
 // waitFor polls cond for up to 5 seconds.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -610,9 +646,10 @@ func TestFilterStoreFailureIs500(t *testing.T) {
 	if err := vols.Put(v); err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(vols, metrics.NewRegistry(), 1, 1, time.Minute, time.Minute)
-	s.enableCache(1 << 20)
-	mux := s.mux()
+	cfg := testConfig()
+	cfg.slots, cfg.queueDepth = 1, 1
+	cfg.cacheBytes = 1 << 20
+	mux := newBareServer(t, vols, cfg).mux()
 	for i := 1; i <= 2; i++ {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/filter",

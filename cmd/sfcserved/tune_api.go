@@ -86,21 +86,9 @@ type tuneOutcome struct {
 	Seconds      float64 `json:"seconds"`
 }
 
-// enableTuneMetrics publishes the tune.* metrics family.
-func (s *server) enableTuneMetrics() {
-	s.tuneReqs = s.reg.Counter("tune.requests", 1)
-	s.tuneApplied = s.reg.Counter("tune.applied", 1)
-	s.tuneImproved = s.reg.Counter("tune.improved", 1)
-	s.tuneLatency = s.reg.Histogram("tune.latency")
-}
-
 // handleTuneVolume validates a tune request and submits it as a
 // background job: 202 + job id, result over GET /jobs/{id}/events.
 func (s *server) handleTuneVolume(w http.ResponseWriter, r *http.Request) {
-	if s.jobs == nil {
-		http.Error(w, "jobs disabled", http.StatusServiceUnavailable)
-		return
-	}
 	s.tuneReqs.Inc(0)
 	var req tuneRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
@@ -173,12 +161,12 @@ func (s *server) tuneJob(name string, req tuneRequest) (jobRun, *httpErr) {
 	}, nil
 }
 
-// runTuneJob executes a tune job on a scheduler runner: admission,
-// interleave search, optional re-layout + store (the generation
-// bump), result event. The admission slot covers both phases — the
-// search occupies simulator CPU, the re-layout streams the volume.
+// runTuneJob executes a tune job on a scheduler runner: a run slot
+// (admitJob), interleave search, optional re-layout + store (the
+// generation bump), result event. The run slot covers both phases —
+// the search occupies simulator CPU, the re-layout streams the volume.
 func (s *server) runTuneJob(ctx context.Context, jt *obs.Trace, vol *store.Volume, cfg tune.InterleaveConfig, apply bool, j *jobs.Job) error {
-	release, err := s.admit(ctx)
+	release, err := s.admitJob(ctx)
 	if err != nil {
 		return err
 	}

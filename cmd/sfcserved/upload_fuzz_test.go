@@ -7,10 +7,8 @@ import (
 	"net/url"
 	"strconv"
 	"testing"
-	"time"
 
 	"sfcmem"
-	"sfcmem/internal/metrics"
 	"sfcmem/internal/store"
 )
 
@@ -35,7 +33,7 @@ func FuzzUploadVolume(f *testing.F) {
 	f.Add("int3", "bogus", "0", "four", "-1", []byte{1})
 	f.Add("float32", "bit:yz"+"yyyyyyyyyyyyyyyyyyyyyyyyy"+"x", "2", "2", "2", make([]byte, 32))
 
-	s := newServer(store.NewMemory(nil), metrics.NewRegistry(), 1, 1, time.Second, time.Second)
+	s := newBareServer(f, store.NewMemory(nil), testConfig())
 	mux := s.mux()
 	f.Fuzz(func(t *testing.T, dtype, layout, nx, ny, nz string, body []byte) {
 		// The contract, derived independently of the handler.
