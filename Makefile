@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test vet bench bench-smoke fuzz-smoke figures figures-quick cover cover-check race lint bench-regression bench-baseline baseline-refresh tune-smoke clean
+.PHONY: all check build test vet bench bench-smoke fuzz-smoke figures figures-quick cover cover-check race lint bench-regression bench-baseline baseline-refresh tune-smoke inline-check clean
 
 all: check
 
@@ -95,6 +95,24 @@ baseline-refresh:
 # the pinned winners, scores and evaluation logs exactly.
 tune-smoke:
 	$(GO) test -run 'TestInterleave(Deterministic|BeatsOrMatchesZOrder|Volrend|Pinned)|TestSweepTieBreak' -count=1 -v ./internal/tune
+
+# Inlining guard for the brick codecs: the compiler must report every
+# math bit-cast call in brick.go as inlined. When the lanes once stopped
+# inlining math.Float32frombits, cold loads ran about 30% slower with
+# every test still green (see the note on encodeElems).
+INLINE_FILE = internal/volume/brick.go
+INLINE_CALLS = math.Float32bits math.Float32frombits math.Float64bits math.Float64frombits
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/volume 2>&1) || { echo "$$out"; exit 1; }; \
+	fail=0; \
+	for fn in $(INLINE_CALLS); do \
+	  want=$$(grep -n "$$fn(" $(INLINE_FILE) | cut -d: -f1 | sort -u | tr '\n' ' '); \
+	  got=$$(echo "$$out" | grep "brick.go:[0-9]*:[0-9]*: inlining call to $$fn$$" | cut -d: -f2 | sort -u | tr '\n' ' '); \
+	  if [ -z "$$want" ] || [ "$$want" != "$$got" ]; then \
+	    echo "inline-check: $$fn is called on lines [ $$want] of $(INLINE_FILE) but inlined on [ $$got]"; fail=1; \
+	  fi; \
+	done; \
+	[ $$fail = 0 ] && echo "inline-check: every math bit cast in $(INLINE_FILE) is inlined"
 
 # Short bursts of the native fuzz targets (Go allows one -fuzz pattern
 # per invocation, so the curves run back to back).

@@ -89,6 +89,7 @@ func serveBuiltApp(t *testing.T, a *app) {
 	done := make(chan error, 1)
 	go func() { done <- a.run(ctx) }()
 	t.Cleanup(func() {
+		http.DefaultClient.CloseIdleConnections() // as in startApp
 		cancel()
 		select {
 		case err := <-done:

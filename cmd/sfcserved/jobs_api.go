@@ -208,24 +208,23 @@ func (s *server) renderJob(req renderRequest, coarseLevel int) (jobRun, *httpErr
 // runner. A frame already in the response cache is the whole job: it
 // is emitted as the refined frame, with no preview and no admission
 // slot. Otherwise the job renders the coarse preview (the volume's
-// shared subsample at reduced resolution; skipped at level 0), then
-// the full-resolution pass through cached under the digest a sync
-// /render computes, so a job and a sync request for one digest run the
-// kernel once. Both passes wait for a run slot through admitJob, never
-// for a queue token. jobs.ttfb observes whichever frame comes first.
+// shared subsample at reduced resolution; skipped at level 0). Either
+// way the frame comes through cached under the digest a sync /render
+// computes, so a job and a sync request for one digest run the kernel
+// once, and the job counts one cache hit or miss like a sync request.
+// Both passes wait for a run slot through admitJob, never for a queue
+// token. jobs.ttfb observes whichever frame comes first.
 func (s *server) runRenderJob(ctx context.Context, jt *obs.Trace, plan *renderPlan, coarseLevel int, j *jobs.Job) error {
-	v, hit := s.cache.Get(plan.key)
+	hit := s.cache.Has(plan.key)
 	preview := !hit && coarseLevel > 0
 	if preview {
 		if err := s.renderPreview(ctx, jt, plan, coarseLevel, j); err != nil {
 			return err
 		}
 	}
-	if !hit {
-		var err error
-		if v, _, err = s.cached(ctx, jt, &plan.kernelPlan, s.admitJob); err != nil {
-			return err
-		}
+	v, _, err := s.cached(ctx, jt, &plan.kernelPlan, s.admitJob)
+	if err != nil {
+		return err
 	}
 	if !preview { // the refined frame is the job's first
 		s.jobTTFB.Observe(time.Since(j.Times().Submitted))

@@ -1085,6 +1085,27 @@ func TestJobOverCachedFrameSkipsPreview(t *testing.T) {
 	}
 }
 
+// TestJobCountsOneCacheLookup: a render job counts one response-cache
+// lookup, a miss on a frame nothing served and a hit on a served one,
+// exactly as a sync /render does.
+func TestJobCountsOneCacheLookup(t *testing.T) {
+	a, _, _ := startApp(t, testConfig())
+	base := "http://" + a.apiAddr()
+	req := renderRequest{Volume: "demo", View: 3, Views: 8, Width: 32, Height: 32, Workers: 1}
+	for i, want := range []struct{ hits, misses uint64 }{{0, 1}, {1, 1}} {
+		jobEvents(t, base, submitJob(t, base, jobRequest{Render: &req}))
+		if st := a.srv.cache.Stats(); st.Hits != want.hits || st.Misses != want.misses {
+			t.Fatalf("after job %d: hits %d misses %d, want %d and %d", i+1, st.Hits, st.Misses, want.hits, want.misses)
+		}
+	}
+	resp := postJSON(t, base+"/render", req)
+	resp.Body.Close()
+	if st := a.srv.cache.Stats(); resp.Header.Get("X-Cache") != "hit" || st.Hits != 2 || st.Misses != 1 {
+		t.Fatalf("sync render after the jobs: X-Cache %q, hits %d misses %d, want a hit and 2, 1",
+			resp.Header.Get("X-Cache"), st.Hits, st.Misses)
+	}
+}
+
 // TestJobNeverShedByAdmissionQueue: at -slots 1 -queue 1, one sync
 // render parked in the kernel and a second queued behind it fill the
 // admission queue. A render job accepted then must still run to done

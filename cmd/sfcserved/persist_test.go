@@ -248,7 +248,7 @@ func TestCorruptedBrickRejectedE2E(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 
-	bricks, err := filepath.Glob(filepath.Join(dir, "up-*", "00000.sfcb"))
+	bricks, err := filepath.Glob(filepath.Join(dir, "up-*", "g1", "00000.sfcb"))
 	if err != nil || len(bricks) != 1 {
 		t.Fatalf("glob bricks: %v %v", bricks, err)
 	}

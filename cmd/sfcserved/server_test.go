@@ -75,6 +75,10 @@ func startApp(t *testing.T, cfg config) (*app, context.CancelFunc, chan error) {
 	done := make(chan error, 1)
 	go func() { done <- a.run(ctx) }()
 	t.Cleanup(func() {
+		// Close the client's idle connections first: Shutdown waits
+		// about 5 s for a connection that was dialed but never sent a
+		// request before it counts it as idle.
+		http.DefaultClient.CloseIdleConnections()
 		cancel()
 		select {
 		case err := <-done:
@@ -85,7 +89,6 @@ func startApp(t *testing.T, cfg config) (*app, context.CancelFunc, chan error) {
 			t.Error("app.run did not return after cancel")
 			return
 		}
-		http.DefaultClient.CloseIdleConnections()
 		checkNoLeak(t, before)
 	})
 	waitServing(t, "http://"+a.apiAddr()+"/healthz", "http://"+a.opsAddr()+"/version")

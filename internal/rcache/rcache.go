@@ -164,6 +164,16 @@ func (c *Cache) Get(key string) (Value, bool) {
 	return v, true
 }
 
+// Has reports whether key is resident without counting a hit or a miss
+// and without touching the LRU order: for a caller that goes on to Do,
+// which counts the request once.
+func (c *Cache) Has(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[key]
+	return ok
+}
+
 // Invalidate drops key's resident entry, if any, so the next Do for
 // the key re-runs its compute function. An in-flight computation for
 // the key is left alone — its waiters expect its result; a caller

@@ -447,3 +447,24 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 	t.Fatalf("timed out waiting for %s", what)
 }
+
+// TestHasCountsNothing: Has finds resident keys without counting a hit
+// or a miss and without refreshing the entry's LRU position.
+func TestHasCountsNothing(t *testing.T) {
+	c := New(2 * cost("a", Value{Body: make([]byte, 100)}))
+	c.Put("a", Value{Body: make([]byte, 100)})
+	c.Put("b", Value{Body: make([]byte, 100)})
+	if !c.Has("a") {
+		t.Fatal("Has missed a resident key")
+	}
+	if c.Has("zz") {
+		t.Fatal("Has found an absent key")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("Has counted hits %d, misses %d", st.Hits, st.Misses)
+	}
+	c.Put("c", Value{Body: make([]byte, 100)}) // evicts the least recent
+	if c.Has("a") {
+		t.Fatal("Has refreshed a's LRU position: b was evicted instead")
+	}
+}

@@ -36,6 +36,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -93,7 +94,8 @@ type VolumeStore interface {
 	Get(name string) (*Volume, error)
 	// Put stores v, replacing any volume of the same name, assigns
 	// v.Gen, and — when a disk tier is configured — persists it before
-	// returning. On error the store keeps its previous contents.
+	// returning. On error the store keeps its previous contents, in
+	// RAM and on disk.
 	Put(v *Volume) error
 	// Delete removes the volume from every tier. The name's generation
 	// floor is retained so a later re-create gets a strictly higher
@@ -184,10 +186,10 @@ type Store struct {
 	resident int64
 	flights  map[string]*flight
 
-	// iomu serializes disk writes per volume directory so racing Puts
-	// (or a Put racing a Delete) cannot interleave brick files from
-	// two generations. Disk reads don't take it: the manifest rename
-	// is atomic and per-brick digests catch a torn read.
+	// iomu serializes disk I/O per volume directory: racing Puts (or a
+	// Put racing a Delete) commit their manifests one at a time, and a
+	// demand load reads a generation's bricks before a Put or Delete
+	// can remove them.
 	iomu sync.Map // name -> *sync.Mutex
 
 	// testLoadDelay, when set (tests only), runs after a Get registers
@@ -219,7 +221,10 @@ func NewMemory(reg *metrics.Registry) *Store {
 // Open returns a tiered store persisting volumes under dir, loading
 // the manifest index of every volume a previous process left there.
 // Volumes are demand-loaded on first access, not at open: a restart
-// is cheap no matter how much data the directory holds.
+// is cheap no matter how much data the directory holds. Open also
+// sweeps each volume directory down to what its manifest commits (see
+// sweep), which moves bricks a version without generation directories
+// left beside the manifest into their generation's directory.
 func Open(dir string, o Options) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("store: Open needs a data dir (use NewMemory for RAM only)")
@@ -236,12 +241,16 @@ func Open(dir string, o Options) (*Store, error) {
 		if !de.IsDir() {
 			continue
 		}
-		m, err := volume.ReadManifestFile(filepath.Join(dir, de.Name(), volume.ManifestFile))
+		vdir := filepath.Join(dir, de.Name())
+		m, err := volume.ReadManifestFile(filepath.Join(vdir, volume.ManifestFile))
 		if err != nil {
 			if os.IsNotExist(err) {
 				continue // stray directory, not ours
 			}
 			return nil, fmt.Errorf("store: indexing %s: %w", de.Name(), err)
+		}
+		if err := sweep(vdir, m); err != nil {
+			return nil, fmt.Errorf("store: sweeping %s: %w", de.Name(), err)
 		}
 		if prev, ok := s.ents[m.Name]; ok && prev.lastGen >= m.Gen {
 			continue // duplicate dirs for one name: highest generation wins
@@ -336,6 +345,60 @@ func dirFor(name string) string {
 	return fmt.Sprintf("%s-%x", safe, h[:6])
 }
 
+// genDir names the directory, inside a volume's directory, that holds
+// generation gen's bricks.
+func genDir(gen uint64) string { return fmt.Sprintf("g%d", gen) }
+
+// sweep brings the volume directory dir to exactly what its committed
+// manifest m names. Bricks left beside the manifest, the layout before
+// generation directories, move into m's generation directory when m
+// names them and are removed otherwise; every other generation
+// directory goes, and so does every temp file. Entries the store did
+// not make are left alone. Each step is a rename or a removal, so a
+// sweep cut short is finished by the next.
+func sweep(dir string, m *volume.Manifest) error {
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	live := genDir(m.Gen)
+	for _, de := range des {
+		name := de.Name()
+		path := filepath.Join(dir, name)
+		var err error
+		switch {
+		case strings.HasSuffix(name, ".tmp"):
+			err = os.RemoveAll(path)
+		case de.IsDir() && isGenDir(name) && (name != live || m.Deleted):
+			err = os.RemoveAll(path)
+		case !de.IsDir() && strings.HasSuffix(name, ".sfcb"):
+			if i, ok := brickIndex(name); ok && i < len(m.Bricks) && !m.Deleted {
+				if err = os.MkdirAll(filepath.Join(dir, live), 0o755); err == nil {
+					err = os.Rename(path, filepath.Join(dir, live, name))
+				}
+			} else {
+				err = os.Remove(path)
+			}
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// isGenDir reports whether name is a generation directory's name.
+func isGenDir(name string) bool {
+	gen, err := strconv.ParseUint(strings.TrimPrefix(name, "g"), 10, 64)
+	return err == nil && name == genDir(gen)
+}
+
+// brickIndex parses a brick file name back to its index.
+func brickIndex(name string) (int, bool) {
+	i, err := strconv.Atoi(strings.TrimSuffix(name, ".sfcb"))
+	return i, err == nil && i >= 0 && name == volume.BrickFileName(i)
+}
+
 func (s *Store) lockIO(name string) func() {
 	mu, _ := s.iomu.LoadOrStore(name, &sync.Mutex{})
 	mu.(*sync.Mutex).Lock()
@@ -402,8 +465,8 @@ func (s *Store) Get(name string) (*Volume, error) {
 		}
 		start := time.Now()
 		// Hold the per-name I/O lock so a concurrent Put/Delete cannot
-		// rename bricks out from under the manifest mid-read; a torn
-		// read would fail the sha256 check spuriously.
+		// remove the generation's bricks out from under the manifest
+		// mid-read, which would fail the load spuriously.
 		unlock := s.lockIO(name)
 		vol, err := s.load(dirname)
 		unlock()
@@ -441,8 +504,8 @@ func (s *Store) Get(name string) (*Volume, error) {
 }
 
 // load reads a volume from its directory: manifest, layout
-// reconstruction, then a sequential brick read into the fresh grid's
-// backing slice.
+// reconstruction, then a sequential read of the manifest's generation
+// directory's bricks into the fresh grid's backing slice.
 func (s *Store) load(dirname string) (*Volume, error) {
 	dir := filepath.Join(s.dir, dirname)
 	m, err := volume.ReadManifestFile(filepath.Join(dir, volume.ManifestFile))
@@ -464,7 +527,7 @@ func (s *Store) load(dirname string) (*Volume, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := readGrid(dir, m, dt, l)
+	g, err := readGrid(filepath.Join(dir, genDir(m.Gen)), m, dt, l)
 	if err != nil {
 		return nil, err
 	}
@@ -645,23 +708,40 @@ func (s *Store) commit(e *entry, v *Volume) {
 	s.mu.Unlock()
 }
 
-// persist writes v's bricks and manifest under the store's data dir.
-// Bricks land first (temp file + rename each); the manifest rename is
-// the commit point; stale higher-index bricks from a larger previous
-// generation are removed last.
+// persist writes v under the store's data dir. Its bricks go straight
+// into the generation's own directory, which no committed manifest
+// names, so nothing reads them before the commit and a failed write
+// leaves the committed generation untouched. The manifest rename is the
+// single commit point; only after it does the previous generation's
+// directory go.
 func (s *Store) persist(dirname string, v *Volume) error {
 	dir := filepath.Join(s.dir, dirname)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	gdir := filepath.Join(dir, genDir(v.Gen))
+	if err := os.MkdirAll(gdir, 0o755); err != nil {
 		return err
 	}
+	m, err := s.writeGeneration(dir, gdir, v)
+	if err != nil {
+		_ = os.RemoveAll(gdir) // uncommitted; Open sweeps what this leaves
+		return err
+	}
+	// Committed: a failed removal leaves only garbage that nothing
+	// names, for the next Put or Open to sweep.
+	_ = sweep(dir, m)
+	return nil
+}
+
+// writeGeneration writes v's bricks into gdir and commits them with
+// the manifest in dir, which it returns.
+func (s *Store) writeGeneration(dir, gdir string, v *Volume) (*volume.Manifest, error) {
 	es := v.Grid.Dtype().Size()
 	brickElems := s.brickBytes / es
 	if brickElems < 1 {
 		brickElems = 1
 	}
-	infos, err := writeGrid(dir, v.Grid, brickElems)
+	infos, err := writeGrid(gdir, v.Grid, brickElems)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	nx, ny, nz := v.Grid.Dims()
 	m := &volume.Manifest{
@@ -674,9 +754,9 @@ func (s *Store) persist(dirname string, v *Volume) error {
 		Bricks: infos,
 	}
 	if err := volume.WriteManifestFile(filepath.Join(dir, volume.ManifestFile), m); err != nil {
-		return err
+		return nil, err
 	}
-	return volume.RemoveBricksFrom(dir, len(infos))
+	return m, nil
 }
 
 // Delete implements VolumeStore.
@@ -718,9 +798,7 @@ func (s *Store) Delete(name string) error {
 	if err := volume.WriteManifestFile(filepath.Join(dir, volume.ManifestFile), m); err != nil {
 		return fmt.Errorf("store: tombstoning %q: %w", name, err)
 	}
-	if err := volume.RemoveBricksFrom(dir, 0); err != nil {
-		return fmt.Errorf("store: removing %q bricks: %w", name, err)
-	}
+	_ = sweep(dir, m) // as in persist: the tombstone is the commit
 	return nil
 }
 

@@ -1,7 +1,10 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -102,7 +105,7 @@ func TestTieredPersistReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := s.Put(testVolume(t, "vol/with spaces", 6)); err != nil {
-		t.Fatal(err) // gen 2 overwrites gen 1 in place
+		t.Fatal(err) // gen 2 replaces gen 1
 	}
 
 	r, err := Open(dir, Options{})
@@ -296,7 +299,7 @@ func TestCorruptedBrickSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Find the volume's brick and flip a payload bit.
-	matches, err := filepath.Glob(filepath.Join(dir, "*", "00000.sfcb"))
+	matches, err := filepath.Glob(filepath.Join(dir, "*", genDir(1), "00000.sfcb"))
 	if err != nil || len(matches) != 1 {
 		t.Fatalf("glob: %v %v", matches, err)
 	}
@@ -343,9 +346,10 @@ func TestDeleteTombstoneAcrossReopen(t *testing.T) {
 	if _, err := s.Get("a"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get after Delete: %v", err)
 	}
-	// Bricks are gone; only the tombstone manifest remains.
-	if m, _ := filepath.Glob(filepath.Join(dir, "*", "*.sfcb")); len(m) != 0 {
-		t.Fatalf("bricks survive delete: %v", m)
+	// Generation directories are gone; only the tombstone manifest
+	// remains.
+	if m, _ := filepath.Glob(filepath.Join(dir, "*", "*")); len(m) != 1 || filepath.Base(m[0]) != volume.ManifestFile {
+		t.Fatalf("delete left %v, want only the tombstone manifest", m)
 	}
 
 	r, err := Open(dir, Options{})
@@ -653,5 +657,229 @@ func TestDerivedEvictedBeforeVolumes(t *testing.T) {
 	}
 	if s.ResidentBytes() > 2*volBytes+volBytes/4 {
 		t.Errorf("resident bytes %d over the budget", s.ResidentBytes())
+	}
+}
+
+// fileDigests maps every regular file under dir, by slash path
+// relative to dir, to the sha256 of its bytes.
+func fileDigests(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		sum := sha256.Sum256(b)
+		out[filepath.ToSlash(rel)] = hex.EncodeToString(sum[:])
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestFailedPutKeepsCommittedGeneration fails generation 2's write at
+// its first brick, at a middle brick and at the manifest, by putting a
+// directory where the write creates a file, which fails for root too.
+// The failed Put must leave generation 1 byte-identical on disk, and a
+// reopened store must serve generation 1 with the leftovers swept.
+func TestFailedPutKeepsCommittedGeneration(t *testing.T) {
+	for _, c := range []struct{ name, obstacle string }{
+		{"brick 0", filepath.Join(genDir(2), volume.BrickFileName(0))},
+		{"middle brick", filepath.Join(genDir(2), volume.BrickFileName(2))},
+		{"manifest", volume.ManifestFile + ".tmp"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, Options{BrickBytes: 512}) // four bricks
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put(testVolume(t, "a", 1)); err != nil {
+				t.Fatal(err)
+			}
+			vdir := filepath.Join(dir, dirFor("a"))
+			before := fileDigests(t, vdir)
+			if len(before) != 5 {
+				t.Fatalf("generation 1 wrote %d files, want a manifest and 4 bricks: %v", len(before), before)
+			}
+			if err := os.MkdirAll(filepath.Join(vdir, c.obstacle), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put(testVolume(t, "a", 2)); err == nil {
+				t.Fatal("Put succeeded through the obstacle")
+			}
+			if got := fileDigests(t, vdir); !reflect.DeepEqual(got, before) {
+				t.Fatalf("failed Put changed the files on disk:\n got %v\nwant %v", got, before)
+			}
+
+			r, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if in, ok := r.Stat("a"); !ok || in.Gen != 1 {
+				t.Fatalf("reopened Stat = %+v, %v; want generation 1", in, ok)
+			}
+			got, err := r.Get("a")
+			if err != nil {
+				t.Fatalf("reopened Get: %v", err)
+			}
+			if !reflect.DeepEqual(samples(got), samples(testVolume(t, "a", 1))) {
+				t.Fatal("reopened volume is not generation 1")
+			}
+			ents, err := os.ReadDir(vdir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ents) != 2 || ents[0].Name() != genDir(1) || ents[1].Name() != volume.ManifestFile {
+				t.Fatalf("reopen left %v, want only %s and %s", ents, genDir(1), volume.ManifestFile)
+			}
+			if err := r.Put(testVolume(t, "a", 3)); err != nil {
+				t.Fatalf("Put after the reopen: %v", err)
+			}
+		})
+	}
+}
+
+// TestOpenSweepsLeftovers: Open removes every generation directory the
+// manifest does not name and every temp file, keeps what the store did
+// not make, and leaves a tombstoned volume with no generation at all.
+func TestOpenSweepsLeftovers(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := 1; seed <= 2; seed++ {
+		if err := s.Put(testVolume(t, "a", seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Put(testVolume(t, "gone", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete("gone"); err != nil {
+		t.Fatal(err)
+	}
+	plant := func(vdir string, files ...string) {
+		for _, f := range files {
+			path := filepath.Join(vdir, f)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte("x"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	adir, gonedir := filepath.Join(dir, dirFor("a")), filepath.Join(dir, dirFor("gone"))
+	plant(adir, "g1/00000.sfcb", "g7/00000.sfcb", "manifest.json.tmp", "00009.sfcb", "notes.txt", "gallery/00000.sfcb")
+	plant(gonedir, "g1/00000.sfcb", "g2/00000.sfcb.tmp")
+
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]string{
+		adir:    {"g2", "gallery", "manifest.json", "notes.txt"},
+		gonedir: {"manifest.json"},
+	}
+	for vdir, names := range want {
+		ents, err := os.ReadDir(vdir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range ents {
+			got = append(got, e.Name())
+		}
+		if !reflect.DeepEqual(got, names) {
+			t.Errorf("%s after Open: %v, want %v", filepath.Base(vdir), got, names)
+		}
+	}
+	got, err := r.Get("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(samples(got), samples(testVolume(t, "a", 2))) || got.Gen != 2 {
+		t.Fatal("swept store does not serve generation 2")
+	}
+	if _, ok := r.Stat("gone"); ok {
+		t.Fatal("tombstoned volume visible after the sweep")
+	}
+}
+
+// TestOpenMigratesFlatLayout opens a data dir in the layout that kept
+// bricks beside the manifest, one brick already moved by a migration
+// that was cut short and one stale brick past the manifest's count. The
+// bricks must move, byte for byte, into the generation's directory,
+// the stale one must go, and the volume must load and take a new
+// generation.
+func TestOpenMigratesFlatLayout(t *testing.T) {
+	dir := t.TempDir()
+	vdir := filepath.Join(dir, dirFor("old"))
+	v := testVolume(t, "old", 5)
+	if err := os.Mkdir(vdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	infos, err := volume.WriteBricks(vdir, samples(v), 128) // four bricks
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &volume.Manifest{
+		Version: volume.ManifestVersion, Name: "old", Dataset: "test", Layout: "zorder",
+		Dtype: "float32", Nx: 8, Ny: 8, Nz: 8, Elems: 512, BrickElems: 128, Gen: 3, Bricks: infos,
+	}
+	if err := volume.WriteManifestFile(filepath.Join(vdir, volume.ManifestFile), m); err != nil {
+		t.Fatal(err)
+	}
+	flat := fileDigests(t, vdir)
+	if err := os.WriteFile(filepath.Join(vdir, volume.BrickFileName(4)), []byte("stale"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(vdir, genDir(3)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	b1 := volume.BrickFileName(1)
+	if err := os.Rename(filepath.Join(vdir, b1), filepath.Join(vdir, genDir(3), b1)); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{volume.ManifestFile: flat[volume.ManifestFile]}
+	for i := range infos {
+		b := volume.BrickFileName(i)
+		want[genDir(3)+"/"+b] = flat[b]
+	}
+	if got := fileDigests(t, vdir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("migrated files:\n got %v\nwant %v", got, want)
+	}
+	got, err := s.Get("old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(samples(got), samples(v)) || got.Gen != 3 {
+		t.Fatal("migrated volume does not load as generation 3")
+	}
+	if _, err := Open(dir, Options{}); err != nil {
+		t.Fatalf("second Open: %v", err)
+	}
+	if got := fileDigests(t, vdir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("second Open moved files again: %v", got)
+	}
+	if err := s.Put(testVolume(t, "old", 6)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(vdir, genDir(3))); !os.IsNotExist(err) {
+		t.Fatalf("generation 3's directory survives generation 4's commit: %v", err)
 	}
 }

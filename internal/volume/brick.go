@@ -13,11 +13,16 @@ package volume
 // LoadRawOf, which map every sample of a row-major x-row through the
 // layout for interchange with external tools).
 //
-// A persisted volume is a directory:
+// A persisted volume is a manifest plus a directory of bricks:
 //
 //	manifest.json   metadata + per-brick sha256 (the commit point)
 //	00000.sfcb      brick 0: 18-byte header, then payload
 //	00001.sfcb      brick 1, ...
+//
+// The bricks need not sit beside the manifest: the tiered store keeps
+// each generation's bricks in a directory of their own (see
+// internal/store), and these functions take the brick directory as an
+// argument.
 //
 // Brick payloads are little-endian samples in storage order. Every
 // brick carries its own header (magic, format version, dtype, index,
@@ -363,10 +368,11 @@ const brickChunk = 1 << 16
 
 // WriteBricks persists data — a grid's backing slice, already in curve
 // order — under dir as brick files of brickElems samples each (the
-// last brick takes the remainder). Each brick is written to a temp
-// file and renamed into place; the caller commits the set by writing
-// the manifest afterwards. Returns the per-brick sizes and digests for
-// that manifest.
+// last brick takes the remainder). Bricks are written in place, with
+// no temp file: dir must be a directory that no committed manifest
+// names, so nothing reads a brick before the caller commits the set by
+// writing the manifest afterwards. Returns the per-brick sizes and
+// digests for that manifest.
 func WriteBricks[T grid.Scalar](dir string, data []T, brickElems int) ([]BrickInfo, error) {
 	if brickElems < 1 {
 		return nil, fmt.Errorf("volume: brick size %d elems invalid", brickElems)
@@ -388,13 +394,12 @@ func WriteBricks[T grid.Scalar](dir string, data []T, brickElems int) ([]BrickIn
 }
 
 // writeBrick writes brick i — header, then chunk encoded through buf
-// and hashed by h as it streams — to path's temp file and renames it
-// into place. It returns the payload's sha256.
+// and hashed by h as it streams — to path. It returns the payload's
+// sha256.
 func writeBrick[T grid.Scalar](path string, i int, chunk []T, buf []byte, h hash.Hash) ([]byte, error) {
 	dt := grid.DtypeFor[T]()
 	es := dt.Size()
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("volume: writing brick %d: %w", i, err)
 	}
@@ -414,9 +419,6 @@ func writeBrick[T grid.Scalar](path string, i int, chunk []T, buf []byte, h hash
 	}
 	if err != nil {
 		return nil, fmt.Errorf("volume: writing brick %d: %w", i, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return nil, fmt.Errorf("volume: committing brick %d: %w", i, err)
 	}
 	return h.Sum(nil), nil
 }
@@ -507,19 +509,4 @@ func readBrick[T grid.Scalar](path string, i int, bi BrickInfo, dst []T, buf []b
 		return fmt.Errorf("%s: brick sha256 %s does not match manifest %s (corrupted or partially written)", path, got, bi.SHA256)
 	}
 	return nil
-}
-
-// RemoveBricksFrom deletes brick files with index >= from in dir —
-// the stale tail left behind when a volume shrinks across generations
-// (fewer bricks than its predecessor). Missing files are fine.
-func RemoveBricksFrom(dir string, from int) error {
-	for i := from; ; i++ {
-		path := filepath.Join(dir, BrickFileName(i))
-		if err := os.Remove(path); err != nil {
-			if os.IsNotExist(err) {
-				return nil
-			}
-			return err
-		}
-	}
 }

@@ -321,21 +321,6 @@ func TestTombstoneManifest(t *testing.T) {
 	}
 }
 
-func TestRemoveBricksFrom(t *testing.T) {
-	l := core.New(core.ZKind, 8, 8, 8)
-	dir := t.TempDir()
-	writeTestVolume[uint8](t, dir, l, 64) // 8 bricks
-	if err := RemoveBricksFrom(dir, 3); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		_, err := os.Stat(filepath.Join(dir, BrickFileName(i)))
-		if want := i < 3; (err == nil) != want {
-			t.Errorf("brick %d present=%v, want %v", i, err == nil, want)
-		}
-	}
-}
-
 // FuzzManifestRoundTrip feeds arbitrary bytes through the manifest
 // decoder; anything it accepts must re-encode and re-decode to the
 // same value (the persistence format is its own fixed point).
