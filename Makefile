@@ -130,6 +130,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzUploadVolume -fuzztime=$(FUZZTIME) ./cmd/sfcserved
 	$(GO) test -run='^$$' -fuzz=FuzzCreateJob -fuzztime=$(FUZZTIME) ./cmd/sfcserved
 	$(GO) test -run='^$$' -fuzz=FuzzKernelRequest -fuzztime=$(FUZZTIME) ./cmd/sfcserved
+	$(GO) test -run='^$$' -fuzz=FuzzTuneRequest -fuzztime=$(FUZZTIME) ./cmd/sfcserved
 
 clean:
 	rm -rf csv frames lod test_output.txt bench_output.txt bench_fresh.txt bench_fresh.json cover.out

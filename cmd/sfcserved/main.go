@@ -163,8 +163,14 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	for _, v := range a.srv.store.List() {
 		names = append(names, v.Name)
 	}
-	fmt.Fprintf(stderr, "sfcserved: serving on http://%s (ops http://%s), volumes: %s\n",
-		a.apiAddr(), a.opsAddr(), strings.Join(names, ", "))
+	var skipped string
+	if s, ok := a.srv.store.(*store.Store); ok {
+		if dirs := s.Unreadable(); len(dirs) > 0 {
+			skipped = "; skipped, manifest unreadable: " + strings.Join(dirs, ", ")
+		}
+	}
+	fmt.Fprintf(stderr, "sfcserved: serving on http://%s (ops http://%s), volumes: %s%s\n",
+		a.apiAddr(), a.opsAddr(), strings.Join(names, ", "), skipped)
 	if err := a.run(ctx); err != nil {
 		fmt.Fprintln(stderr, "sfcserved:", err)
 		return 1

@@ -471,14 +471,11 @@ func ApplyViewsCtxOf[T grid.Scalar](ctx context.Context, srcs []grid.ReaderOf[T]
 			i, j, kk = i+di, j+dj, kk+dk
 		}
 	}
-	if o.Stats != nil || o.Observer != nil {
-		st, err := parallel.RoundRobinInstrumentedCtx(ctx, pencils, o.Workers, pencil, o.Observer)
-		if o.Stats != nil {
-			*o.Stats = st
-		}
-		return err
+	st, err := parallel.RoundRobin(ctx, pencils, o.Workers, pencil, o.Observer)
+	if o.Stats != nil {
+		*o.Stats = st
 	}
-	return parallel.RoundRobinCtx(ctx, pencils, o.Workers, pencil)
+	return err
 }
 
 // backingGridOf unwraps a view to the *grid.Grid[T] it reads or writes,
@@ -586,16 +583,11 @@ func GaussianConvolveCtxOf[T grid.Scalar](ctx context.Context, src grid.ReaderOf
 			i, j, kk = i+di, j+dj, kk+dk
 		}
 	}
-	// Like ApplyViews, route through the instrumented round-robin when
-	// the caller asked for scheduling stats or a per-pencil observer.
-	if o.Stats != nil || o.Observer != nil {
-		st, err := parallel.RoundRobinInstrumentedCtx(ctx, pencils, o.Workers, pencil, o.Observer)
-		if o.Stats != nil {
-			*o.Stats = st
-		}
-		return err
+	st, err := parallel.RoundRobin(ctx, pencils, o.Workers, pencil, o.Observer)
+	if o.Stats != nil {
+		*o.Stats = st
 	}
-	return parallel.RoundRobinCtx(ctx, pencils, o.Workers, pencil)
+	return err
 }
 
 // gaussVoxelOf computes the plain Gaussian smoothing at (i,j,k) on the

@@ -1,6 +1,7 @@
 package filter
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -48,7 +49,9 @@ func GaussianSeparable(src grid.Reader, dst grid.Writer, o Options) error {
 	pass := func(in grid.Reader, out grid.Writer, axis parallel.Axis) {
 		di, dj, dk := parallel.PencilStep(axis)
 		pencils := parallel.PencilCount(nx, ny, nz, axis)
-		parallel.RoundRobin(pencils, o.Workers, func(_, p int) {
+		// GaussianSeparable takes no context; TODO never cancels, so the
+		// error is always nil.
+		_, _ = parallel.RoundRobin(context.TODO(), pencils, o.Workers, func(_, p int) {
 			i, j, k, length := parallel.PencilStart(nx, ny, nz, axis, p)
 			for s := 0; s < length; s++ {
 				var num, den float64
@@ -64,7 +67,7 @@ func GaussianSeparable(src grid.Reader, dst grid.Writer, o Options) error {
 				out.Set(i, j, k, float32(num/den))
 				i, j, k = i+di, j+dj, k+dk
 			}
-		})
+		}, nil)
 	}
 	pass(src, tmp1, parallel.AxisX)
 	pass(tmp1, tmp2, parallel.AxisY)

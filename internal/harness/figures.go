@@ -51,7 +51,9 @@ func fig1(cfg Config, ins *Instruments) FigureResult {
 		workers = cfg.FixedThreads
 	}
 	elapsed := make([]time.Duration, len(kinds))
-	st := parallel.DynamicInstrumented(len(kinds), workers, func(_, r int) {
+	// fig1 takes no context; TODO never cancels, so the error is always
+	// nil.
+	st, _ := parallel.Dynamic(context.TODO(), len(kinds), workers, func(_, r int) {
 		start := time.Now()
 		kind := kinds[r]
 		l := core.New(kind, size, size, size)

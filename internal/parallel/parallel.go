@@ -8,11 +8,15 @@
 //     image tiles are served from a shared queue, the strategy the paper
 //     cites as its reason for using raw threads over OpenMP.
 //
-// Both run the caller's function on plain goroutines; with one worker
-// they degrade to a deterministic serial loop.
+// Both are one worker loop (run) that differs only in how a worker
+// claims its next item. It runs the caller's function on plain
+// goroutines, degrades to a deterministic serial loop with one worker,
+// stops handing out items when the caller's context is cancelled, and
+// returns per-worker Stats.
 package parallel
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -86,73 +90,29 @@ func PencilStep(axis Axis) (di, dj, dk int) {
 	panic("parallel: invalid axis")
 }
 
-// RoundRobin runs fn(workerID, item) for every item in [0, items) using
+// RoundRobin runs fn(workerID, item) for every item in [0, items) on
 // the given number of workers; worker w handles items w, w+workers,
 // w+2*workers, ... in order — the paper's round-robin pencil handout.
-// With workers == 1 it is a plain deterministic loop. It panics if
-// workers < 1.
-func RoundRobin(items, workers int, fn func(worker, item int)) {
-	if workers < 1 {
-		panic("parallel: workers must be >= 1")
-	}
-	if workers == 1 {
-		for i := 0; i < items; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < items; i += workers {
-				fn(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
+// See run for cancellation, Stats and the observer.
+func RoundRobin(ctx context.Context, items, workers int, fn func(worker, item int), obs Observer) (Stats, error) {
+	return run(ctx, "round-robin", items, workers, fn, obs)
 }
 
-// Dynamic runs fn(workerID, item) for every item in [0, items) using a
+// Dynamic runs fn(workerID, item) for every item in [0, items) from a
 // shared atomic queue: each worker repeatedly claims the next unclaimed
 // item. This is the paper's worker-pool model for the renderer's tile
-// decomposition. It panics if workers < 1.
-func Dynamic(items, workers int, fn func(worker, item int)) {
-	if workers < 1 {
-		panic("parallel: workers must be >= 1")
-	}
-	if workers == 1 {
-		for i := 0; i < items; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1) - 1)
-				if i >= items {
-					return
-				}
-				fn(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
+// decomposition. See run for cancellation, Stats and the observer.
+func Dynamic(ctx context.Context, items, workers int, fn func(worker, item int), obs Observer) (Stats, error) {
+	return run(ctx, "dynamic", items, workers, fn, obs)
 }
 
-// Observer receives one completed work item from an instrumented run:
-// which worker ran item, when it started, and how long it took. Passing
-// a nil Observer disables per-item timing entirely, leaving only the
-// two per-worker clock reads.
+// Observer receives one completed work item: which worker ran item,
+// when it started, and how long it took. Passing a nil Observer
+// disables per-item timing entirely, leaving only the two per-worker
+// clock reads.
 type Observer func(worker, item int, start time.Time, dur time.Duration)
 
-// WorkerStat is one worker's share of an instrumented run.
+// WorkerStat is one worker's share of a run.
 type WorkerStat struct {
 	// Items is how many work items the worker executed.
 	Items int `json:"items"`
@@ -162,7 +122,7 @@ type WorkerStat struct {
 	Busy time.Duration `json:"busy_ns"`
 }
 
-// Stats summarizes an instrumented run. The paper's §III compares the
+// Stats summarizes a run. The paper's §III compares the
 // round-robin and dynamic-queue strategies by how evenly they spread
 // work; ImbalanceFactor is that comparison as a single number.
 type Stats struct {
@@ -194,162 +154,103 @@ func (s Stats) ImbalanceFactor() float64 {
 	return float64(max) / mean
 }
 
-// instrumentedShell runs body once per worker (inline for one worker,
-// preserving the plain strategies' serial determinism) and assembles the
-// Stats. Each worker's bookkeeping is local until its single WorkerStat
-// store at the end, so the shell adds no shared-memory traffic to the
-// measured loops.
-func instrumentedShell(strategy string, items, workers int, body func(w int) WorkerStat) Stats {
+// run is the one worker loop behind both strategies. It panics if
+// workers < 1.
+//
+// With one worker it runs on the caller's goroutine and takes the items
+// in order under either strategy; otherwise each worker is a goroutine and the call returns only after all of them
+// have finished, so none outlives it.
+//
+// Cancellation is cooperative: every worker checks ctx.Done() before it
+// claims an item and stops claiming once it closes. An item that has
+// started runs to completion — items (whole pencils, whole tiles) are
+// the cancellation granule. The call returns ctx.Err() only when
+// cancellation stopped work, that is when fewer than items ran; the
+// Stats then cover what did run. A context that can never be cancelled
+// (ctx.Done() == nil) costs one nil test per item.
+//
+// Each worker keeps its WorkerStat local until one store at the end, so
+// the accounting adds no shared-memory traffic to the loop. A nil obs
+// means no per-item clock reads: Busy is then two reads per worker,
+// around its items. With obs set, each item is stamped and the end
+// stamp is taken before obs runs, so the observer's own time lands
+// neither in Busy nor in the duration it is handed.
+func run(ctx context.Context, strategy string, items, workers int, fn func(worker, item int), obs Observer) (Stats, error) {
+	if workers < 1 {
+		panic("parallel: workers must be >= 1")
+	}
+	done := ctx.Done()
+	strided := strategy == "round-robin"
+	var next atomic.Int64 // the dynamic queue's next unclaimed item
+	work := func(w int) (ws WorkerStat) {
+		var first, last time.Time
+		i := w - workers
+	claim:
+		for {
+			if done != nil {
+				select {
+				case <-done:
+					break claim
+				default:
+				}
+			}
+			if strided {
+				i += workers
+			} else {
+				i = int(next.Add(1) - 1)
+			}
+			if i >= items {
+				break
+			}
+			if obs == nil {
+				if ws.Items == 0 {
+					first = time.Now()
+				}
+				fn(w, i)
+			} else {
+				start := time.Now()
+				if ws.Items == 0 {
+					first = start
+				}
+				fn(w, i)
+				last = time.Now()
+				obs(w, i, start, last.Sub(start))
+			}
+			ws.Items++
+		}
+		if ws.Items > 0 {
+			if obs == nil {
+				last = time.Now()
+			}
+			ws.Busy = last.Sub(first)
+		}
+		return ws
+	}
+
 	st := Stats{Strategy: strategy, Items: items, Workers: make([]WorkerStat, workers)}
 	begin := time.Now()
 	if workers == 1 {
-		st.Workers[0] = body(0)
+		st.Workers[0] = work(0)
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				st.Workers[w] = body(w)
+				st.Workers[w] = work(w)
 			}(w)
 		}
 		wg.Wait()
 	}
 	st.Elapsed = time.Since(begin)
-	return st
-}
-
-// RoundRobinInstrumented is RoundRobin with per-worker accounting: it
-// returns each worker's item count and busy time, and optionally reports
-// every completed item to obs. Semantics (ordering, determinism with one
-// worker, panics) match RoundRobin. With a nil obs the measured loop is
-// the plain strategy's loop plus a local counter and two clock reads per
-// worker — overhead below the benchmarks' noise floor.
-func RoundRobinInstrumented(items, workers int, fn func(worker, item int), obs Observer) Stats {
-	if workers < 1 {
-		panic("parallel: workers must be >= 1")
+	ran := 0
+	for _, ws := range st.Workers {
+		ran += ws.Items
 	}
-	if obs == nil {
-		return instrumentedShell("round-robin", items, workers, func(w int) (ws WorkerStat) {
-			if w >= items {
-				return
-			}
-			first := time.Now()
-			for i := w; i < items; i += workers {
-				fn(w, i)
-				ws.Items++
-			}
-			ws.Busy = time.Since(first)
-			return
-		})
+	if ran < items {
+		return st, ctx.Err()
 	}
-	return instrumentedShell("round-robin", items, workers, func(w int) (ws WorkerStat) {
-		var first, last time.Time
-		for i := w; i < items; i += workers {
-			start := time.Now()
-			if ws.Items == 0 {
-				first = start
-			}
-			fn(w, i)
-			// Take the end stamp before handing the item to obs, so the
-			// observer's own execution time never lands in Busy (or in
-			// the item duration it is reported).
-			last = time.Now()
-			obs(w, i, start, last.Sub(start))
-			ws.Items++
-		}
-		if ws.Items > 0 {
-			ws.Busy = last.Sub(first)
-		}
-		return
-	})
-}
-
-// DynamicInstrumented is Dynamic with per-worker accounting; see
-// RoundRobinInstrumented.
-func DynamicInstrumented(items, workers int, fn func(worker, item int), obs Observer) Stats {
-	if workers < 1 {
-		panic("parallel: workers must be >= 1")
-	}
-	if workers == 1 {
-		// Like plain Dynamic, a single worker drains the queue in order
-		// with no atomics.
-		return instrumentedShell("dynamic", items, 1, func(_ int) (ws WorkerStat) {
-			if items == 0 {
-				return
-			}
-			first := time.Now()
-			if obs == nil {
-				for i := 0; i < items; i++ {
-					fn(0, i)
-					ws.Items++
-				}
-				ws.Busy = time.Since(first)
-			} else {
-				var last time.Time
-				for i := 0; i < items; i++ {
-					start := time.Now()
-					fn(0, i)
-					// End stamp before obs: see RoundRobinInstrumented.
-					last = time.Now()
-					obs(0, i, start, last.Sub(start))
-					ws.Items++
-				}
-				ws.Busy = last.Sub(first)
-			}
-			return
-		})
-	}
-	var next int64
-	claim := func() int {
-		i := int(atomic.AddInt64(&next, 1) - 1)
-		if i >= items {
-			return -1
-		}
-		return i
-	}
-	if obs == nil {
-		return instrumentedShell("dynamic", items, workers, func(w int) (ws WorkerStat) {
-			var first time.Time
-			for {
-				i := claim()
-				if i < 0 {
-					break
-				}
-				if ws.Items == 0 {
-					first = time.Now()
-				}
-				fn(w, i)
-				ws.Items++
-			}
-			if ws.Items > 0 {
-				ws.Busy = time.Since(first)
-			}
-			return
-		})
-	}
-	return instrumentedShell("dynamic", items, workers, func(w int) (ws WorkerStat) {
-		var first, last time.Time
-		for {
-			i := claim()
-			if i < 0 {
-				break
-			}
-			start := time.Now()
-			if ws.Items == 0 {
-				first = start
-			}
-			fn(w, i)
-			// End stamp before obs: see RoundRobinInstrumented.
-			last = time.Now()
-			obs(w, i, start, last.Sub(start))
-			ws.Items++
-		}
-		if ws.Items > 0 {
-			ws.Busy = last.Sub(first)
-		}
-		return
-	})
+	return st, nil
 }
 
 // Tile is a rectangular region of an image: pixels [X0,X1) × [Y0,Y1).

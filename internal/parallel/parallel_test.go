@@ -1,84 +1,123 @@
 package parallel
 
 import (
+	"context"
 	"sync"
 	"testing"
+	"time"
 )
 
-func TestRoundRobinCoversAllItemsOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 7, 16} {
-		const items = 100
-		var mu sync.Mutex
-		counts := make([]int, items)
-		RoundRobin(items, workers, func(_, i int) {
-			mu.Lock()
-			counts[i]++
-			mu.Unlock()
-		})
-		for i, c := range counts {
-			if c != 1 {
-				t.Errorf("workers=%d: item %d ran %d times", workers, i, c)
+// strategy names one of the two entry points for table-driven tests.
+type strategy struct {
+	name string
+	run  func(ctx context.Context, items, workers int, fn func(worker, item int), obs Observer) (Stats, error)
+}
+
+var strategies = []strategy{{"round-robin", RoundRobin}, {"dynamic", Dynamic}}
+
+// observers are the loop's two timing modes: no per-item clock reads,
+// and per-item stamps handed to an observer.
+var observers = map[string]Observer{
+	"nil-observer": nil,
+	"observer":     func(_, _ int, _ time.Time, _ time.Duration) {},
+}
+
+// checkCoversAllItemsOnce runs s over items with each worker count and
+// both observer modes and fails unless every item ran exactly once.
+func checkCoversAllItemsOnce(t *testing.T, s strategy, items int, workerCounts []int) {
+	t.Helper()
+	for obsName, obs := range observers {
+		for _, workers := range workerCounts {
+			var mu sync.Mutex
+			counts := make([]int, items)
+			_, err := s.run(context.Background(), items, workers, func(_, i int) {
+				mu.Lock()
+				counts[i]++
+				mu.Unlock()
+			}, obs)
+			if err != nil {
+				t.Fatalf("%s %s workers=%d: %v", s.name, obsName, workers, err)
+			}
+			for i, c := range counts {
+				if c != 1 {
+					t.Errorf("%s %s workers=%d: item %d ran %d times", s.name, obsName, workers, i, c)
+				}
 			}
 		}
 	}
 }
 
-func TestRoundRobinAssignmentPattern(t *testing.T) {
-	const items, workers = 10, 3
-	var mu sync.Mutex
-	owner := make([]int, items)
-	RoundRobin(items, workers, func(w, i int) {
-		mu.Lock()
-		owner[i] = w
-		mu.Unlock()
-	})
-	for i := 0; i < items; i++ {
-		if owner[i] != i%workers {
-			t.Errorf("item %d owned by worker %d, want %d", i, owner[i], i%workers)
-		}
-	}
+func TestRoundRobinCoversAllItemsOnce(t *testing.T) {
+	checkCoversAllItemsOnce(t, strategies[0], 100, []int{1, 2, 3, 7, 16})
 }
 
 func TestDynamicCoversAllItemsOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 5, 32} {
-		const items = 500
+	checkCoversAllItemsOnce(t, strategies[1], 500, []int{1, 2, 5, 32})
+}
+
+// TestRoundRobinAssignmentPattern: item i goes to worker i mod W, and
+// the Stats agree: an equal share per worker, each with busy time.
+func TestRoundRobinAssignmentPattern(t *testing.T) {
+	const items, workers = 12, 4
+	for obsName, obs := range observers {
 		var mu sync.Mutex
-		counts := make([]int, items)
-		Dynamic(items, workers, func(_, i int) {
+		owner := make([]int, items)
+		st, _ := RoundRobin(context.Background(), items, workers, func(w, i int) {
 			mu.Lock()
-			counts[i]++
+			owner[i] = w
 			mu.Unlock()
-		})
-		for i, c := range counts {
-			if c != 1 {
-				t.Errorf("workers=%d: item %d ran %d times", workers, i, c)
+			busyWait(time.Microsecond)
+		}, obs)
+		for i := 0; i < items; i++ {
+			if owner[i] != i%workers {
+				t.Errorf("%s: item %d owned by worker %d, want %d", obsName, i, owner[i], i%workers)
+			}
+		}
+		for w, ws := range st.Workers {
+			if ws.Items != items/workers {
+				t.Errorf("%s: worker %d ran %d items, want %d", obsName, w, ws.Items, items/workers)
+			}
+			if ws.Busy <= 0 {
+				t.Errorf("%s: worker %d has zero busy time", obsName, w)
 			}
 		}
 	}
 }
 
+// TestZeroItems: no callback runs and the Stats are all zero, with as
+// many entries as workers.
 func TestZeroItems(t *testing.T) {
-	ran := false
-	RoundRobin(0, 4, func(_, _ int) { ran = true })
-	Dynamic(0, 4, func(_, _ int) { ran = true })
-	if ran {
-		t.Error("callback ran with zero items")
+	for _, s := range strategies {
+		for obsName, obs := range observers {
+			for _, workers := range []int{1, 3} {
+				st, err := s.run(context.Background(), 0, workers, func(_, _ int) { t.Errorf("%s %s: callback ran", s.name, obsName) }, obs)
+				if err != nil || len(st.Workers) != workers || st.ImbalanceFactor() != 0 {
+					t.Errorf("%s %s workers=%d: stats %+v err %v", s.name, obsName, workers, st, err)
+				}
+				for _, w := range st.Workers {
+					if w.Items != 0 || w.Busy != 0 {
+						t.Errorf("%s %s: zero-item worker stat %+v", s.name, obsName, w)
+					}
+				}
+			}
+		}
 	}
 }
 
 func TestInvalidWorkersPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { RoundRobin(1, 0, func(_, _ int) {}) },
-		func() { Dynamic(1, 0, func(_, _ int) {}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("no panic for 0 workers")
-				}
-			}()
-			fn()
-		}()
+	for _, s := range strategies {
+		for obsName, obs := range observers {
+			for _, workers := range []int{0, -1} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s %s: no panic for %d workers", s.name, obsName, workers)
+						}
+					}()
+					s.run(context.Background(), 1, workers, func(_, _ int) {}, obs)
+				}()
+			}
+		}
 	}
 }
 

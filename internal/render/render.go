@@ -206,26 +206,16 @@ func renderViewsCtxOf[T grid.Scalar, A grid.Accum](ctx context.Context, views []
 			}
 		}
 	}
-	if o.Stats != nil || o.Observer != nil {
-		instrumented := parallel.DynamicInstrumentedCtx
-		if o.Schedule == StaticSchedule {
-			instrumented = parallel.RoundRobinInstrumentedCtx
-		}
-		st, err := instrumented(ctx, len(tiles), o.Workers, tile, o.Observer)
-		if o.Stats != nil {
-			*o.Stats = st
-		}
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		schedule := parallel.DynamicCtx
-		if o.Schedule == StaticSchedule {
-			schedule = parallel.RoundRobinCtx
-		}
-		if err := schedule(ctx, len(tiles), o.Workers, tile); err != nil {
-			return nil, err
-		}
+	schedule := parallel.Dynamic
+	if o.Schedule == StaticSchedule {
+		schedule = parallel.RoundRobin
+	}
+	st, err := schedule(ctx, len(tiles), o.Workers, tile, o.Observer)
+	if o.Stats != nil {
+		*o.Stats = st
+	}
+	if err != nil {
+		return nil, err
 	}
 	return img, nil
 }

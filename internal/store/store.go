@@ -192,6 +192,11 @@ type Store struct {
 	// can remove them.
 	iomu sync.Map // name -> *sync.Mutex
 
+	// unreadable maps each volume directory whose manifest Open could
+	// not read to the highest generation directory it holds: the
+	// generation floor for the Put that takes the directory over.
+	unreadable map[string]uint64
+
 	// testLoadDelay, when set (tests only), runs after a Get registers
 	// itself as the demand-load leader and before it touches disk —
 	// the hook that makes single-flight coalescing deterministic to
@@ -224,7 +229,9 @@ func NewMemory(reg *metrics.Registry) *Store {
 // is cheap no matter how much data the directory holds. Open also
 // sweeps each volume directory down to what its manifest commits (see
 // sweep), which moves bricks a version without generation directories
-// left beside the manifest into their generation's directory.
+// left beside the manifest into their generation's directory. A
+// directory whose manifest does not read is skipped and reported (see
+// Unreadable); every other volume still opens.
 func Open(dir string, o Options) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("store: Open needs a data dir (use NewMemory for RAM only)")
@@ -243,11 +250,15 @@ func Open(dir string, o Options) (*Store, error) {
 		}
 		vdir := filepath.Join(dir, de.Name())
 		m, err := volume.ReadManifestFile(filepath.Join(vdir, volume.ManifestFile))
+		if os.IsNotExist(err) {
+			continue // stray directory, not ours
+		}
 		if err != nil {
-			if os.IsNotExist(err) {
-				continue // stray directory, not ours
-			}
-			return nil, fmt.Errorf("store: indexing %s: %w", de.Name(), err)
+			// A torn or zeroed manifest costs its own volume, not the
+			// data dir: the directory stays as it is, unswept, until a
+			// Put of its name takes it over.
+			s.unreadable[de.Name()] = maxGenDir(vdir)
+			continue
 		}
 		if err := sweep(vdir, m); err != nil {
 			return nil, fmt.Errorf("store: sweeping %s: %w", de.Name(), err)
@@ -283,6 +294,7 @@ func newStore(dir string, o Options) *Store {
 		ents:       make(map[string]*entry),
 		lru:        list.New(),
 		flights:    make(map[string]*flight),
+		unreadable: make(map[string]uint64),
 	}
 	reg := o.Metrics
 	if reg == nil {
@@ -316,6 +328,11 @@ func newStore(dir string, o Options) *Store {
 			}
 		}
 		return n
+	}))
+	reg.Register("store.unreadable_dirs", metrics.GaugeFunc(func() any {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.unreadable)
 	}))
 	reg.Register("store.ram_budget_bytes", metrics.GaugeFunc(func() any { return s.budget }))
 	return s
@@ -389,8 +406,42 @@ func sweep(dir string, m *volume.Manifest) error {
 
 // isGenDir reports whether name is a generation directory's name.
 func isGenDir(name string) bool {
+	_, ok := parseGenDir(name)
+	return ok
+}
+
+// parseGenDir parses a generation directory's name back to its
+// generation.
+func parseGenDir(name string) (uint64, bool) {
 	gen, err := strconv.ParseUint(strings.TrimPrefix(name, "g"), 10, 64)
-	return err == nil && name == genDir(gen)
+	return gen, err == nil && name == genDir(gen)
+}
+
+// maxGenDir returns the highest generation whose directory dir holds,
+// or 0 when it holds none (or cannot be listed).
+func maxGenDir(dir string) uint64 {
+	des, _ := os.ReadDir(dir)
+	var top uint64
+	for _, de := range des {
+		if gen, ok := parseGenDir(de.Name()); ok && de.IsDir() {
+			top = max(top, gen)
+		}
+	}
+	return top
+}
+
+// Unreadable returns, sorted, the volume directories Open skipped
+// because their manifests did not read and that no Put has taken over
+// since.
+func (s *Store) Unreadable() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	dirs := make([]string, 0, len(s.unreadable))
+	for d := range s.unreadable {
+		dirs = append(dirs, d)
+	}
+	sort.Strings(dirs)
+	return dirs
 }
 
 // brickIndex parses a brick file name back to its index.
@@ -668,6 +719,12 @@ func (s *Store) Put(v *Volume) error {
 	e, ok := s.ents[v.Name]
 	if !ok {
 		e = &entry{name: v.Name, dirname: dirFor(v.Name)}
+		// The name's directory may be one Open could not read: take it
+		// over, above any generation it holds.
+		if floor, ok := s.unreadable[e.dirname]; ok {
+			e.lastGen = floor
+			delete(s.unreadable, e.dirname)
+		}
 		s.ents[v.Name] = e
 	}
 	e.lastGen++

@@ -883,3 +883,90 @@ func TestOpenMigratesFlatLayout(t *testing.T) {
 		t.Fatalf("generation 3's directory survives generation 4's commit: %v", err)
 	}
 }
+
+// TestOpenSkipsUnreadableManifest: one volume's manifest truncated to
+// zero bytes costs that volume only. Open succeeds, the other volumes
+// load unchanged, the directory is left exactly as it was and counted
+// in store.unreadable_dirs, and a later Put of its name takes it over
+// above the generation it held.
+func TestOpenSkipsUnreadableManifest(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"a", "b", "torn"} {
+		for seed := 1; seed <= i+1; seed++ {
+			if err := s.Put(testVolume(t, name, 10*i+seed)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tdir := filepath.Join(dir, dirFor("torn"))
+	if err := os.Truncate(filepath.Join(tdir, volume.ManifestFile), 0); err != nil {
+		t.Fatal(err)
+	}
+	// A leftover the sweep would remove, had it run.
+	if err := os.WriteFile(filepath.Join(tdir, "manifest.json.tmp"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	listing := func() []string {
+		var paths []string
+		filepath.WalkDir(tdir, func(path string, _ fs.DirEntry, err error) error {
+			paths = append(paths, path)
+			return err
+		})
+		return paths
+	}
+	before := listing()
+
+	reg := metrics.NewRegistry()
+	r, err := Open(dir, Options{Metrics: reg})
+	if err != nil {
+		t.Fatalf("Open with one unreadable manifest: %v", err)
+	}
+	for i, name := range []string{"a", "b"} {
+		got, err := r.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := testVolume(t, name, 10*i+i+1)
+		if !reflect.DeepEqual(samples(got), samples(want)) || got.Gen != uint64(i+1) {
+			t.Fatalf("%s after the reopen: gen %d or samples differ from what was stored", name, got.Gen)
+		}
+	}
+	if n := reg.Snapshot()["store.unreadable_dirs"]; n != 1 {
+		t.Fatalf("store.unreadable_dirs = %v, want 1", n)
+	}
+	if got := r.Unreadable(); !reflect.DeepEqual(got, []string{dirFor("torn")}) {
+		t.Fatalf("Unreadable() = %v", got)
+	}
+	if after := listing(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("Open touched the unreadable directory: %v, was %v", after, before)
+	}
+	if _, err := r.Get("torn"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get of the unreadable volume: %v, want ErrNotFound", err)
+	}
+
+	v := testVolume(t, "torn", 99)
+	if err := r.Put(v); err != nil {
+		t.Fatal(err)
+	}
+	if v.Gen != 4 {
+		t.Fatalf("takeover gen = %d, want 4 (above the g3 the directory held)", v.Gen)
+	}
+	if n := reg.Snapshot()["store.unreadable_dirs"]; n != 0 {
+		t.Fatalf("store.unreadable_dirs after the takeover = %v, want 0", n)
+	}
+	r2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r2.Get("torn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(samples(got), samples(v)) || got.Gen != 4 || len(r2.Unreadable()) != 0 {
+		t.Fatalf("taken-over volume after a reopen: gen %d, unreadable %v", got.Gen, r2.Unreadable())
+	}
+}
