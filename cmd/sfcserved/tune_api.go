@@ -173,12 +173,12 @@ func (s *server) runTuneJob(ctx context.Context, jt *obs.Trace, vol *store.Volum
 	defer release()
 	start := time.Now()
 	endSearch := jt.Stage("tune.search")
-	res, err := tune.Interleave(cfg)
+	res, err := tune.Interleave(ctx, cfg)
 	endSearch()
 	if err != nil {
 		return err
 	}
-	if err := ctx.Err(); err != nil { // cancelled mid-search
+	if err := ctx.Err(); err != nil { // cancelled after the last candidate
 		return err
 	}
 	out := tuneOutcome{

@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"sfcmem/internal/store"
 )
@@ -91,6 +92,47 @@ func volumeInfo(t *testing.T, base, name string) store.Info {
 	}
 	t.Fatalf("volume %q not listed", name)
 	return store.Info{}
+}
+
+// TestTuneCancelFreesRunSlot cancels a running 32³ search at -slots 1.
+// Uncancelled, the search replays up to 64 × 33 candidates (minutes);
+// cancelled, it must stop within one replay, reach the cancelled
+// state, and free the only run slot for a sync render that may wait
+// no more than 5 s for it.
+func TestTuneCancelFreesRunSlot(t *testing.T) {
+	cfg := testConfig()
+	cfg.slots = 1
+	cfg.volumes = []string{"demo=plume:32:zorder"}
+	a, _, _ := startApp(t, cfg)
+	base := "http://" + a.apiAddr()
+
+	id := postTune(t, base, "demo", tuneRequest{Seed: 1, Population: 64, Generations: 32})
+	waitFor(t, "tune job running", func() bool { return jobState(t, base, id) == "running" })
+	waitFor(t, "run slot held by the search", func() bool { return len(a.srv.run) == 1 })
+	time.Sleep(50 * time.Millisecond) // into the candidate loop
+
+	dreq, err := http.NewRequest(http.MethodDelete, base+"/jobs/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp, err := http.DefaultClient.Do(dreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+	if dresp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE /jobs/%s: status %d", id, dresp.StatusCode)
+	}
+	waitFor(t, "tune job cancelled", func() bool { return jobState(t, base, id) == "cancelled" })
+
+	resp := postJSON(t, base+"/render", renderRequest{Volume: "demo", Width: 32, Height: 32, DeadlineMS: 5000})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sync render after the cancel: status %d, want 200 (run slot still held?)", resp.StatusCode)
+	}
+	if got := a.srv.jobs.Stats().Cancelled; got != 1 {
+		t.Errorf("cancelled counter %d, want 1", got)
+	}
 }
 
 func TestTuneEndToEnd(t *testing.T) {

@@ -192,10 +192,10 @@ type Store struct {
 	// can remove them.
 	iomu sync.Map // name -> *sync.Mutex
 
-	// unreadable maps each volume directory whose manifest Open could
-	// not read to the highest generation directory it holds: the
-	// generation floor for the Put that takes the directory over.
-	unreadable map[string]uint64
+	// unreadable holds each volume directory in which Open found a
+	// manifest but no committed generation, until a Put of its name
+	// takes the directory over.
+	unreadable map[string]bool
 
 	// testLoadDelay, when set (tests only), runs after a Get registers
 	// itself as the demand-load leader and before it touches disk —
@@ -227,10 +227,10 @@ func NewMemory(reg *metrics.Registry) *Store {
 // the manifest index of every volume a previous process left there.
 // Volumes are demand-loaded on first access, not at open: a restart
 // is cheap no matter how much data the directory holds. Open also
-// sweeps each volume directory down to what its manifest commits (see
-// sweep), which moves bricks a version without generation directories
-// left beside the manifest into their generation's directory. A
-// directory whose manifest does not read is skipped and reported (see
+// brings each volume directory to its committed generation (see
+// openVolumeDir): it migrates the layouts that kept the manifest at the
+// directory's top and sweeps what no commit names. A directory holding
+// a manifest but no committed generation is skipped and reported (see
 // Unreadable); every other volume still opens.
 func Open(dir string, o Options) (*Store, error) {
 	if dir == "" {
@@ -248,22 +248,21 @@ func Open(dir string, o Options) (*Store, error) {
 		if !de.IsDir() {
 			continue
 		}
-		vdir := filepath.Join(dir, de.Name())
-		m, err := volume.ReadManifestFile(filepath.Join(vdir, volume.ManifestFile))
-		if os.IsNotExist(err) {
-			continue // stray directory, not ours
-		}
+		m, floor, unreadable, err := openVolumeDir(filepath.Join(dir, de.Name()))
 		if err != nil {
+			return nil, fmt.Errorf("store: opening %s: %w", de.Name(), err)
+		}
+		if m == nil {
 			// A torn or zeroed manifest costs its own volume, not the
 			// data dir: the directory stays as it is, unswept, until a
-			// Put of its name takes it over.
-			s.unreadable[de.Name()] = maxGenDir(vdir)
+			// Put of its name takes it over. A directory with no
+			// manifest at all is not a volume's.
+			if unreadable {
+				s.unreadable[de.Name()] = true
+			}
 			continue
 		}
-		if err := sweep(vdir, m); err != nil {
-			return nil, fmt.Errorf("store: sweeping %s: %w", de.Name(), err)
-		}
-		if prev, ok := s.ents[m.Name]; ok && prev.lastGen >= m.Gen {
+		if prev, ok := s.ents[m.Name]; ok && prev.info.Gen >= m.Gen {
 			continue // duplicate dirs for one name: highest generation wins
 		}
 		dt, _ := sfcmem.ParseDtype(m.Dtype)
@@ -271,7 +270,7 @@ func Open(dir string, o Options) (*Store, error) {
 			name:    m.Name,
 			dirname: de.Name(),
 			deleted: m.Deleted,
-			lastGen: m.Gen,
+			lastGen: floor,
 			info: Info{
 				Name: m.Name, Dataset: m.Dataset, Layout: m.Layout, Dtype: m.Dtype,
 				Nx: m.Nx, Ny: m.Ny, Nz: m.Nz,
@@ -294,7 +293,7 @@ func newStore(dir string, o Options) *Store {
 		ents:       make(map[string]*entry),
 		lru:        list.New(),
 		flights:    make(map[string]*flight),
-		unreadable: make(map[string]uint64),
+		unreadable: make(map[string]bool),
 	}
 	reg := o.Metrics
 	if reg == nil {
@@ -362,40 +361,164 @@ func dirFor(name string) string {
 	return fmt.Sprintf("%s-%x", safe, h[:6])
 }
 
-// genDir names the directory, inside a volume's directory, that holds
-// generation gen's bricks.
+// A volume directory holds one record directory per commit, each with
+// its manifest.json: g<gen> holds generation gen's bricks beside its
+// manifest, and g<gen>.deleted the tombstone a Delete of generation gen
+// commits. Both names are new when their record is written — a Put
+// takes a generation above every record directory on disk, and a
+// Delete follows the Put whose generation it deletes — so a manifest's
+// rename into place never replaces a file (on ext4, a rename over an
+// existing file waits for the renamed file's data to reach the disk).
+
+// genDir names the record directory of generation gen.
 func genDir(gen uint64) string { return fmt.Sprintf("g%d", gen) }
 
-// sweep brings the volume directory dir to exactly what its committed
-// manifest m names. Bricks left beside the manifest, the layout before
-// generation directories, move into m's generation directory when m
-// names them and are removed otherwise; every other generation
-// directory goes, and so does every temp file. Entries the store did
-// not make are left alone. Each step is a rename or a removal, so a
-// sweep cut short is finished by the next.
-func sweep(dir string, m *volume.Manifest) error {
+// deletedSuffix marks a tombstone's record directory.
+const deletedSuffix = ".deleted"
+
+// recordDir names the record directory that commits m.
+func recordDir(m *volume.Manifest) string {
+	if m.Deleted {
+		return genDir(m.Gen) + deletedSuffix
+	}
+	return genDir(m.Gen)
+}
+
+// parseRecordDir parses a record directory's name back to its
+// generation and kind.
+func parseRecordDir(name string) (gen uint64, deleted, ok bool) {
+	base, deleted := strings.CutSuffix(name, deletedSuffix)
+	gen, err := strconv.ParseUint(strings.TrimPrefix(base, "g"), 10, 64)
+	return gen, deleted, err == nil && base == genDir(gen)
+}
+
+// maxGenDir returns the highest generation whose record directory dir
+// holds, or 0 when it holds none (or cannot be listed): the generation
+// floor, above which the next Put of the directory's name commits.
+func maxGenDir(dir string) uint64 {
+	des, _ := os.ReadDir(dir)
+	return topGen(des)
+}
+
+// topGen returns the highest generation among the record directories
+// in des, or 0 when there are none.
+func topGen(des []os.DirEntry) uint64 {
+	var top uint64
+	for _, de := range des {
+		if gen, _, ok := parseRecordDir(de.Name()); ok && de.IsDir() {
+			top = max(top, gen)
+		}
+	}
+	return top
+}
+
+// openVolumeDir brings the volume directory dir to its committed
+// generation and returns that generation's manifest m and the
+// directory's generation floor. The committed generation is the
+// newest record directory whose manifest decodes and names it; a
+// manifest that does not decode (only a power loss leaves one, since a
+// killed writer leaves at most a .tmp) counts as uncommitted, and the
+// next older record stands. m is nil when no record commits, and
+// unreadable then reports whether some manifest was there to fail: the
+// directory is left as it is.
+func openVolumeDir(dir string) (m *volume.Manifest, floor uint64, unreadable bool, err error) {
+	if err := migrate(dir); err != nil {
+		return nil, 0, false, err
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	type record struct {
+		name    string
+		gen     uint64
+		deleted bool
+	}
+	var recs []record
+	for _, de := range des {
+		if gen, deleted, ok := parseRecordDir(de.Name()); ok && de.IsDir() {
+			recs = append(recs, record{de.Name(), gen, deleted})
+		}
+	}
+	// Newest first; within a generation its tombstone first, since a
+	// Delete commits after the Put whose generation it deletes.
+	sort.Slice(recs, func(i, j int) bool {
+		if recs[i].gen != recs[j].gen {
+			return recs[i].gen > recs[j].gen
+		}
+		return recs[i].deleted && !recs[j].deleted
+	})
+	// A top-level manifest that migrate left in place did not decode.
+	_, err = os.Lstat(filepath.Join(dir, volume.ManifestFile))
+	unreadable = err == nil
+	for _, r := range recs {
+		m, err := volume.ReadManifestFile(filepath.Join(dir, r.name, volume.ManifestFile))
+		if err == nil && m.Gen == r.gen && m.Deleted == r.deleted {
+			return m, topGen(des), false, sweep(dir, r.name)
+		}
+		unreadable = unreadable || !os.IsNotExist(err)
+	}
+	return nil, topGen(des), unreadable, nil
+}
+
+// migrate moves a top-level manifest, the commit point of the layouts
+// before record directories, into its record directory: first the
+// bricks that the flat layout kept beside it, then the manifest, each
+// by a rename to a name that does not exist yet. The manifest's rename
+// commits the move, so a migration cut short is finished by the next.
+// A top-level manifest that does not decode stays where it is.
+func migrate(dir string) error {
+	top := filepath.Join(dir, volume.ManifestFile)
+	m, err := volume.ReadManifestFile(top)
+	if err != nil {
+		return nil // none, or unreadable: openVolumeDir judges
+	}
+	rdir := filepath.Join(dir, recordDir(m))
+	if _, err := os.Lstat(filepath.Join(rdir, volume.ManifestFile)); err == nil {
+		return nil // superseded by its record directory's own manifest
+	}
+	if err := os.MkdirAll(rdir, 0o755); err != nil {
+		return err
+	}
+	if !m.Deleted {
+		for i := range m.Bricks {
+			b := volume.BrickFileName(i)
+			if err := os.Rename(filepath.Join(dir, b), filepath.Join(rdir, b)); err != nil && !os.IsNotExist(err) {
+				return err
+			}
+		}
+	}
+	return os.Rename(top, filepath.Join(rdir, volume.ManifestFile))
+}
+
+// sweep brings the volume directory dir down to its committed record
+// directory live. Every other record directory goes, except that the
+// highest, when it lies above live's generation, is emptied and kept:
+// it holds the generation floor, which must outlive a restart. Temp
+// files, loose bricks and a top-level manifest (left by the layouts
+// before record directories) go too. Entries the store did not make
+// are left alone. Each step is a removal, so a sweep cut short is
+// finished by the next.
+func sweep(dir, live string) error {
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		return err
 	}
-	live := genDir(m.Gen)
+	liveGen, _, _ := parseRecordDir(live)
+	floor := topGen(des)
 	for _, de := range des {
 		name := de.Name()
 		path := filepath.Join(dir, name)
+		gen, _, isRecord := parseRecordDir(name)
 		var err error
 		switch {
-		case strings.HasSuffix(name, ".tmp"):
+		case name == live:
+		case isRecord && de.IsDir() && gen == floor && gen > liveGen:
+			err = emptyDir(path)
+		case isRecord && de.IsDir(),
+			strings.HasSuffix(name, ".tmp"),
+			!de.IsDir() && (name == volume.ManifestFile || strings.HasSuffix(name, ".sfcb")):
 			err = os.RemoveAll(path)
-		case de.IsDir() && isGenDir(name) && (name != live || m.Deleted):
-			err = os.RemoveAll(path)
-		case !de.IsDir() && strings.HasSuffix(name, ".sfcb"):
-			if i, ok := brickIndex(name); ok && i < len(m.Bricks) && !m.Deleted {
-				if err = os.MkdirAll(filepath.Join(dir, live), 0o755); err == nil {
-					err = os.Rename(path, filepath.Join(dir, live, name))
-				}
-			} else {
-				err = os.Remove(path)
-			}
 		}
 		if err != nil {
 			return err
@@ -404,30 +527,18 @@ func sweep(dir string, m *volume.Manifest) error {
 	return nil
 }
 
-// isGenDir reports whether name is a generation directory's name.
-func isGenDir(name string) bool {
-	_, ok := parseGenDir(name)
-	return ok
-}
-
-// parseGenDir parses a generation directory's name back to its
-// generation.
-func parseGenDir(name string) (uint64, bool) {
-	gen, err := strconv.ParseUint(strings.TrimPrefix(name, "g"), 10, 64)
-	return gen, err == nil && name == genDir(gen)
-}
-
-// maxGenDir returns the highest generation whose directory dir holds,
-// or 0 when it holds none (or cannot be listed).
-func maxGenDir(dir string) uint64 {
-	des, _ := os.ReadDir(dir)
-	var top uint64
+// emptyDir removes everything inside dir, keeping dir itself.
+func emptyDir(dir string) error {
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
 	for _, de := range des {
-		if gen, ok := parseGenDir(de.Name()); ok && de.IsDir() {
-			top = max(top, gen)
+		if err := os.RemoveAll(filepath.Join(dir, de.Name())); err != nil {
+			return err
 		}
 	}
-	return top
+	return nil
 }
 
 // Unreadable returns, sorted, the volume directories Open skipped
@@ -442,12 +553,6 @@ func (s *Store) Unreadable() []string {
 	}
 	sort.Strings(dirs)
 	return dirs
-}
-
-// brickIndex parses a brick file name back to its index.
-func brickIndex(name string) (int, bool) {
-	i, err := strconv.Atoi(strings.TrimSuffix(name, ".sfcb"))
-	return i, err == nil && i >= 0 && name == volume.BrickFileName(i)
 }
 
 func (s *Store) lockIO(name string) func() {
@@ -506,7 +611,6 @@ func (s *Store) Get(name string) (*Volume, error) {
 		}
 		f := &flight{done: make(chan struct{})}
 		s.flights[name] = f
-		gen := e.info.Gen
 		dirname := e.dirname
 		s.mu.Unlock()
 
@@ -517,9 +621,21 @@ func (s *Store) Get(name string) (*Volume, error) {
 		start := time.Now()
 		// Hold the per-name I/O lock so a concurrent Put/Delete cannot
 		// remove the generation's bricks out from under the manifest
-		// mid-read, which would fail the load spuriously.
+		// mid-read, which would fail the load spuriously. Under it, the
+		// entry's generation is the one committed on disk.
 		unlock := s.lockIO(name)
-		vol, err := s.load(dirname)
+		s.mu.Lock()
+		gen, deleted := e.info.Gen, e.deleted
+		s.mu.Unlock()
+		var vol *Volume
+		var err error
+		if deleted {
+			// A Delete's tombstone may have swept the generation; a Put
+			// can revive the entry before the check below, so decide now.
+			err = ErrNotFound
+		} else {
+			vol, err = s.load(dirname, gen)
+		}
 		unlock()
 		if err == nil {
 			s.loads.Inc(0)
@@ -533,10 +649,10 @@ func (s *Store) Get(name string) (*Volume, error) {
 			// Insert into the RAM tier only if the name still describes
 			// what was loaded: not deleted, not replaced, not already
 			// re-loaded by someone else.
-			if cur := s.ents[name]; cur == e && !e.deleted && e.lastGen == vol.Gen && e.vol == nil {
+			if cur := s.ents[name]; cur == e && !e.deleted && e.info.Gen == vol.Gen && e.vol == nil {
 				s.insertResident(e, vol)
 			}
-		} else if e.deleted || s.ents[name] != e {
+		} else if errors.Is(err, ErrNotFound) || e.deleted || s.ents[name] != e {
 			// Deleted or replaced underneath the load: the read error is
 			// an artifact of the race, not a store failure.
 			err = fmt.Errorf("%w: %q", ErrNotFound, name)
@@ -554,17 +670,20 @@ func (s *Store) Get(name string) (*Volume, error) {
 	}
 }
 
-// load reads a volume from its directory: manifest, layout
-// reconstruction, then a sequential read of the manifest's generation
-// directory's bricks into the fresh grid's backing slice.
-func (s *Store) load(dirname string) (*Volume, error) {
-	dir := filepath.Join(s.dir, dirname)
-	m, err := volume.ReadManifestFile(filepath.Join(dir, volume.ManifestFile))
+// load reads generation gen of a volume from its directory: manifest,
+// layout reconstruction, then a sequential read of the generation's
+// bricks into the fresh grid's backing slice.
+func (s *Store) load(dirname string, gen uint64) (*Volume, error) {
+	gdir := filepath.Join(s.dir, dirname, genDir(gen))
+	m, err := volume.ReadManifestFile(filepath.Join(gdir, volume.ManifestFile))
 	if err != nil {
 		return nil, err
 	}
-	if m.Deleted {
-		return nil, ErrNotFound
+	if m.Deleted || m.Gen != gen {
+		return nil, fmt.Errorf("%s: manifest of generation %d (deleted %v) in %s", dirname, m.Gen, m.Deleted, genDir(gen))
+	}
+	if err := volume.StatBricks(gdir, m); err != nil {
+		return nil, err
 	}
 	l, err := sfcmem.ParseLayoutSpec(m.Layout, m.Nx, m.Ny, m.Nz)
 	if err != nil {
@@ -578,7 +697,7 @@ func (s *Store) load(dirname string) (*Volume, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := readGrid(filepath.Join(dir, genDir(m.Gen)), m, dt, l)
+	g, err := readGrid(gdir, m, dt, l)
 	if err != nil {
 		return nil, err
 	}
@@ -719,10 +838,11 @@ func (s *Store) Put(v *Volume) error {
 	e, ok := s.ents[v.Name]
 	if !ok {
 		e = &entry{name: v.Name, dirname: dirFor(v.Name)}
-		// The name's directory may be one Open could not read: take it
-		// over, above any generation it holds.
-		if floor, ok := s.unreadable[e.dirname]; ok {
-			e.lastGen = floor
+		// The name's directory may hold generations no manifest commits
+		// (one Open could not read, or a first Put cut short): take it
+		// over above all of them.
+		if s.dir != "" {
+			e.lastGen = maxGenDir(filepath.Join(s.dir, e.dirname))
 			delete(s.unreadable, e.dirname)
 		}
 		s.ents[v.Name] = e
@@ -755,42 +875,45 @@ func (s *Store) Put(v *Volume) error {
 	return nil
 }
 
-// commit makes v the entry's live state if its generation is still
-// current.
+// commit makes v the entry's live state unless a newer generation has
+// committed. A persisted v is always newer: Puts persist one at a time,
+// in generation order, and each is committed before the next persists,
+// so a v a later Put's generation has already superseded still becomes
+// what a load would find on disk until that Put commits.
 func (s *Store) commit(e *entry, v *Volume) {
 	s.mu.Lock()
-	if e.lastGen == v.Gen {
+	if v.Gen > e.info.Gen {
 		s.insertResident(e, v)
 	}
 	s.mu.Unlock()
 }
 
-// persist writes v under the store's data dir. Its bricks go straight
-// into the generation's own directory, which no committed manifest
-// names, so nothing reads them before the commit and a failed write
-// leaves the committed generation untouched. The manifest rename is the
-// single commit point; only after it does the previous generation's
-// directory go.
+// persist writes v under the store's data dir, into the directory of
+// v's generation, which is new: no committed manifest names it, so
+// nothing reads its bricks before the commit, and a failed write leaves
+// the committed generation untouched. The manifest's rename to
+// g<gen>/manifest.json, a name that did not exist, is the single
+// commit point; only after it do older record directories go.
 func (s *Store) persist(dirname string, v *Volume) error {
 	dir := filepath.Join(s.dir, dirname)
-	gdir := filepath.Join(dir, genDir(v.Gen))
+	live := genDir(v.Gen)
+	gdir := filepath.Join(dir, live)
 	if err := os.MkdirAll(gdir, 0o755); err != nil {
 		return err
 	}
-	m, err := s.writeGeneration(dir, gdir, v)
-	if err != nil {
+	if err := s.writeGeneration(gdir, v); err != nil {
 		_ = os.RemoveAll(gdir) // uncommitted; Open sweeps what this leaves
 		return err
 	}
 	// Committed: a failed removal leaves only garbage that nothing
 	// names, for the next Put or Open to sweep.
-	_ = sweep(dir, m)
+	_ = sweep(dir, live)
 	return nil
 }
 
 // writeGeneration writes v's bricks into gdir and commits them with
-// the manifest in dir, which it returns.
-func (s *Store) writeGeneration(dir, gdir string, v *Volume) (*volume.Manifest, error) {
+// the manifest beside them.
+func (s *Store) writeGeneration(gdir string, v *Volume) error {
 	es := v.Grid.Dtype().Size()
 	brickElems := s.brickBytes / es
 	if brickElems < 1 {
@@ -798,7 +921,7 @@ func (s *Store) writeGeneration(dir, gdir string, v *Volume) (*volume.Manifest, 
 	}
 	infos, err := writeGrid(gdir, v.Grid, brickElems)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	nx, ny, nz := v.Grid.Dims()
 	m := &volume.Manifest{
@@ -810,10 +933,7 @@ func (s *Store) writeGeneration(dir, gdir string, v *Volume) (*volume.Manifest, 
 		Gen:        v.Gen, FilterKey: v.FilterKey,
 		Bricks: infos,
 	}
-	if err := volume.WriteManifestFile(filepath.Join(dir, volume.ManifestFile), m); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return volume.WriteManifestFile(filepath.Join(gdir, volume.ManifestFile), m)
 }
 
 // Delete implements VolumeStore.
@@ -828,7 +948,10 @@ func (s *Store) Delete(name string) error {
 	if e.vol != nil {
 		s.dropResident(e)
 	}
-	gen := e.lastGen
+	// Only a Put's commit clears deleted, and it raises the committed
+	// generation, so that generation tells this Delete's deletion apart
+	// from a later one's.
+	gen := e.info.Gen
 	s.mu.Unlock()
 
 	if s.dir == "" {
@@ -837,14 +960,17 @@ func (s *Store) Delete(name string) error {
 	unlock := s.lockIO(name)
 	defer unlock()
 	s.mu.Lock()
-	current := e.deleted && e.lastGen == gen
+	current := e.deleted && e.info.Gen == gen
 	s.mu.Unlock()
 	if !current {
-		return nil // a Put overtook the delete; its state owns the disk
+		return nil // a Put committed over the delete; its state owns the disk
 	}
 	// The tombstone keeps only what a re-create needs — the name and
 	// the generation floor; shape fields are placeholders that satisfy
-	// manifest validation.
+	// manifest validation. It commits in a record directory of its own,
+	// g<gen>.deleted for the committed generation gen it deletes, so a
+	// Put whose generation was assigned before this Delete and persists
+	// after it still commits above the tombstone, as it does in RAM.
 	dir := filepath.Join(s.dir, e.dirname)
 	m := &volume.Manifest{
 		Version: volume.ManifestVersion,
@@ -852,10 +978,17 @@ func (s *Store) Delete(name string) error {
 		Nx: 1, Ny: 1, Nz: 1, Elems: 1,
 		Gen: gen, Deleted: true,
 	}
-	if err := volume.WriteManifestFile(filepath.Join(dir, volume.ManifestFile), m); err != nil {
+	live := recordDir(m)
+	tdir := filepath.Join(dir, live)
+	err := os.MkdirAll(tdir, 0o755)
+	if err == nil {
+		err = volume.WriteManifestFile(filepath.Join(tdir, volume.ManifestFile), m)
+	}
+	if err != nil {
+		_ = os.RemoveAll(tdir)
 		return fmt.Errorf("store: tombstoning %q: %w", name, err)
 	}
-	_ = sweep(dir, m) // as in persist: the tombstone is the commit
+	_ = sweep(dir, live) // as in persist: the tombstone is the commit
 	return nil
 }
 

@@ -20,7 +20,7 @@ import (
 
 // testVolume builds a small deterministic float32 volume. seed varies
 // the samples so replaced generations are distinguishable.
-func testVolume(t *testing.T, name string, seed int) *Volume {
+func testVolume(t testing.TB, name string, seed int) *Volume {
 	t.Helper()
 	kind, err := sfcmem.ParseLayout("zorder")
 	if err != nil {
@@ -346,10 +346,14 @@ func TestDeleteTombstoneAcrossReopen(t *testing.T) {
 	if _, err := s.Get("a"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get after Delete: %v", err)
 	}
-	// Generation directories are gone; only the tombstone manifest
-	// remains.
-	if m, _ := filepath.Glob(filepath.Join(dir, "*", "*")); len(m) != 1 || filepath.Base(m[0]) != volume.ManifestFile {
-		t.Fatalf("delete left %v, want only the tombstone manifest", m)
+	// Generation directories are gone; only the tombstone's record
+	// directory remains, holding its manifest.
+	tomb := filepath.Join(dir, dirFor("a"), genDir(2)+deletedSuffix, volume.ManifestFile)
+	if m, _ := filepath.Glob(filepath.Join(dir, "*", "*", "*")); len(m) != 1 || m[0] != tomb {
+		t.Fatalf("delete left %v, want only %s", m, tomb)
+	}
+	if m, _ := filepath.Glob(filepath.Join(dir, "*", "*")); len(m) != 1 {
+		t.Fatalf("delete left %v, want only the tombstone's directory", m)
 	}
 
 	r, err := Open(dir, Options{})
@@ -470,11 +474,9 @@ func TestConcurrentStress(t *testing.T) {
 }
 
 // TestPutErrorKeepsPreviousContents: a failed persist must not damage
-// the live volume.
+// the live volume, in RAM or on disk. A regular file where generation
+// 2's directory goes fails the write for root too.
 func TestPutErrorKeepsPreviousContents(t *testing.T) {
-	if os.Getuid() == 0 {
-		t.Skip("permission-denied persists are not enforceable as root")
-	}
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
 	if err != nil {
@@ -483,16 +485,11 @@ func TestPutErrorKeepsPreviousContents(t *testing.T) {
 	if err := s.Put(testVolume(t, "a", 1)); err != nil {
 		t.Fatal(err)
 	}
-	sub, err := filepath.Glob(filepath.Join(dir, "*"))
-	if err != nil || len(sub) != 1 {
-		t.Fatalf("glob: %v %v", sub, err)
-	}
-	if err := os.Chmod(sub[0], 0o500); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, dirFor("a"), genDir(2)), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer os.Chmod(sub[0], 0o755)
 	if err := s.Put(testVolume(t, "a", 2)); err == nil {
-		t.Fatal("persist into read-only dir should fail")
+		t.Fatal("persist through a file in the generation directory's place should fail")
 	}
 	got, err := s.Get("a")
 	if err != nil {
@@ -500,6 +497,17 @@ func TestPutErrorKeepsPreviousContents(t *testing.T) {
 	}
 	if !reflect.DeepEqual(samples(got), samples(testVolume(t, "a", 1))) {
 		t.Fatal("failed Put corrupted the live volume")
+	}
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = r.Get("a")
+	if err != nil {
+		t.Fatalf("reopened Get: %v", err)
+	}
+	if !reflect.DeepEqual(samples(got), samples(testVolume(t, "a", 1))) || got.Gen != 1 {
+		t.Fatalf("failed Put lost generation 1 on disk: reopened gen %d", got.Gen)
 	}
 }
 
@@ -693,7 +701,7 @@ func TestFailedPutKeepsCommittedGeneration(t *testing.T) {
 	for _, c := range []struct{ name, obstacle string }{
 		{"brick 0", filepath.Join(genDir(2), volume.BrickFileName(0))},
 		{"middle brick", filepath.Join(genDir(2), volume.BrickFileName(2))},
-		{"manifest", volume.ManifestFile + ".tmp"},
+		{"manifest", filepath.Join(genDir(2), volume.ManifestFile+".tmp")},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -737,8 +745,8 @@ func TestFailedPutKeepsCommittedGeneration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(ents) != 2 || ents[0].Name() != genDir(1) || ents[1].Name() != volume.ManifestFile {
-				t.Fatalf("reopen left %v, want only %s and %s", ents, genDir(1), volume.ManifestFile)
+			if len(ents) != 1 || ents[0].Name() != genDir(1) {
+				t.Fatalf("reopen left %v, want only %s", ents, genDir(1))
 			}
 			if err := r.Put(testVolume(t, "a", 3)); err != nil {
 				t.Fatalf("Put after the reopen: %v", err)
@@ -747,9 +755,12 @@ func TestFailedPutKeepsCommittedGeneration(t *testing.T) {
 	}
 }
 
-// TestOpenSweepsLeftovers: Open removes every generation directory the
-// manifest does not name and every temp file, keeps what the store did
-// not make, and leaves a tombstoned volume with no generation at all.
+// TestOpenSweepsLeftovers: Open removes every record directory no
+// manifest commits, every temp file, loose brick and stale top-level
+// manifest, and keeps what the store did not make. The directory at
+// the generation floor, when above the committed generation, stays
+// empty so the floor outlives the restart; a tombstoned volume keeps
+// its tombstone and no generation.
 func TestOpenSweepsLeftovers(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
@@ -779,16 +790,19 @@ func TestOpenSweepsLeftovers(t *testing.T) {
 		}
 	}
 	adir, gonedir := filepath.Join(dir, dirFor("a")), filepath.Join(dir, dirFor("gone"))
-	plant(adir, "g1/00000.sfcb", "g7/00000.sfcb", "manifest.json.tmp", "00009.sfcb", "notes.txt", "gallery/00000.sfcb")
-	plant(gonedir, "g1/00000.sfcb", "g2/00000.sfcb.tmp")
+	plant(adir, "g1/00000.sfcb", "g7/00000.sfcb", "g3.deleted/manifest.json.tmp", "manifest.json.tmp",
+		"manifest.json", "00009.sfcb", "notes.txt", "gallery/00000.sfcb")
+	plant(gonedir, "g1/00000.sfcb", "g0/00000.sfcb.tmp")
 
 	r, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string][]string{
-		adir:    {"g2", "gallery", "manifest.json", "notes.txt"},
-		gonedir: {"manifest.json"},
+		adir:                                 {"g2", "g7", "gallery", "notes.txt"},
+		filepath.Join(adir, "g7"):            nil,
+		gonedir:                              {"g1.deleted"},
+		filepath.Join(gonedir, "g1.deleted"): {"manifest.json"},
 	}
 	for vdir, names := range want {
 		ents, err := os.ReadDir(vdir)
@@ -813,14 +827,24 @@ func TestOpenSweepsLeftovers(t *testing.T) {
 	if _, ok := r.Stat("gone"); ok {
 		t.Fatal("tombstoned volume visible after the sweep")
 	}
+	v := testVolume(t, "a", 3)
+	if err := r.Put(v); err != nil {
+		t.Fatal(err)
+	}
+	if v.Gen != 8 {
+		t.Fatalf("Put after the sweep took generation %d, want 8 (above the g7 on disk)", v.Gen)
+	}
+	if _, err := os.Stat(filepath.Join(adir, "g7")); !os.IsNotExist(err) {
+		t.Fatalf("the floor's empty directory survives generation 8's commit: %v", err)
+	}
 }
 
 // TestOpenMigratesFlatLayout opens a data dir in the layout that kept
 // bricks beside the manifest, one brick already moved by a migration
 // that was cut short and one stale brick past the manifest's count. The
-// bricks must move, byte for byte, into the generation's directory,
-// the stale one must go, and the volume must load and take a new
-// generation.
+// bricks and then the manifest must move, byte for byte, into the
+// generation's directory, the stale brick must go, and the volume must
+// load and take a new generation.
 func TestOpenMigratesFlatLayout(t *testing.T) {
 	dir := t.TempDir()
 	vdir := filepath.Join(dir, dirFor("old"))
@@ -855,7 +879,7 @@ func TestOpenMigratesFlatLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]string{volume.ManifestFile: flat[volume.ManifestFile]}
+	want := map[string]string{genDir(3) + "/" + volume.ManifestFile: flat[volume.ManifestFile]}
 	for i := range infos {
 		b := volume.BrickFileName(i)
 		want[genDir(3)+"/"+b] = flat[b]
@@ -884,8 +908,8 @@ func TestOpenMigratesFlatLayout(t *testing.T) {
 	}
 }
 
-// TestOpenSkipsUnreadableManifest: one volume's manifest truncated to
-// zero bytes costs that volume only. Open succeeds, the other volumes
+// TestOpenSkipsUnreadableManifest: one volume's only manifest truncated
+// to zero bytes costs that volume only. Open succeeds, the other volumes
 // load unchanged, the directory is left exactly as it was and counted
 // in store.unreadable_dirs, and a later Put of its name takes it over
 // above the generation it held.
@@ -903,7 +927,7 @@ func TestOpenSkipsUnreadableManifest(t *testing.T) {
 		}
 	}
 	tdir := filepath.Join(dir, dirFor("torn"))
-	if err := os.Truncate(filepath.Join(tdir, volume.ManifestFile), 0); err != nil {
+	if err := os.Truncate(filepath.Join(tdir, genDir(3), volume.ManifestFile), 0); err != nil {
 		t.Fatal(err)
 	}
 	// A leftover the sweep would remove, had it run.

@@ -133,8 +133,10 @@ type InterleaveResult struct {
 // Interleave searches generalized-Morton interleave orderings for the
 // configured volume × kernel × dtype and returns the best found. The
 // search is deterministic: a fixed config (including Seed) always
-// returns the same result.
-func Interleave(cfg InterleaveConfig) (*InterleaveResult, error) {
+// returns the same result. Each candidate's replay runs under ctx, and
+// the search checks ctx before every candidate, so a cancelled search
+// returns ctx.Err() within one replay.
+func Interleave(ctx context.Context, cfg InterleaveConfig) (*InterleaveResult, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Nx < 1 || cfg.Ny < 1 || cfg.Nz < 1 {
 		return nil, fmt.Errorf("tune: extents %d×%d×%d must be positive", cfg.Nx, cfg.Ny, cfg.Nz)
@@ -147,11 +149,14 @@ func Interleave(cfg InterleaveConfig) (*InterleaveResult, error) {
 		if s, ok := memo[spec]; ok {
 			return s, nil
 		}
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
 		l, err := core.NewBitLayout(cfg.Nx, cfg.Ny, cfg.Nz, spec)
 		if err != nil {
 			return 0, fmt.Errorf("tune: candidate %q: %w", spec, err)
 		}
-		s, err := simKernel(cfg, l)
+		s, err := simKernel(ctx, cfg, l)
 		if err != nil {
 			return 0, fmt.Errorf("tune: candidate %q: %w", spec, err)
 		}
@@ -166,7 +171,7 @@ func Interleave(cfg InterleaveConfig) (*InterleaveResult, error) {
 	var err error
 	if z := core.NewZOrder(cfg.Nx, cfg.Ny, cfg.Nz); z.Spec() == base {
 		zScore, err = evalSpec(base)
-	} else if zScore, err = simKernel(cfg, z); err != nil {
+	} else if zScore, err = simKernel(ctx, cfg, z); err != nil {
 		err = fmt.Errorf("tune: z-order baseline: %w", err)
 	}
 	if err != nil {
@@ -265,20 +270,20 @@ func Interleave(cfg InterleaveConfig) (*InterleaveResult, error) {
 // through the cache simulator and returns total simulated L1 misses.
 // The dataset depends only on shape, seed and dtype — never on the
 // layout — so candidates are compared on access order alone.
-func simKernel(cfg InterleaveConfig, l core.Layout) (uint64, error) {
+func simKernel(ctx context.Context, cfg InterleaveConfig, l core.Layout) (uint64, error) {
 	switch cfg.Dtype {
 	case grid.U8:
-		return simKernelOf[uint8](cfg, l)
+		return simKernelOf[uint8](ctx, cfg, l)
 	case grid.U16:
-		return simKernelOf[uint16](cfg, l)
+		return simKernelOf[uint16](ctx, cfg, l)
 	case grid.F64:
-		return simKernelOf[float64](cfg, l)
+		return simKernelOf[float64](ctx, cfg, l)
 	default:
-		return simKernelOf[float32](cfg, l)
+		return simKernelOf[float32](ctx, cfg, l)
 	}
 }
 
-func simKernelOf[T grid.Scalar](cfg InterleaveConfig, l core.Layout) (uint64, error) {
+func simKernelOf[T grid.Scalar](ctx context.Context, cfg InterleaveConfig, l core.Layout) (uint64, error) {
 	threads := cfg.Options.Workers
 	sys := cache.NewSystem(cfg.Platform, threads)
 	switch cfg.Kernel {
@@ -291,7 +296,7 @@ func simKernelOf[T grid.Scalar](cfg InterleaveConfig, l core.Layout) (uint64, er
 		cam := render.Orbit(1, 8, cfg.Nx, cfg.Ny, cfg.Nz, cfg.ImgW, cfg.ImgH)
 		o := cfg.Render
 		o.Workers = threads
-		if _, err := render.RenderViewsCtxOf[T](context.Background(), views, cam, render.DefaultTransferFunc(), o); err != nil {
+		if _, err := render.RenderViewsCtxOf[T](ctx, views, cam, render.DefaultTransferFunc(), o); err != nil {
 			return 0, err
 		}
 	case KernelBilateral:
@@ -304,7 +309,7 @@ func simKernelOf[T grid.Scalar](cfg InterleaveConfig, l core.Layout) (uint64, er
 			srcs[w] = grid.NewTraced(src, 0, sys.Front(w))
 			dsts[w] = grid.NewTraced(dst, 1<<40, sys.Front(w))
 		}
-		if err := filter.ApplyViewsCtxOf[T](context.Background(), srcs, dsts, cfg.Options); err != nil {
+		if err := filter.ApplyViewsCtxOf[T](ctx, srcs, dsts, cfg.Options); err != nil {
 			return 0, err
 		}
 	default:

@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"strings"
@@ -58,11 +59,11 @@ func interleaveConfig() InterleaveConfig {
 }
 
 func TestInterleaveDeterministic(t *testing.T) {
-	a, err := Interleave(interleaveConfig())
+	a, err := Interleave(context.Background(), interleaveConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Interleave(interleaveConfig())
+	b, err := Interleave(context.Background(), interleaveConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestInterleaveBeatsOrMatchesZOrder(t *testing.T) {
 	// The gate CI enforces: the tuned layout's simulated L1 misses may
 	// not exceed plain Z order's. The z-inner iteration order gives the
 	// search headroom over Z order's x-first interleave.
-	res, err := Interleave(interleaveConfig())
+	res, err := Interleave(context.Background(), interleaveConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestInterleavePinned(t *testing.T) {
 			"xyzxyzxyzxyzxyz:78400 xxxxxyyyyyzzzzz:764080 zzzzzyyyyyxxxxx:276100 xyzxxxxyyyyzzzz:78400 " +
 				"xyzzzzzyyyyxxxx:63048"},
 	} {
-		res, err := Interleave(c.cfg)
+		res, err := Interleave(context.Background(), c.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -164,7 +165,7 @@ func TestInterleaveVolrend(t *testing.T) {
 	cfg.Kernel = KernelVolrend
 	cfg.ImgW, cfg.ImgH = 32, 32
 	cfg.Population, cfg.Generations = 6, 2
-	res, err := Interleave(cfg)
+	res, err := Interleave(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestInterleaveDtypes(t *testing.T) {
 		cfg := interleaveConfig()
 		cfg.Dtype = dt
 		cfg.Population, cfg.Generations = 4, 1
-		res, err := Interleave(cfg)
+		res, err := Interleave(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("dtype %v: %v", dt, err)
 		}
@@ -200,7 +201,7 @@ func TestInterleaveDegenerate(t *testing.T) {
 	// search still returns the (unique) spec.
 	cfg := interleaveConfig()
 	cfg.Nx, cfg.Ny, cfg.Nz = 1, 1, 8
-	res, err := Interleave(cfg)
+	res, err := Interleave(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func BenchmarkInterleaveChurn(b *testing.B) {
 	var res *InterleaveResult
 	for n := 0; n < b.N; n++ {
 		var err error
-		if res, err = Interleave(cfg); err != nil {
+		if res, err = Interleave(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,16 +13,19 @@ package volume
 // LoadRawOf, which map every sample of a row-major x-row through the
 // layout for interchange with external tools).
 //
-// A persisted volume is a manifest plus a directory of bricks:
+// A persisted volume is a directory of bricks plus the manifest that
+// commits them:
 //
-//	manifest.json   metadata + per-brick sha256 (the commit point)
 //	00000.sfcb      brick 0: 18-byte header, then payload
 //	00001.sfcb      brick 1, ...
+//	manifest.json   metadata + per-brick sha256 (the commit point)
 //
-// The bricks need not sit beside the manifest: the tiered store keeps
-// each generation's bricks in a directory of their own (see
-// internal/store), and these functions take the brick directory as an
-// argument.
+// The tiered store (internal/store) writes each generation into a
+// directory of its own, g<gen>/, and commits it by the manifest's
+// rename to g<gen>/manifest.json, a name that did not exist. Nothing in
+// this format is synced to disk: after a power loss the newest manifest
+// may read as torn and its bricks may fail their sha256, and both are
+// rejected as errors, never decoded into samples.
 //
 // Brick payloads are little-endian samples in storage order. Every
 // brick carries its own header (magic, format version, dtype, index,
@@ -152,17 +155,31 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 // ManifestFile is the manifest's name inside a volume directory.
 const ManifestFile = "manifest.json"
 
-// WriteManifestFile persists m atomically (temp file + rename), making
-// the manifest the commit point of a brick write: a crash mid-write
-// leaves either the old manifest (old bricks verify) or the new one
-// (new bricks verify), never a manifest describing half-written data.
+// WriteManifestFile commits m at path, which must not exist yet: it
+// writes path+".tmp" (also new) and renames it to path. A killed writer
+// leaves at most the .tmp file, never a half-written manifest at path,
+// so the rename is the commit point of the bricks the manifest names.
+// Renaming to a new name, rather than over an older manifest, also
+// spares the commit ext4's flush of a file renamed over another; a
+// path that exists is an error, reported before anything is written.
 func WriteManifestFile(path string, m *Manifest) error {
 	b, err := EncodeManifest(m)
 	if err != nil {
 		return err
 	}
+	if _, err := os.Lstat(path); err == nil {
+		return fmt.Errorf("volume: manifest %s exists; a commit renames to a new name", path)
+	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(b)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)
@@ -369,10 +386,11 @@ const brickChunk = 1 << 16
 // WriteBricks persists data — a grid's backing slice, already in curve
 // order — under dir as brick files of brickElems samples each (the
 // last brick takes the remainder). Bricks are written in place, with
-// no temp file: dir must be a directory that no committed manifest
-// names, so nothing reads a brick before the caller commits the set by
-// writing the manifest afterwards. Returns the per-brick sizes and
-// digests for that manifest.
+// no temp file, and each must be a new file (an existing one is an
+// error, never truncated): dir must be a directory that no committed
+// manifest names, so nothing reads a brick before the caller commits
+// the set by writing the manifest afterwards. Returns the per-brick
+// sizes and digests for that manifest.
 func WriteBricks[T grid.Scalar](dir string, data []T, brickElems int) ([]BrickInfo, error) {
 	if brickElems < 1 {
 		return nil, fmt.Errorf("volume: brick size %d elems invalid", brickElems)
@@ -399,7 +417,7 @@ func WriteBricks[T grid.Scalar](dir string, data []T, brickElems int) ([]BrickIn
 func writeBrick[T grid.Scalar](path string, i int, chunk []T, buf []byte, h hash.Hash) ([]byte, error) {
 	dt := grid.DtypeFor[T]()
 	es := dt.Size()
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("volume: writing brick %d: %w", i, err)
 	}
@@ -421,6 +439,24 @@ func writeBrick[T grid.Scalar](path string, i int, chunk []T, buf []byte, h hash
 		return nil, fmt.Errorf("volume: writing brick %d: %w", i, err)
 	}
 	return h.Sum(nil), nil
+}
+
+// StatBricks checks that each of m's bricks is a file in dir of the
+// size m gives it, so a caller can refuse a manifest that claims more
+// samples than its bricks hold before allocating the grid it
+// describes. The bricks' contents are checked by ReadBricksInto.
+func StatBricks(dir string, m *Manifest) error {
+	for i, bi := range m.Bricks {
+		path := filepath.Join(dir, BrickFileName(i))
+		fi, err := os.Stat(path)
+		if err != nil {
+			return fmt.Errorf("volume: reading brick %d: %w", i, err)
+		}
+		if fi.Size() != BrickHeaderLen+bi.Bytes {
+			return fmt.Errorf("%s: brick file holds %d bytes, manifest %d + %d-byte header", path, fi.Size(), bi.Bytes, BrickHeaderLen)
+		}
+	}
+	return nil
 }
 
 // ReadBricksInto loads m's bricks from dir into dst, which must be the

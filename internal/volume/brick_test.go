@@ -119,6 +119,9 @@ func TestTruncatedBrickRejected(t *testing.T) {
 	l := core.New(core.ZKind, 8, 8, 8)
 	dir := t.TempDir()
 	_, m := writeTestVolume[uint16](t, dir, l, 100)
+	if err := StatBricks(dir, m); err != nil {
+		t.Fatalf("StatBricks on intact bricks: %v", err)
+	}
 	path := filepath.Join(dir, BrickFileName(0))
 	b, _ := os.ReadFile(path)
 	if err := os.WriteFile(path, b[:len(b)-7], 0o644); err != nil {
@@ -127,6 +130,9 @@ func TestTruncatedBrickRejected(t *testing.T) {
 	dst := make([]uint16, m.Elems)
 	if err := ReadBricksInto(dir, m, dst); err == nil {
 		t.Fatal("truncated brick decoded without error")
+	}
+	if err := StatBricks(dir, m); err == nil || !strings.Contains(err.Error(), BrickFileName(0)) {
+		t.Fatalf("StatBricks should name the truncated brick: %v", err)
 	}
 }
 
@@ -211,6 +217,9 @@ func TestTrailingBrickBytesRejected(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), BrickFileName(2)) || !strings.Contains(err.Error(), "runs past") {
 		t.Fatalf("trailing-byte error should name the file and the overrun: %v", err)
+	}
+	if err := StatBricks(dir, m); err == nil || !strings.Contains(err.Error(), BrickFileName(2)) {
+		t.Fatalf("StatBricks should name the overlong brick: %v", err)
 	}
 }
 
