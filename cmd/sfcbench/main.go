@@ -53,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fig         = fs.Int("fig", 0, "figure to reproduce (1-6 paper, 7-11 extensions); 0 = all")
 		quick       = fs.Bool("quick", false, "use the reduced smoke-test grid")
 		out         = fs.String("out", "", "also write results to this file")
-		csvDir      = fs.String("csv", "", "also write each figure's tables as CSV into this directory")
+		csvDir      = fs.String("csv", "", "also write each figure's tables as CSV into this directory, and every measured row to cells.csv")
 		metricsJSON = fs.String("metrics-json", "", "write the machine-readable run manifest (config, host, per-cell timings, metrics) to this file")
 		timelineOut = fs.String("timeline", "", "write a Chrome trace_event timeline (chrome://tracing, Perfetto) to this file")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060) while running")
@@ -166,6 +166,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		figs = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
 	}
 	var text strings.Builder
+	var cells []harness.CellRecord
 	fmt.Fprintf(&text, "sfcmem experiment run — %s %s/%s, GOMAXPROCS=%d\n",
 		runtime.Version(), runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0))
 	fmt.Fprintf(&text, "config: bilat %d³ (sim %d³), volrend %d³ (sim %d³), image %d (sim %d), cache-scale %d, seed %d, reps %d\n\n",
@@ -195,6 +196,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if err := writeCSVs(*csvDir, res); err != nil {
 				return fatal(stderr, err)
 			}
+		}
+		cells = append(cells, res.Rows...)
+	}
+	if *csvDir != "" {
+		write := func(w io.Writer) error { return harness.WriteCellsCSV(w, cells) }
+		if err := writeFileWith(filepath.Join(*csvDir, "cells.csv"), write); err != nil {
+			return fatal(stderr, err)
 		}
 	}
 	fmt.Fprint(stdout, text.String())
@@ -274,9 +282,10 @@ func parseThreads(s string, def []int) ([]int, error) {
 		}
 		out = append(out, n)
 	}
-	// The grid code indexes results by position in this list, so a
-	// duplicate ("4,4") would overwrite a column and an unsorted list
-	// ("8,2") would mislabel the sweep; normalise instead of erroring.
+	// The figures pivot rows keyed by thread count, one table column
+	// per list entry, so a duplicate ("4,4") would measure one column
+	// twice and an unsorted list ("8,2") would plot the sweep out of
+	// order; normalise instead of erroring.
 	sort.Ints(out)
 	return slices.Compact(out), nil
 }

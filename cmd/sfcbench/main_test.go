@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -127,7 +128,7 @@ func TestRunQuickFig1MetricsAndTimeline(t *testing.T) {
 		t.Error("fig1 recorded no cells")
 	}
 	for _, c := range m.Figures[0].Cells {
-		if c.Kernel == "stride" && c.RuntimeA <= 0 {
+		if c.Kernel == "stride" && c.Runtime <= 0 {
 			t.Errorf("cell %+v has no wall-clock entry", c)
 		}
 	}
@@ -195,6 +196,50 @@ func TestRunWritesOutAndCSV(t *testing.T) {
 	}
 }
 
+// TestRunWritesCellsCSV: -csv also writes the long-form rows behind the
+// tables, one line per measured point, each naming its layout.
+func TestRunWritesCellsCSV(t *testing.T) {
+	csvDir := filepath.Join(t.TempDir(), "csv")
+	args := append([]string{"-fig", "2", "-csv", csvDir}, micro...)
+	if code, _, stderr := runCLI(t, args...); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	f, err := os.Open(filepath.Join(csvDir, "cells.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	lines, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 2 radii × 2 rows × 1 thread count × 2 layouts × (host, ivy).
+	if len(lines) != 1+16 {
+		t.Fatalf("%d lines, want a header and 16 rows", len(lines))
+	}
+	col := map[string]int{}
+	for i, name := range lines[0] {
+		col[name] = i
+	}
+	for _, name := range []string{"layout", "platform", "runtime_s", "metric", "llc.misses", "mem.reads"} {
+		if _, ok := col[name]; !ok {
+			t.Fatalf("header %v lacks %q", lines[0], name)
+		}
+	}
+	for _, l := range lines[1:] {
+		if l[col["layout"]] != "array" && l[col["layout"]] != "zorder" {
+			t.Errorf("row %v: layout %q", l, l[col["layout"]])
+		}
+		measured := l[col["runtime_s"]]
+		if l[col["platform"]] != "host" {
+			measured = l[col["mem.reads"]]
+		}
+		if measured == "" {
+			t.Errorf("row %v measured nothing", l)
+		}
+	}
+}
+
 func TestParseThreads(t *testing.T) {
 	def := []int{1, 2}
 	got, err := parseThreads("", def)
@@ -212,9 +257,10 @@ func TestParseThreads(t *testing.T) {
 	}
 }
 
-// TestParseThreadsSortsAndDedupes: the grid code labels result columns
-// by position, so duplicates and out-of-order counts used to corrupt the
-// sweep; parseThreads must normalise them.
+// TestParseThreadsSortsAndDedupes: each thread count is one table
+// column, so duplicates would measure a column twice and out-of-order
+// counts would plot the sweep out of order; parseThreads must normalise
+// them.
 func TestParseThreadsSortsAndDedupes(t *testing.T) {
 	cases := []struct {
 		in   string

@@ -301,18 +301,21 @@ func (s *server) recordQueueSpan(jt *obs.Trace, j *jobs.Job) {
 	jt.StageAt("job.queued", tm.Submitted, tm.Started.Sub(tm.Submitted))
 }
 
-// jobDone closes out a job's trace when it terminates (from whichever
+// jobDone closes out a job's trace as it terminates (from whichever
 // goroutine drove the terminal transition), so the queued, coarse and
 // refine phases of every job show up in /ops/trace/recent alongside
-// synchronous requests.
-func (s *server) jobDone(jt *obs.Trace) func(*jobs.Job) {
-	return func(j *jobs.Job) {
+// synchronous requests. The jobs manager runs it before the job's
+// terminal state is visible: a client that sees the job end finds its
+// trace, not just the trace of the request that submitted it, which
+// carries the same request ID.
+func (s *server) jobDone(jt *obs.Trace) func(*jobs.Job, jobs.State) {
+	return func(j *jobs.Job, st jobs.State) {
 		var size int64
 		if v, ok := j.Result().(*rcache.Value); ok {
 			size = int64(len(v.Body))
 		}
 		status := http.StatusOK
-		switch j.State() {
+		switch st {
 		case jobs.StateFailed:
 			status = http.StatusInternalServerError
 		case jobs.StateCancelled:

@@ -18,9 +18,9 @@ package harness
 
 import (
 	"strconv"
-	"time"
 
 	"sfcmem/internal/cache"
+	"sfcmem/internal/grid"
 	"sfcmem/internal/parallel"
 )
 
@@ -163,12 +163,21 @@ func (c Config) BilatRows() []BilatRow {
 	return rows
 }
 
-// minDuration returns the smaller duration.
-func minDuration(a, b time.Duration) time.Duration {
-	if b < a {
-		return b
+// DtypeList resolves the configured dtype names, defaulting to every
+// supported dtype when the list is empty.
+func (c Config) DtypeList() ([]grid.Dtype, error) {
+	if len(c.Dtypes) == 0 {
+		return grid.Dtypes(), nil
 	}
-	return a
+	out := make([]grid.Dtype, len(c.Dtypes))
+	for i, name := range c.Dtypes {
+		dt, err := grid.ParseDtype(name)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = dt
+	}
+	return out, nil
 }
 
 func intLabels(xs []int) []string {

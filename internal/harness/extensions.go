@@ -1,26 +1,24 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
-	"sfcmem/internal/cache"
 	"sfcmem/internal/core"
 	"sfcmem/internal/filter"
 	"sfcmem/internal/grid"
 	"sfcmem/internal/multires"
 	"sfcmem/internal/parallel"
-	"sfcmem/internal/render"
-	"sfcmem/internal/reuse"
 	"sfcmem/internal/stats"
 	"sfcmem/internal/tune"
 )
 
-// fig7 is an extension beyond the paper: architecture-independent LRU
+// fig7 is an extension beyond the paper: architecture-independent lruPlat
 // miss-ratio curves (reuse-distance profiles) for both kernels under
 // every layout. Where the paper reads two platform-specific counters,
 // these curves characterize the locality itself — the knee of each
 // curve shows the cache size at which that layout stops thrashing.
-func fig7(cfg Config, progress func(string)) (FigureResult, error) {
+func fig7(cfg Config, progress func(string), ins *Instruments) (FigureResult, error) {
 	size := cfg.BilatSimSize
 	if size > 32 {
 		size = 32 // reuse analysis is O(log n) per access; keep traces modest
@@ -35,61 +33,36 @@ func fig7(cfg Config, progress func(string)) (FigureResult, error) {
 	for b := fromB; b <= toB; b += 2 {
 		cols = append(cols, fmt.Sprintf("%dKB", (1<<b)*64/1024))
 	}
-
-	mkTable := func(title string, profile func(kind core.Kind) (reuse.Histogram, error)) (*stats.Table, error) {
+	bilat := point{Kernel: bilatKernel, Dtype: grid.F32, Size: size, Threads: 1, Platform: lruPlat,
+		Row: BilatRow{Label: "pz zyx", Radius: 2, Axis: parallel.AxisZ, Order: OrderZYX}}
+	volrend := point{Kernel: volrendKernel, Dtype: grid.F32, Size: size, Image: 64, Threads: 1, Platform: lruPlat, View: 2}
+	r := newRunner(cfg, progress, ins)
+	var groups [][]point
+	for _, p := range []point{bilat, volrend} {
+		for _, kind := range kinds {
+			p.Kind = kind
+			groups = append(groups, []point{p})
+		}
+	}
+	if err := r.run(context.TODO(), groups, 1); err != nil {
+		return FigureResult{}, err
+	}
+	curves := func(title string, p point) *stats.Table {
 		t := stats.NewTable(title, rowLabels, cols)
 		t.Format = "%8.4f"
-		for r, kind := range kinds {
-			if progress != nil {
-				progress(fmt.Sprintf("fig7 %s %s", title, kind))
-			}
-			h, err := profile(kind)
-			if err != nil {
-				return nil, err
-			}
-			c := 0
-			for b := fromB; b <= toB; b += 2 {
-				t.Set(r, c, h.MissRatio(1<<b))
-				c++
+		for i, kind := range kinds {
+			p.Kind = kind
+			h := r.rows[p].Reuse
+			for c, b := 0, fromB; b <= toB; c, b = c+1, b+2 {
+				t.Set(i, c, h.MissRatio(1<<b))
 			}
 		}
-		return t, nil
+		return t
 	}
-
-	bilatIn := NewBilatInput(size, cfg.Seed)
-	row := BilatRow{Label: "pz zyx", Radius: 2, Axis: parallel.AxisZ, Order: OrderZYX}
-	bt, err := mkTable(
-		fmt.Sprintf("Fig 7a (extension) — LRU miss-ratio vs cache size, bilateral r3 pz zyx, %d³", size),
-		func(kind core.Kind) (reuse.Histogram, error) {
-			an := reuse.NewAnalyzer(1 << 20)
-			src := bilatIn.Src[kind]
-			dst := grid.New(core.New(kind, size, size, size))
-			err := filter.ApplyViews(
-				[]grid.Reader{grid.NewTraced(src, 0, an)},
-				[]grid.Writer{grid.NewTraced(dst, dstBase, an)},
-				row.options(1))
-			return an.Histogram(), err
-		})
-	if err != nil {
-		return FigureResult{}, err
-	}
-
-	volIn := NewVolInput(size, cfg.Seed)
-	vt, err := mkTable(
-		fmt.Sprintf("Fig 7b (extension) — LRU miss-ratio vs cache size, volrend view 2, %d³", size),
-		func(kind core.Kind) (reuse.Histogram, error) {
-			an := reuse.NewAnalyzer(1 << 20)
-			cam := render.Orbit(2, cfg.Views, size, size, size, 64, 64)
-			_, err := render.RenderViews(
-				[]grid.Reader{grid.NewTraced(volIn.Vol[kind], 0, an)},
-				cam, render.DefaultTransferFunc(), renderOptions(1))
-			return an.Histogram(), err
-		})
-	if err != nil {
-		return FigureResult{}, err
-	}
+	bt := curves(fmt.Sprintf("Fig 7a (extension) — LRU miss-ratio vs cache size, bilateral r3 pz zyx, %d³", size), bilat)
+	vt := curves(fmt.Sprintf("Fig 7b (extension) — LRU miss-ratio vs cache size, volrend view 2, %d³", size), volrend)
 	text := bt.String() + "\n" + vt.String()
-	return FigureResult{Name: "fig7", Text: text, Tables: []*stats.Table{bt, vt}}, nil
+	return FigureResult{Name: "fig7", Text: text, Tables: []*stats.Table{bt, vt}, Rows: r.order}, nil
 }
 
 // fig8 is an extension beyond the paper: the §V padding limitation made
@@ -148,61 +121,48 @@ func fig8(cfg Config, progress func(string)) (FigureResult, error) {
 	return FigureResult{Name: "fig8", Text: text, Tables: []*stats.Table{pad}}, nil
 }
 
-// cacheReport aliases cache.Report for the breakdown table helper.
-type cacheReport = cache.Report
-
 // fig9 is an extension implementing the paper's §V future-work note
 // that "additional metrics ... will help to refine our understanding":
 // a full per-level breakdown (L1/L2/LLC miss rates, TLB miss rate,
 // memory traffic) for both kernels under array and Z order, in the
 // against-the-grain configurations where the layouts differ most.
-func fig9(cfg Config, progress func(string)) (FigureResult, error) {
+func fig9(cfg Config, progress func(string), ins *Instruments) (FigureResult, error) {
 	size := cfg.BilatSimSize
-	platform := cfg.ivyPlatform()
+	bilat := cfg.bilatPoint(BilatRow{Label: "r3 pz zyx", Radius: 2, Axis: parallel.AxisZ, Order: OrderZYX}, 2, ivyPlat)
+	volrend := cfg.volrendPoint(2, 2, ivyPlat)
+	volrend.Size = size
+	points := append(pair(bilat), pair(volrend)...)
+	r := newRunner(cfg, progress, ins)
+	if err := r.run(context.TODO(), [][]point{points}, 1); err != nil {
+		return FigureResult{}, err
+	}
 	rows := []string{
 		"bilat a-order", "bilat z-order",
 		"volrend a-order", "volrend z-order",
 	}
 	cols := []string{"L1 miss", "L2 miss", "LLC miss", "TLB miss", "mem rd", "mem wr"}
 	t := stats.NewTable(
-		fmt.Sprintf("Fig 9 (extension) — per-level memory-system breakdown, %d³, %s", size, platform.Name),
+		fmt.Sprintf("Fig 9 (extension) — per-level memory-system breakdown, %d³, %s", size, cfg.ivyPlatform().Name),
 		rows, cols)
 	t.Format = "%10.4f"
-
-	bilatIn := NewBilatInput(size, cfg.Seed)
-	volIn := NewVolInput(size, cfg.Seed)
-	row := BilatRow{Label: "r3 pz zyx", Radius: 2, Axis: parallel.AxisZ, Order: OrderZYX}
-	fill := func(r int, rep cacheReport) {
-		t.Set(r, 0, rep.PrivateTotal[0].MissRate())
-		t.Set(r, 1, rep.PrivateTotal[1].MissRate())
-		if rep.HasShared {
-			t.Set(r, 2, rep.Shared.MissRate())
+	for i, p := range points {
+		c := r.rows[p].Cache
+		missRate := func(level string) float64 {
+			if c[level+".accesses"] == 0 {
+				return 0
+			}
+			return float64(c[level+".misses"]) / float64(c[level+".accesses"])
 		}
-		t.Set(r, 3, rep.TLB.MissRate())
-		t.Set(r, 4, float64(rep.MemReads))
-		t.Set(r, 5, float64(rep.MemWrites))
+		t.Set(i, 0, missRate("l1"))
+		t.Set(i, 1, missRate("l2"))
+		if _, shared := c["llc.accesses"]; shared {
+			t.Set(i, 2, missRate("llc"))
+		}
+		t.Set(i, 3, missRate("tlb"))
+		t.Set(i, 4, float64(c["mem.reads"]))
+		t.Set(i, 5, float64(c["mem.writes"]))
 	}
-	for i, kind := range []core.Kind{core.ArrayKind, core.ZKind} {
-		if progress != nil {
-			progress(fmt.Sprintf("fig9 bilat %s", kind))
-		}
-		_, rep, err := SimBilat(bilatIn, kind, row, 2, platform)
-		if err != nil {
-			return FigureResult{}, err
-		}
-		fill(i, rep)
-	}
-	for i, kind := range []core.Kind{core.ArrayKind, core.ZKind} {
-		if progress != nil {
-			progress(fmt.Sprintf("fig9 volrend %s", kind))
-		}
-		_, rep, err := SimVolrend(volIn, kind, 2, cfg.Views, cfg.SimImageSize, 2, platform)
-		if err != nil {
-			return FigureResult{}, err
-		}
-		fill(2+i, rep)
-	}
-	return FigureResult{Name: "fig9", Text: t.String(), Tables: []*stats.Table{t}}, nil
+	return FigureResult{Name: "fig9", Text: t.String(), Tables: []*stats.Table{t}, Rows: r.order}, nil
 }
 
 // fig10 is an extension reproducing the access pattern behind the
@@ -264,4 +224,68 @@ func fig10(cfg Config, progress func(string)) (FigureResult, error) {
 	}
 	text := sliceT.String() + "\n" + subT.String()
 	return FigureResult{Name: "fig10", Text: text, Tables: []*stats.Table{sliceT, subT}}, nil
+}
+
+// fig11 is the element-dtype sweep. The paper stores float32 samples;
+// the generic data plane also runs every kernel over uint8, uint16 and
+// float64 volumes. Narrow dtypes shrink the working set 4x (uint8) or
+// 2x (uint16), which moves the cache-capacity knee the same way a
+// bigger cache would — the space-filling-curve story at a different
+// axis. It runs the bilateral filter at the largest configured stencil,
+// px/xyz, at the fixed thread count, for every configured dtype under
+// four layouts. Three tables: absolute runtime, runtime scaled relative
+// difference against float32 (positive = this dtype faster), and the
+// volume buffer size.
+func fig11(cfg Config, progress func(string), ins *Instruments) (FigureResult, error) {
+	dtypes, err := cfg.DtypeList()
+	if err != nil {
+		return FigureResult{}, err
+	}
+	radius := cfg.Radii[len(cfg.Radii)-1] // largest stencil: most work per byte held
+	base := cfg.bilatPoint(BilatRow{Label: radius.Label + " px xyz", Radius: radius.Radius}, cfg.FixedThreads, hostPlat)
+	kinds := []core.Kind{core.ArrayKind, core.ZKind, core.TiledKind, core.HilbertKind}
+	at := func(kind core.Kind, dt grid.Dtype) point {
+		p := base
+		p.Kind, p.Dtype = kind, dt
+		return p
+	}
+	// One group per layout: the repetitions interleave dtype by dtype,
+	// so slow host drift cannot bias one dtype's minimum.
+	r := newRunner(cfg, progress, ins)
+	groups := make([][]point, len(kinds))
+	for i, kind := range kinds {
+		for _, dt := range dtypes {
+			groups[i] = append(groups[i], at(kind, dt))
+		}
+	}
+	if err := r.run(context.TODO(), groups, cfg.Reps); err != nil {
+		return FigureResult{}, err
+	}
+
+	rowLabels := make([]string, len(dtypes))
+	for i, dt := range dtypes {
+		rowLabels[i] = dt.String()
+	}
+	colLabels := make([]string, len(kinds))
+	for i, k := range kinds {
+		colLabels[i] = k.String()
+	}
+	title := fmt.Sprintf("Fig 11%%s (extension) — Bilat3d %s %d³, %d threads", base.Row.Label, base.Size, cfg.FixedThreads)
+	rt := stats.NewTable(fmt.Sprintf(title, "a")+": runtime (s) by element dtype", rowLabels, colLabels)
+	rt.Format = "%10.3f"
+	ds := stats.NewTable(fmt.Sprintf(title, "b")+": ds runtime (float32 vs dtype)", rowLabels, colLabels)
+	mem := stats.NewTable(fmt.Sprintf(title, "c")+": volume buffer MiB (with layout padding)", rowLabels, colLabels)
+	mem.Format = "%10.1f"
+	for di, dt := range dtypes {
+		for ki, kind := range kinds {
+			rt.Set(di, ki, r.rows[at(kind, dt)].Runtime)
+			if f32, ok := r.rows[at(kind, grid.F32)]; ok {
+				ds.Set(di, ki, stats.ScaledRelDiff(f32.Runtime, r.rows[at(kind, dt)].Runtime))
+			}
+			n := base.Size
+			mem.Set(di, ki, float64(core.New(kind, n, n, n).Len()*dt.Size())/(1<<20))
+		}
+	}
+	text := rt.String() + "\n" + ds.String() + "\n" + mem.String()
+	return FigureResult{Name: "fig11", Text: text, Tables: []*stats.Table{rt, ds, mem}, Rows: r.order}, nil
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"sfcmem/internal/core"
@@ -16,6 +17,9 @@ type FigureResult struct {
 	Name   string
 	Text   string
 	Tables []*stats.Table
+	// Rows are the runner rows the tables pivot, in measurement order
+	// (nil for figures that are not kernel sweeps).
+	Rows []CellRecord
 }
 
 // fig1 quantifies the paper's Fig. 1 illustration: physical-memory
@@ -89,71 +93,70 @@ func fig1(cfg Config, ins *Instruments) FigureResult {
 	}, ins.Observer("fig1 layout"))
 
 	for r, kind := range kinds {
-		ins.RecordCell(CellRecord{Kernel: "stride", Row: kind.String(), RuntimeA: elapsed[r].Seconds()})
+		ins.RecordCell(CellRecord{Kernel: "stride", Layout: kind.String(), Runtime: elapsed[r].Seconds()})
 	}
 	ins.RecordCell(CellRecord{
 		Kernel: "stride-sweep", Strategy: st.Strategy, Threads: workers,
-		RuntimeA: st.Elapsed.Seconds(), ImbalanceA: st.ImbalanceFactor(),
+		Runtime: st.Elapsed.Seconds(), Imbalance: st.ImbalanceFactor(),
 	})
 
 	text := axisTable.String() + "\n" + rayTable.String()
 	return FigureResult{Name: "fig1", Text: text, Tables: []*stats.Table{axisTable, rayTable}}
 }
 
-// bilatFigure produces one of the paper's bilateral-filter ds figures
-// (Fig 2 on the IvyBridge-like platform, Fig 3 on the MIC-like one).
-func bilatFigure(cfg Config, name, title string, threads []int, platName string,
-	progress func(string), ins *Instruments) (FigureResult, error) {
-	platform := cfg.ivyPlatform()
-	if platName == "mic" {
-		platform = cfg.micPlatform()
+// dsFigures are the paper's ds figures by number. Fig 2 and 3 sweep the
+// bilateral rows (stencil × pencil axis × loop order), Fig 5 and 6 the
+// render viewpoints; each runs over its platform's thread list.
+var dsFigures = map[int]struct{ kernel, platform string }{
+	2: {bilatKernel, ivyPlat}, 3: {bilatKernel, micPlat},
+	5: {volrendKernel, ivyPlat}, 6: {volrendKernel, micPlat},
+}
+
+// dsFigure produces ds figure n: at every (row or viewpoint, threads)
+// cell it measures array and Z order on the host and on the platform's
+// cache model, then pivots the rows into two tables of ds = (a−z)/z,
+// one of wall-clock time and one of the paper counter.
+func dsFigure(cfg Config, progress func(string), ins *Instruments, n int, kernel, platform string) (FigureResult, error) {
+	threads, model, metric := cfg.IvyThreads, "IvyBridge-like", "PAPI_L3_TCA"
+	if platform == micPlat {
+		threads, model, metric = cfg.MICThreads, "MIC-like", "L2_DATA_READ_MISS"
 	}
-	cells, err := RunBilatGrid(cfg, threads, platform, progress, ins)
-	if err != nil {
+	var labels []string
+	at := cfg.volrendPoint
+	title := fmt.Sprintf("Fig %d — Volrend %d³ (sim %d³) %s", n, cfg.VolSize, cfg.VolSimSize, model)
+	if kernel == bilatKernel {
+		rows := cfg.BilatRows()
+		for _, row := range rows {
+			labels = append(labels, row.Label)
+		}
+		at = func(i, t int, platform string) point { return cfg.bilatPoint(rows[i], t, platform) }
+		title = fmt.Sprintf("Fig %d — Bilat3d %d³ (sim %d³) %s", n, cfg.BilatSize, cfg.BilatSimSize, model)
+	} else {
+		for v := 0; v < cfg.Views; v++ {
+			labels = append(labels, strconv.Itoa(v))
+		}
+	}
+	r := newRunner(cfg, progress, ins)
+	var groups [][]point
+	for i := range labels {
+		for _, t := range threads {
+			groups = append(groups, append(pair(at(i, t, hostPlat)), pair(at(i, t, platform))...))
+		}
+	}
+	if err := r.run(context.TODO(), groups, cfg.Reps); err != nil {
 		return FigureResult{}, err
 	}
-	rows := cfg.BilatRows()
-	rowLabels := make([]string, len(rows))
-	for i, r := range rows {
-		rowLabels[i] = r.Label
-	}
 	cols := intLabels(threads)
-	rt := stats.NewTable(title+" — ds runtime (a vs z)", rowLabels, cols)
-	mt := stats.NewTable(title+" — ds "+metricName(platName), rowLabels, cols)
-	for ri, row := range rows {
-		for ti := range threads {
-			c := cells[row.Label][ti]
-			rt.Set(ri, ti, stats.ScaledRelDiff(c.RuntimeA.Seconds(), c.RuntimeZ.Seconds()))
-			mt.Set(ri, ti, stats.ScaledRelDiff(float64(c.MetricA), float64(c.MetricZ)))
+	rt := stats.NewTable(title+" — ds runtime (a vs z)", labels, cols)
+	mt := stats.NewTable(title+" — ds "+metric, labels, cols)
+	for i := range labels {
+		for j, t := range threads {
+			rt.Set(i, j, r.ds(at(i, t, hostPlat), runtimeOf))
+			mt.Set(i, j, r.ds(at(i, t, platform), metricOf))
 		}
 	}
 	text := rt.String() + "\n" + mt.String()
-	return FigureResult{Name: name, Text: text, Tables: []*stats.Table{rt, mt}}, nil
-}
-
-func metricName(platName string) string {
-	if platName == "mic" {
-		return "L2_DATA_READ_MISS"
-	}
-	return "PAPI_L3_TCA"
-}
-
-// fig2 reproduces the paper's Fig. 2: bilateral filter on the
-// IvyBridge-like platform, scaled relative differences of runtime and
-// total L3 cache accesses over the (stencil × axis × order) rows and
-// the 2..24 thread sweep.
-func fig2(cfg Config, progress func(string), ins *Instruments) (FigureResult, error) {
-	return bilatFigure(cfg, "fig2",
-		fmt.Sprintf("Fig 2 — Bilat3d %d³ (sim %d³) IvyBridge-like", cfg.BilatSize, cfg.BilatSimSize),
-		cfg.IvyThreads, "ivy", progress, ins)
-}
-
-// fig3 reproduces the paper's Fig. 3: bilateral filter on the MIC-like
-// platform (59..236 threads, L2 read-miss counter).
-func fig3(cfg Config, progress func(string), ins *Instruments) (FigureResult, error) {
-	return bilatFigure(cfg, "fig3",
-		fmt.Sprintf("Fig 3 — Bilat3d %d³ (sim %d³) MIC-like", cfg.BilatSize, cfg.BilatSimSize),
-		cfg.MICThreads, "mic", progress, ins)
+	return FigureResult{Name: fmt.Sprintf("fig%d", n), Text: text, Tables: []*stats.Table{rt, mt}, Rows: r.order}, nil
 }
 
 // fig4 reproduces the paper's Fig. 4: absolute runtime and L3 counter
@@ -161,138 +164,39 @@ func fig3(cfg Config, progress func(string), ins *Instruments) (FigureResult, er
 // Array order peaks at oblique views and dips at views 0 and N/2; Z
 // order stays flat.
 func fig4(cfg Config, progress func(string), ins *Instruments) (FigureResult, error) {
-	wall := NewVolInput(cfg.VolSize, cfg.Seed)
-	sim := NewVolInput(cfg.VolSimSize, cfg.Seed)
-	platform := cfg.ivyPlatform()
-	labels := make([]string, cfg.Views)
-	aRT := make([]float64, cfg.Views)
-	zRT := make([]float64, cfg.Views)
-	aImb := make([]float64, cfg.Views)
-	zImb := make([]float64, cfg.Views)
-	var aM, zM []float64
-	var stA, stZ *parallel.Stats
-	var obsA, obsZ parallel.Observer
-	if ins.active() {
-		stA, stZ = &parallel.Stats{}, &parallel.Stats{}
-		obsA = ins.Observer("fig4 volrend a")
-		obsZ = ins.Observer("fig4 volrend z")
-	}
-	// Wall-clock: sweep the whole orbit in interleaved rounds (array and
-	// Z per view, all views per round) and keep per-cell minimums, so
-	// slow host drift cannot masquerade as viewpoint structure. The
-	// absolute plot needs at least a few rounds even when Reps is 1.
-	rounds := cfg.Reps
-	if rounds < 3 {
-		rounds = 3
-	}
-	for round := 0; round < rounds; round++ {
+	r := newRunner(cfg, progress, ins)
+	// One group: each round times the whole orbit, array and Z per view,
+	// so slow host drift cannot masquerade as viewpoint structure.
+	var group []point
+	for _, platform := range []string{hostPlat, ivyPlat} {
 		for view := 0; view < cfg.Views; view++ {
-			if progress != nil {
-				progress(fmt.Sprintf("fig4 round=%d view=%d", round, view))
-			}
-			a, err := timeVolrend(context.Background(), wall, core.ArrayKind, view, cfg.Views, cfg.ImageSize, cfg.FixedThreads, stA, obsA)
-			if err != nil {
-				return FigureResult{}, err
-			}
-			z, err := timeVolrend(context.Background(), wall, core.ZKind, view, cfg.Views, cfg.ImageSize, cfg.FixedThreads, stZ, obsZ)
-			if err != nil {
-				return FigureResult{}, err
-			}
-			if round == 0 || a.Seconds() < aRT[view] {
-				aRT[view] = a.Seconds()
-			}
-			if round == 0 || z.Seconds() < zRT[view] {
-				zRT[view] = z.Seconds()
-			}
-			if stA != nil {
-				aImb[view] = stA.ImbalanceFactor()
-				zImb[view] = stZ.ImbalanceFactor()
-			}
+			group = append(group, pair(cfg.volrendPoint(view, cfg.FixedThreads, platform))...)
 		}
 	}
+	// The absolute plot needs at least a few rounds even when Reps is 1.
+	if err := r.run(context.TODO(), [][]point{group}, max(cfg.Reps, 3)); err != nil {
+		return FigureResult{}, err
+	}
+	labels := make([]string, cfg.Views)
+	series := make([][]float64, 4) // a rt, z rt, a L3, z L3
 	for view := 0; view < cfg.Views; view++ {
 		labels[view] = fmt.Sprintf("%d", view)
-		ma, repA, err := simVolrend(context.Background(), sim, core.ArrayKind, view, cfg.Views, cfg.SimImageSize, cfg.FixedThreads, platform,
-			ins.Observer("fig4 sim volrend a"))
-		if err != nil {
-			return FigureResult{}, err
+		wall := pair(cfg.volrendPoint(view, cfg.FixedThreads, hostPlat))
+		sim := pair(cfg.volrendPoint(view, cfg.FixedThreads, ivyPlat))
+		for k := 0; k < 2; k++ {
+			series[k] = append(series[k], r.rows[wall[k]].Runtime)
+			series[2+k] = append(series[2+k], metricOf(r.rows[sim[k]]))
 		}
-		mz, repZ, err := simVolrend(context.Background(), sim, core.ZKind, view, cfg.Views, cfg.SimImageSize, cfg.FixedThreads, platform,
-			ins.Observer("fig4 sim volrend z"))
-		if err != nil {
-			return FigureResult{}, err
-		}
-		ins.AddCacheReport(repA)
-		ins.AddCacheReport(repZ)
-		aM = append(aM, float64(ma))
-		zM = append(zM, float64(mz))
-		ins.RecordCell(CellRecord{
-			Kernel:     "volrend",
-			Strategy:   "dynamic",
-			View:       view,
-			Threads:    cfg.FixedThreads,
-			RuntimeA:   aRT[view],
-			RuntimeZ:   zRT[view],
-			MetricA:    uint64(aM[view]),
-			MetricZ:    uint64(zM[view]),
-			ImbalanceA: aImb[view],
-			ImbalanceZ: zImb[view],
-		})
 	}
 	text := stats.RenderSeries(
 		fmt.Sprintf("Fig 4 — Volrend %d³ (sim %d³) IvyBridge-like, %d threads: runtime (s) and PAPI_L3_TCA vs viewpoint",
 			cfg.VolSize, cfg.VolSimSize, cfg.FixedThreads),
-		stats.Series{Name: "a-order rt", Labels: labels, Values: aRT},
-		stats.Series{Name: "z-order rt", Labels: labels, Values: zRT},
-		stats.Series{Name: "a-order L3", Labels: labels, Values: aM},
-		stats.Series{Name: "z-order L3", Labels: labels, Values: zM},
+		stats.Series{Name: "a-order rt", Labels: labels, Values: series[0]},
+		stats.Series{Name: "z-order rt", Labels: labels, Values: series[1]},
+		stats.Series{Name: "a-order L3", Labels: labels, Values: series[2]},
+		stats.Series{Name: "z-order L3", Labels: labels, Values: series[3]},
 	)
-	return FigureResult{Name: "fig4", Text: text}, nil
-}
-
-// volrendFigure produces one of the renderer ds figures (Fig 5 / Fig 6).
-func volrendFigure(cfg Config, name, title string, threads []int, platName string,
-	progress func(string), ins *Instruments) (FigureResult, error) {
-	platform := cfg.ivyPlatform()
-	if platName == "mic" {
-		platform = cfg.micPlatform()
-	}
-	cells, err := RunVolrendGrid(cfg, threads, platform, progress, ins)
-	if err != nil {
-		return FigureResult{}, err
-	}
-	rowLabels := make([]string, cfg.Views)
-	for v := range rowLabels {
-		rowLabels[v] = fmt.Sprintf("%d", v)
-	}
-	cols := intLabels(threads)
-	rt := stats.NewTable(title+" — ds runtime (a vs z)", rowLabels, cols)
-	mt := stats.NewTable(title+" — ds "+metricName(platName), rowLabels, cols)
-	for v := 0; v < cfg.Views; v++ {
-		for ti := range threads {
-			c := cells[v][ti]
-			rt.Set(v, ti, stats.ScaledRelDiff(c.RuntimeA.Seconds(), c.RuntimeZ.Seconds()))
-			mt.Set(v, ti, stats.ScaledRelDiff(float64(c.MetricA), float64(c.MetricZ)))
-		}
-	}
-	text := rt.String() + "\n" + mt.String()
-	return FigureResult{Name: name, Text: text, Tables: []*stats.Table{rt, mt}}, nil
-}
-
-// fig5 reproduces the paper's Fig. 5: renderer ds tables (viewpoints ×
-// threads) on the IvyBridge-like platform.
-func fig5(cfg Config, progress func(string), ins *Instruments) (FigureResult, error) {
-	return volrendFigure(cfg, "fig5",
-		fmt.Sprintf("Fig 5 — Volrend %d³ (sim %d³) IvyBridge-like", cfg.VolSize, cfg.VolSimSize),
-		cfg.IvyThreads, "ivy", progress, ins)
-}
-
-// fig6 reproduces the paper's Fig. 6: renderer ds tables on the
-// MIC-like platform.
-func fig6(cfg Config, progress func(string), ins *Instruments) (FigureResult, error) {
-	return volrendFigure(cfg, "fig6",
-		fmt.Sprintf("Fig 6 — Volrend %d³ (sim %d³) MIC-like", cfg.VolSize, cfg.VolSimSize),
-		cfg.MICThreads, "mic", progress, ins)
+	return FigureResult{Name: "fig4", Text: text, Rows: r.order}, nil
 }
 
 // FigureObs dispatches a figure by number: 1-6 reproduce the paper's
@@ -308,25 +212,20 @@ func FigureObs(n int, cfg Config, progress func(string), ins *Instruments) (Figu
 	}
 	end := ins.StartFigure(fmt.Sprintf("fig%d", n))
 	defer end()
+	if f, ok := dsFigures[n]; ok {
+		return dsFigure(cfg, progress, ins, n, f.kernel, f.platform)
+	}
 	switch n {
 	case 1:
 		return fig1(cfg, ins), nil
-	case 2:
-		return fig2(cfg, progress, ins)
-	case 3:
-		return fig3(cfg, progress, ins)
 	case 4:
 		return fig4(cfg, progress, ins)
-	case 5:
-		return fig5(cfg, progress, ins)
-	case 6:
-		return fig6(cfg, progress, ins)
 	case 7:
-		return fig7(cfg, progress)
+		return fig7(cfg, progress, ins)
 	case 8:
 		return fig8(cfg, progress)
 	case 9:
-		return fig9(cfg, progress)
+		return fig9(cfg, progress, ins)
 	case 10:
 		return fig10(cfg, progress)
 	default:

@@ -1,11 +1,11 @@
 package harness
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
-	"sfcmem/internal/cache"
 	"sfcmem/internal/core"
 	"sfcmem/internal/parallel"
 )
@@ -69,71 +69,64 @@ func TestFig1Structure(t *testing.T) {
 	}
 }
 
-func TestRunBilatGridPopulatesCells(t *testing.T) {
+func TestRunnerPopulatesRows(t *testing.T) {
 	cfg := microConfig()
-	cells, err := RunBilatGrid(cfg, cfg.IvyThreads, cfg.ivyPlatform(), nil, nil)
+	res, err := FigureObs(2, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 2 {
-		t.Fatalf("%d rows, want 2", len(cells))
+	// 2 rows × 1 thread count × 2 layouts × (host, ivy).
+	if len(res.Rows) != 8 {
+		t.Fatalf("%d rows, want 8", len(res.Rows))
 	}
-	for label, row := range cells {
-		for ti, c := range row {
-			if c.RuntimeA <= 0 || c.RuntimeZ <= 0 {
-				t.Errorf("%s[%d]: non-positive runtimes %+v", label, ti, c)
-			}
-			if c.MetricA == 0 || c.MetricZ == 0 {
-				t.Errorf("%s[%d]: zero metrics %+v", label, ti, c)
-			}
+	for _, c := range res.Rows {
+		if c.Layout != "array" && c.Layout != "zorder" {
+			t.Errorf("row %+v: layout %q", c, c.Layout)
+		}
+		if c.Platform == hostPlat && c.Runtime <= 0 {
+			t.Errorf("host row %+v: non-positive runtime", c)
+		}
+		if c.Platform != hostPlat && (c.Metric == 0 || c.Cache["paper_metric"] != c.Metric) {
+			t.Errorf("model row %+v: missing counters", c)
 		}
 	}
 }
 
+// replay measures model point p with a fresh runner and returns its
+// paper counter.
+func replay(t *testing.T, cfg Config, p point) uint64 {
+	t.Helper()
+	r := newRunner(cfg, nil, nil)
+	if err := r.run(context.Background(), [][]point{{p}}, 1); err != nil {
+		t.Fatal(err)
+	}
+	return r.rows[p].Metric
+}
+
 func TestSimBilatDeterministic(t *testing.T) {
 	cfg := microConfig()
-	in := NewBilatInput(cfg.BilatSimSize, cfg.Seed)
-	row := cfg.BilatRows()[0]
-	m1, _, err := SimBilat(in, core.ZKind, row, 1, cfg.ivyPlatform())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, _, err := SimBilat(in, core.ZKind, row, 1, cfg.ivyPlatform())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1 != m2 {
+	p := cfg.bilatPoint(cfg.BilatRows()[0], 1, ivyPlat)
+	p.Kind = core.ZKind
+	if m1, m2 := replay(t, cfg, p), replay(t, cfg, p); m1 != m2 {
 		t.Errorf("single-thread sim not deterministic: %d vs %d", m1, m2)
 	}
 }
 
 func TestSimVolrendDeterministicAndViewDependent(t *testing.T) {
 	cfg := microConfig()
-	in := NewVolInput(32, cfg.Seed)
-	p := cfg.ivyPlatform()
-	a0, _, err := SimVolrend(in, core.ArrayKind, 0, 8, 32, 1, p)
-	if err != nil {
-		t.Fatal(err)
+	cfg.Views, cfg.VolSimSize, cfg.SimImageSize = 8, 32, 32
+	at := func(kind core.Kind, view int) point {
+		p := cfg.volrendPoint(view, 1, ivyPlat)
+		p.Kind = kind
+		return p
 	}
-	a0b, _, err := SimVolrend(in, core.ArrayKind, 0, 8, 32, 1, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a0 != a0b {
+	a0 := replay(t, cfg, at(core.ArrayKind, 0))
+	if a0b := replay(t, cfg, at(core.ArrayKind, 0)); a0 != a0b {
 		t.Errorf("sim not deterministic: %d vs %d", a0, a0b)
 	}
-	a2, _, err := SimVolrend(in, core.ArrayKind, 2, 8, 32, 1, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	z0, _, err := SimVolrend(in, core.ZKind, 0, 8, 32, 1, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	z2, _, err := SimVolrend(in, core.ZKind, 2, 8, 32, 1, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a2 := replay(t, cfg, at(core.ArrayKind, 2))
+	z0 := replay(t, cfg, at(core.ZKind, 0))
+	z2 := replay(t, cfg, at(core.ZKind, 2))
 	// The paper's central renderer claim: array order's counter is much
 	// more viewpoint-sensitive than Z order's.
 	ratioA := float64(a2) / float64(a0)
@@ -168,7 +161,7 @@ func TestFiguresSmoke(t *testing.T) {
 func TestProgressCallbackInvoked(t *testing.T) {
 	cfg := microConfig()
 	var n int
-	_, err := fig2(cfg, func(string) { n++ }, nil)
+	_, err := FigureObs(2, cfg, func(string) { n++ }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,17 +190,14 @@ func TestQuickAndDefaultConfigsSane(t *testing.T) {
 // order wins only its most favorable configuration (small stencil,
 // x-pencils, xyz order) and loses against the grain.
 func TestPaperShapeBilateralSigns(t *testing.T) {
-	in := NewBilatInput(32, 1)
-	platform := cache.Scaled(cache.IvyBridge(), 32)
+	cfg := microConfig()
+	cfg.BilatSimSize, cfg.Seed, cfg.CacheScale = 32, 1, 32
 	ds := func(row BilatRow) float64 {
-		a, _, err := SimBilat(in, core.ArrayKind, row, 2, platform)
-		if err != nil {
-			t.Fatal(err)
-		}
-		z, _, err := SimBilat(in, core.ZKind, row, 2, platform)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := cfg.bilatPoint(row, 2, ivyPlat)
+		p.Kind = core.ArrayKind
+		a := replay(t, cfg, p)
+		p.Kind = core.ZKind
+		z := replay(t, cfg, p)
 		return (float64(a) - float64(z)) / float64(z)
 	}
 	favorable := ds(BilatRow{Radius: 1, Axis: parallel.AxisX, Order: OrderXYZ})

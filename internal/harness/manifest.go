@@ -1,23 +1,27 @@
 package harness
 
 import (
+	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
+	"maps"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
 	"sfcmem/internal/cache"
 	"sfcmem/internal/metrics"
 	"sfcmem/internal/parallel"
+	"sfcmem/internal/reuse"
 	"sfcmem/internal/timeline"
 )
 
 // ManifestSchema identifies the run-manifest JSON shape. Bump the suffix
 // on any breaking field change; trajectory tooling (BENCH_*.json) keys on
 // it.
-const ManifestSchema = "sfcmem/run/v1"
+const ManifestSchema = "sfcmem/run/v2"
 
 // HostInfo describes the machine a run executed on.
 type HostInfo struct {
@@ -39,33 +43,93 @@ func Host() HostInfo {
 	}
 }
 
-// CellRecord is one measured experiment cell. The A/Z pairs mirror the
-// paper's array-order vs Z-order comparison; Imbalance values are the
-// scheduling load-imbalance factors (max/mean worker busy time, 1.0 =
-// perfectly balanced) observed during the wall-clock runs.
+// CellRecord is one long-form row: one measured point under one
+// layout. Runner rows (kernels "bilat" and "volrend") fill the columns
+// their platform measures: wall-clock time and the imbalance factor on
+// the host; the paper counter and the full counter snapshot on a cache
+// model; the reuse profile on the LRU model. The figures' ds tables
+// compare an array-order row with the matching Z-order row.
 type CellRecord struct {
-	// Kernel is "bilat", "volrend", or "stride" (Fig 1's layout sweep).
+	// Kernel is "bilat", "volrend", "stride" (Fig 1's per-layout
+	// strides) or "stride-sweep" (Fig 1's worker pool).
 	Kernel string `json:"kernel"`
 	// Strategy is the work-distribution strategy: "round-robin" or
 	// "dynamic". Empty for serial cells.
 	Strategy string `json:"strategy,omitempty"`
-	// Row labels bilateral rows ("r3 pz zyx") or Fig 1 layouts.
+	// Layout names the memory layout (core.Kind) the row ran under.
+	Layout string `json:"layout,omitempty"`
+	// Dtype is the volume's element type.
+	Dtype string `json:"dtype,omitempty"`
+	// Size is the volume edge; Image the render image edge.
+	Size  int `json:"size,omitempty"`
+	Image int `json:"image,omitempty"`
+	// Platform is "host" for a wall-clock row, else the model replayed:
+	// "ivy", "mic" or "lru".
+	Platform string `json:"platform,omitempty"`
+	// Row labels a bilateral row ("r3 pz zyx").
 	Row string `json:"row,omitempty"`
-	// View is the renderer orbit viewpoint (volrend cells only).
+	// View is the renderer orbit viewpoint (volrend rows only).
 	View int `json:"view,omitempty"`
-	// Threads is the worker count for the cell.
+	// Threads is the worker count.
 	Threads int `json:"threads,omitempty"`
-	// RuntimeA/RuntimeZ are wall-clock seconds (min over repetitions).
-	// Fig 1 cells use RuntimeA for their single measurement.
-	RuntimeA float64 `json:"runtime_a_s,omitempty"`
-	RuntimeZ float64 `json:"runtime_z_s,omitempty"`
-	// MetricA/MetricZ are the platform's simulated paper counters.
-	MetricA uint64 `json:"metric_a,omitempty"`
-	MetricZ uint64 `json:"metric_z,omitempty"`
-	// ImbalanceA/ImbalanceZ are load-imbalance factors from the final
-	// wall-clock repetition of each layout (0 when not instrumented).
-	ImbalanceA float64 `json:"imbalance_a,omitempty"`
-	ImbalanceZ float64 `json:"imbalance_z,omitempty"`
+	// Runtime is wall-clock seconds, the minimum over repetitions.
+	Runtime float64 `json:"runtime_s,omitempty"`
+	// Metric is the platform's simulated paper counter.
+	Metric uint64 `json:"metric,omitempty"`
+	// Cache is the simulated counter snapshot (cache.Report.Snapshot).
+	Cache map[string]uint64 `json:"cache,omitempty"`
+	// Reuse is the reuse-distance profile of an "lru" row.
+	Reuse *reuse.Histogram `json:"reuse,omitempty"`
+	// Imbalance is the load-imbalance factor (max/mean worker busy
+	// time, 1.0 = balanced) of the last wall-clock repetition; 0 when
+	// the run was not instrumented.
+	Imbalance float64 `json:"imbalance,omitempty"`
+}
+
+// WriteCellsCSV writes rows as long-form CSV, one line per row: the
+// identifying columns, the measurements, then one column per simulated
+// counter that any row reports. An empty field is a column the row did
+// not measure. The reuse profile is left to the manifest.
+func WriteCellsCSV(w io.Writer, rows []CellRecord) error {
+	seen := make(map[string]bool)
+	for _, c := range rows {
+		for k := range c.Cache {
+			seen[k] = true
+		}
+	}
+	counters := slices.Sorted(maps.Keys(seen))
+	cw := csv.NewWriter(w)
+	header := []string{"kernel", "strategy", "layout", "dtype", "size", "image", "platform",
+		"row", "view", "threads", "runtime_s", "metric", "imbalance"}
+	if err := cw.Write(append(header, counters...)); err != nil {
+		return err
+	}
+	float := func(v float64) string {
+		if v == 0 {
+			return ""
+		}
+		return strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	count := func(v uint64, ok bool) string {
+		if !ok {
+			return ""
+		}
+		return strconv.FormatUint(v, 10)
+	}
+	for _, c := range rows {
+		line := []string{c.Kernel, c.Strategy, c.Layout, c.Dtype, strconv.Itoa(c.Size), strconv.Itoa(c.Image),
+			c.Platform, c.Row, strconv.Itoa(c.View), strconv.Itoa(c.Threads),
+			float(c.Runtime), count(c.Metric, c.Cache != nil), float(c.Imbalance)}
+		for _, k := range counters {
+			v, ok := c.Cache[k]
+			line = append(line, count(v, ok))
+		}
+		if err := cw.Write(line); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }
 
 // FigureManifest is one figure's machine-readable record.
@@ -175,12 +239,8 @@ func (ins *Instruments) RecordCell(c CellRecord) {
 	}
 	if ins.Metrics != nil {
 		ins.Metrics.Counter("cells", 1).Inc(0)
-		h := ins.Metrics.Histogram("cell_runtime")
-		if c.RuntimeA > 0 {
-			h.Observe(time.Duration(c.RuntimeA * float64(time.Second)))
-		}
-		if c.RuntimeZ > 0 {
-			h.Observe(time.Duration(c.RuntimeZ * float64(time.Second)))
+		if c.Runtime > 0 {
+			ins.Metrics.Histogram("cell_runtime").Observe(time.Duration(c.Runtime * float64(time.Second)))
 		}
 	}
 	ins.mu.Lock()
@@ -235,12 +295,4 @@ func (ins *Instruments) Finish() {
 	if ins.Metrics != nil {
 		ins.Manifest.Metrics = ins.Metrics.Snapshot()
 	}
-}
-
-// spanName builds a compact timeline label.
-func spanName(kernel, layout string, extra string) string {
-	if extra == "" {
-		return fmt.Sprintf("%s %s", kernel, layout)
-	}
-	return fmt.Sprintf("%s %s %s", kernel, layout, extra)
 }

@@ -28,10 +28,13 @@ func TestRunManifestRoundTrip(t *testing.T) {
 		Name:           "fig2",
 		ElapsedSeconds: 1.5,
 		Cells: []CellRecord{{
-			Kernel: "bilat", Strategy: "round-robin", Row: "r1 px xyz",
-			Threads: 2, RuntimeA: 0.25, RuntimeZ: 0.21,
-			MetricA: 1000, MetricZ: 800,
-			ImbalanceA: 1.1, ImbalanceZ: 1.05,
+			Kernel: "bilat", Strategy: "round-robin", Layout: "array", Dtype: "float32",
+			Size: 32, Platform: "host", Row: "r1 px xyz", Threads: 2,
+			Runtime: 0.25, Imbalance: 1.1,
+		}, {
+			Kernel: "volrend", Strategy: "dynamic", Layout: "zorder", Dtype: "float32",
+			Size: 32, Image: 48, Platform: "ivy", View: 3, Threads: 2,
+			Metric: 800, Cache: map[string]uint64{"paper_metric": 800, "mem.reads": 7},
 		}},
 		Cache: map[string]uint64{"llc.misses": 42, "mem.reads": 7},
 	}}
@@ -98,13 +101,20 @@ func TestInstrumentedRunManifestAndTimeline(t *testing.T) {
 			t.Errorf("figure %s has no cache aggregate", fig.Name)
 		}
 		for _, c := range fig.Cells {
-			if c.Strategy != "" {
-				strategies[c.Strategy] = true
-				if c.ImbalanceA < 1 {
-					t.Errorf("figure %s cell %+v: imbalance A %v below 1", fig.Name, c, c.ImbalanceA)
-				}
+			if c.Layout == "" {
+				t.Errorf("figure %s cell %+v names no layout", fig.Name, c)
 			}
-			if c.RuntimeA <= 0 {
+			if c.Platform != hostPlat {
+				if c.Metric == 0 || len(c.Cache) == 0 {
+					t.Errorf("figure %s cell %+v: no simulated counters", fig.Name, c)
+				}
+				continue
+			}
+			strategies[c.Strategy] = true
+			if c.Imbalance < 1 {
+				t.Errorf("figure %s cell %+v: imbalance %v below 1", fig.Name, c, c.Imbalance)
+			}
+			if c.Runtime <= 0 {
 				t.Errorf("figure %s cell %+v: non-positive runtime", fig.Name, c)
 			}
 		}

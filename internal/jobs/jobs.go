@@ -106,10 +106,11 @@ type Spec struct {
 	// events via Job.Emit. A nil return completes the job; a context
 	// error cancels or fails it depending on who cancelled.
 	Run func(ctx context.Context, j *Job) error
-	// Done, when non-nil, is called exactly once after the job's
-	// terminal event is published — the hook sfcserved uses to close
-	// out the job's trace and metrics.
-	Done func(j *Job)
+	// Done, when non-nil, is called exactly once with the job's
+	// terminal state, just before that state and its terminal event
+	// become visible — the hook sfcserved uses to close out the job's
+	// trace and metrics, so whoever sees the job end finds them closed.
+	Done func(j *Job, st State)
 }
 
 // Times are a job's lifecycle timestamps; zero values mean the phase
@@ -138,8 +139,11 @@ type Job struct {
 	events   []Event
 	subs     map[chan Event]struct{}
 	userCncl bool // Cancel() was called (vs ctx dying for another reason)
-	result   any
-	done     chan struct{}
+	// finishing is set once the terminal transition is claimed, before
+	// the Done hook runs and the state turns terminal; it stays set.
+	finishing bool
+	result    any
+	done      chan struct{}
 }
 
 // Status is a job's JSON snapshot for the GET /jobs/{id} endpoint.
@@ -220,25 +224,21 @@ func (j *Job) Result() any {
 // Cancel requests cancellation. A queued job transitions to Cancelled
 // immediately and leaves its lane (its Run never starts); a running job
 // has its context cancelled and reaches Cancelled when Run returns.
-// Cancel on a terminal job is a no-op.
+// Cancel on a terminal or finishing job is a no-op.
 func (j *Job) Cancel() {
 	j.mu.Lock()
-	if j.state.Terminal() {
+	if j.finishing {
 		j.mu.Unlock()
 		return
 	}
 	j.userCncl = true
-	running := j.state == StateRunning
-	if !running {
-		j.finishLocked(StateCancelled, "cancelled before start")
-	}
+	queued := j.state != StateRunning
+	j.finishing = queued // claimed here, so no runner starts it
 	j.mu.Unlock()
 	j.cancel()
-	if !running {
+	if queued {
 		j.mgr.dequeue(j)
-		if j.spec.Done != nil {
-			j.spec.Done(j)
-		}
+		j.finish(StateCancelled, "cancelled before start")
 	}
 }
 
@@ -295,10 +295,20 @@ func (j *Job) Subscribe() (past []Event, ch <-chan Event, cancel func()) {
 	}
 }
 
-// finishLocked performs the single terminal transition and bumps the
-// manager's terminal counter. Callers hold j.mu and must invoke
-// spec.Done after releasing it.
-func (j *Job) finishLocked(st State, errMsg string) {
+// finish performs the single terminal transition, called once, by the
+// job's runner or by Cancel on a queued job. It claims the transition
+// (Cancel and the runners then leave the job alone), fires the Done
+// hook, then marks the state, bumps the manager's terminal counter and
+// publishes the terminal event.
+func (j *Job) finish(st State, errMsg string) {
+	j.mu.Lock()
+	j.finishing = true
+	j.mu.Unlock()
+	if j.spec.Done != nil {
+		j.spec.Done(j, st)
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.state = st
 	j.err = errMsg
 	j.times.Finished = time.Now()
@@ -316,23 +326,6 @@ func (j *Job) finishLocked(st State, errMsg string) {
 	}
 	j.publishLocked(string(st), data)
 	close(j.done)
-}
-
-// finish runs the terminal transition from the runner: marks the state,
-// publishes the terminal event, and fires the Done hook. False if the
-// job was already terminal (e.g. cancelled while queued).
-func (j *Job) finish(st State, errMsg string) bool {
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return false
-	}
-	j.finishLocked(st, errMsg)
-	j.mu.Unlock()
-	if j.spec.Done != nil {
-		j.spec.Done(j)
-	}
-	return true
 }
 
 // Config tunes the manager. Zero values take the defaults noted on
@@ -567,7 +560,7 @@ func (m *Manager) popLocked() *Job {
 // run executes one job unless it was cancelled while queued.
 func (m *Manager) run(j *Job) {
 	j.mu.Lock()
-	if j.state.Terminal() {
+	if j.finishing {
 		j.mu.Unlock()
 		return
 	}

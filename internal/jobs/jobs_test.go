@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -132,7 +133,7 @@ func TestCancelQueuedNeverRuns(t *testing.T) {
 			ran.Store(true)
 			return nil
 		},
-		Done: func(*Job) { doneHook.Store(true) },
+		Done: func(*Job, State) { doneHook.Store(true) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,6 +162,34 @@ func TestCancelQueuedNeverRuns(t *testing.T) {
 	if m.Stats().Cancelled != 1 {
 		t.Errorf("cancelled counter %d", m.Stats().Cancelled)
 	}
+	drain(t, m)
+}
+
+// TestDoneHookRunsBeforeTheJobEnds: the Done hook gets the terminal
+// state while the job still reads as not ended, so whatever the hook
+// publishes (sfcserved's job trace) is in place once anyone can see the
+// job end. Both terminal paths: the runner's and Cancel on a queued job.
+func TestDoneHookRunsBeforeTheJobEnds(t *testing.T) {
+	m := New(Config{Runners: 1})
+	var seen []State
+	hook := func(j *Job, st State) { seen = append(seen, j.State(), st) }
+	ran, err := m.Submit(Spec{Run: func(context.Context, *Job) error { return nil }, Done: hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, ran)
+	_, release := park(t, m)
+	queued, err := m.Submit(Spec{Run: func(context.Context, *Job) error { return nil }, Done: hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued.Cancel()
+	waitTerminal(t, queued)
+	want := []State{StateRunning, StateDone, StateQueued, StateCancelled}
+	if !slices.Equal(seen, want) {
+		t.Errorf("Done hook saw (state, terminal state) %v, want %v", seen, want)
+	}
+	release()
 	drain(t, m)
 }
 

@@ -867,6 +867,13 @@ func (s *Store) Put(v *Volume) error {
 		return nil
 	}
 	if err := s.persist(e.dirname, v); err != nil {
+		s.mu.Lock()
+		// A name whose first commit failed has nothing to serve: drop
+		// it, unless a later Put of the name has taken the entry since.
+		if e.info.Gen == 0 && e.lastGen == v.Gen && s.ents[v.Name] == e {
+			delete(s.ents, v.Name)
+		}
+		s.mu.Unlock()
 		return fmt.Errorf("store: persisting %q: %w", v.Name, err)
 	}
 	s.writes.Inc(0)

@@ -511,6 +511,51 @@ func TestPutErrorKeepsPreviousContents(t *testing.T) {
 	}
 }
 
+// TestFailedFirstPutLeavesNoEntry: a Put of a new name whose write
+// fails must leave the name unknown, not listed at generation 0 with
+// nothing behind it. A regular file where generation 1's directory goes
+// fails the write.
+func TestFailedFirstPutLeavesNoEntry(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vdir := filepath.Join(dir, dirFor("a"))
+	if err := os.MkdirAll(vdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(vdir, genDir(1)), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(testVolume(t, "a", 1)); err == nil {
+		t.Fatal("persist through a file in the generation directory's place should fail")
+	}
+	if info, ok := s.Stat("a"); ok {
+		t.Errorf("Stat after a failed first Put: %+v, want not found", info)
+	}
+	if l := s.List(); len(l) != 0 {
+		t.Errorf("List after a failed first Put: %+v, want empty", l)
+	}
+	if _, err := s.Get("a"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Get after a failed first Put: %v, want ErrNotFound", err)
+	}
+	// The name stays usable once the obstacle is gone.
+	if err := os.Remove(filepath.Join(vdir, genDir(1))); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(testVolume(t, "a", 2)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Get("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(samples(got), samples(testVolume(t, "a", 2))) {
+		t.Fatal("Put after a failed first Put stored the wrong samples")
+	}
+}
+
 // TestDerivedLifecycle pins Derived's contract: one build per resident
 // generation shared by concurrent callers, bytes charged to the RAM
 // tier, and the value dropped on replace, on delete and on eviction.
