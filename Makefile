@@ -92,9 +92,13 @@ baseline-refresh:
 # CI's autotune smoke: the tiny deterministic interleave search (fixed
 # seed, 16³, few generations) must pick the same layout on every run,
 # never score more simulated L1 misses than plain Z order, and repeat
-# the pinned winners, scores and evaluation logs exactly.
+# the pinned winners, scores and evaluation logs exactly, on the per-tap
+# model and on the production stream. The traced production path it
+# scores must write what the untraced filter writes and report exactly
+# its row gathers and writes (under the race detector, two workers).
 tune-smoke:
-	$(GO) test -run 'TestInterleave(Deterministic|BeatsOrMatchesZOrder|Volrend|Pinned)|TestSweepTieBreak' -count=1 -v ./internal/tune
+	$(GO) test -run 'TestInterleave(Deterministic|BeatsOrMatchesZOrder|Volrend|Pinned|PinnedProduction)|TestSweepTieBreak|TestProxyRelayout' -count=1 -v ./internal/tune
+	$(GO) test -race -run 'TestTraced' -count=1 -v ./internal/filter
 
 # Inlining guard for the brick codecs: the compiler must report every
 # math bit-cast call in brick.go as inlined. When the lanes once stopped

@@ -11,7 +11,10 @@ package main
 //
 // Tuning is bulk work by nature — the search replays the kernel
 // through the cache simulator once per candidate — so jobs default to
-// the bulk lane and never preempt interactive renders.
+// the bulk lane and never preempt interactive renders. A bilateral
+// search replays the stream the service's own /filter issues on x
+// pencils at r1: the row-cached flat path's row gathers and writes,
+// not the paper's per-tap model.
 
 import (
 	"bytes"
@@ -37,7 +40,7 @@ import (
 // maxTuneElems bounds the volume size the tuner accepts: the search
 // replays the kernel through the simulator for every candidate, so
 // cost scales as elements × candidates. A default search of a 128³
-// float32 volume (bilateral, 23 replays of ≈2.2 s each) took 39 s on
+// float32 volume (bilateral, 23 replays of ≈0.92 s each) takes 21 s on
 // a 2-vCPU VM (DESIGN §15); past 128³, tune a smaller volume of the
 // same shape class and upload with the winning layout.
 const maxTuneElems = 1 << 21
@@ -145,9 +148,10 @@ func (s *server) tuneJob(name string, req tuneRequest) (jobRun, *httpErr) {
 		Seed:   req.Seed,
 		Kernel: kernel,
 		Dtype:  vol.Grid.Dtype(),
-		Options: filter.Options{
-			Radius: 1, Axis: parallel.AxisZ, Order: filter.ZYX, Workers: req.Workers,
-		},
+		// The replay scores what the filter does in production on x
+		// pencils at r1 (the churn workload's /filter op): the row-
+		// cached flat path's stream.
+		Options: filter.Options{Radius: 1, Axis: parallel.AxisX, Workers: req.Workers},
 		// A shrunken deterministic platform: interleave ranking happens
 		// at cache-line granularity, and the scaled hierarchy keeps the
 		// proxy volume's working set out of cache the way the full-size

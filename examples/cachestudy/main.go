@@ -4,7 +4,8 @@
 // Sweeps the bilateral filter's stencil radius over every layout in the
 // against-the-grain configuration (pz pencils, zyx order) and prints the
 // simulated miss rates and the paper counter per level — the "memory
-// system utilization" view the paper reads from PAPI.
+// system utilization" view the paper reads from PAPI. The replay is the
+// paper's per-tap model: every stencil tap is a simulated read.
 //
 //	go run ./examples/cachestudy [-size 48] [-platform ivy/32]
 package main
@@ -58,6 +59,9 @@ func main() {
 				Axis:    parallel.AxisZ,
 				Order:   filter.ZYX,
 				Workers: *threads,
+				// The per-tap model; the row-cached flat path reads
+				// each sample about three times, whatever the order.
+				NoFastPath: true,
 			}
 			if err := filter.ApplyViews(srcs, dsts, opts); err != nil {
 				log.Fatal(err)

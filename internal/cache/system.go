@@ -45,7 +45,10 @@ type Front struct {
 	sys *System
 	// coreMu is the core's lock when other fronts share the core, nil
 	// when this front is the core's only thread.
-	coreMu   *sync.Mutex
+	coreMu *sync.Mutex
+	// sharedMu is the shared level's lock when the system has other
+	// fronts, nil when this front is its only thread.
+	sharedMu *sync.Mutex
 	private  []*level // the core's levels (alias of core.levels)
 	tlb      *tlb     // nil when the platform has no TLB
 	prefetch bool
@@ -89,6 +92,9 @@ func NewSystem(p Platform, threads int) *System {
 		// when at least two of them exist.
 		if ct > 1 && t/ct*ct+1 < threads {
 			f.coreMu = &cc.mu
+		}
+		if threads > 1 {
+			f.sharedMu = &s.sharedMu
 		}
 		s.fronts[t] = f
 	}
@@ -196,13 +202,13 @@ func (f *Front) prefetchShared(line uint64) {
 		s.memPrefetch()
 		return
 	}
-	s.sharedMu.Lock()
+	f.lockShared()
 	hit := s.shared.lookup(line, false)
 	var evictedDirty, did bool
 	if !hit {
 		_, evictedDirty, did = s.shared.insert(line, false)
 	}
-	s.sharedMu.Unlock()
+	f.unlockShared()
 	if hit {
 		return
 	}
@@ -220,7 +226,7 @@ func (f *Front) accessShared(line uint64, write bool) {
 		s.memAccess(write)
 		return
 	}
-	s.sharedMu.Lock()
+	f.lockShared()
 	lvl := s.shared
 	lvl.Accesses++
 	if write {
@@ -230,7 +236,7 @@ func (f *Front) accessShared(line uint64, write bool) {
 	}
 	if lvl.lookup(line, write) {
 		lvl.Hits++
-		s.sharedMu.Unlock()
+		f.unlockShared()
 		return
 	}
 	lvl.Misses++
@@ -240,7 +246,7 @@ func (f *Front) accessShared(line uint64, write bool) {
 		lvl.ReadMisses++
 	}
 	_, evictedDirty, did := lvl.insert(line, write)
-	s.sharedMu.Unlock()
+	f.unlockShared()
 	s.memAccess(false) // the fill read
 	if did && evictedDirty {
 		s.memAccess(true) // writeback of the victim
@@ -262,15 +268,29 @@ func (f *Front) writeback(i int, line uint64) {
 	}
 	s := f.sys
 	if s.shared != nil {
-		s.sharedMu.Lock()
+		f.lockShared()
 		s.shared.WritebacksIn++
 		hit := s.shared.markDirtyIfPresent(line)
-		s.sharedMu.Unlock()
+		f.unlockShared()
 		if hit {
 			return
 		}
 	}
 	s.memAccess(true)
+}
+
+// lockShared takes the shared level's lock, if other fronts share it.
+func (f *Front) lockShared() {
+	if f.sharedMu != nil {
+		f.sharedMu.Lock()
+	}
+}
+
+// unlockShared releases what lockShared took.
+func (f *Front) unlockShared() {
+	if f.sharedMu != nil {
+		f.sharedMu.Unlock()
+	}
 }
 
 // memPrefetch counts a memory fill triggered by a prefetch, kept apart

@@ -81,10 +81,14 @@ type Options struct {
 	// Observer, if non-nil, is called once per completed pencil with the
 	// worker, pencil index, and timing. Enables timeline recording.
 	Observer parallel.Observer
-	// NoFastPath forces the generic interface path even for plain grids
-	// with separable layouts, disabling the flat-access fast path. Used
-	// by the fast-path ablation benches and cross-check tests; traced
-	// views always take the interface path regardless.
+	// NoFastPath forces the generic interface path, the paper's per-tap
+	// model: every stencil tap is a read through the source view and
+	// every voxel a write through the destination view. Without it, a
+	// plain grid or a traced view under a separable layout takes the
+	// row-cached flat path, and a traced view then reports what that
+	// path reads and writes (see pencilFlatOf). The fast-path ablation
+	// benches, the cross-check tests and the paper figures' counter
+	// replays set it.
 	NoFastPath bool
 }
 
@@ -285,6 +289,35 @@ type rows struct {
 	data []float64 // side² rows of n samples; slot s at data[s*n:]
 	tag  []int     // per slot: b*nc + c of the held row, or -1
 	taps []tap     // the current pencil's taps whose rows lie in the volume, in stencil order
+	// raw lists, on a traced run, the pencil positions whose output
+	// re-read the raw center sample from the source.
+	raw []int
+}
+
+// flatView is one worker's view of a volume on the flat fast path: the
+// flat buffer and, when the view is traced, the traced view every flat
+// access is reported to (nil otherwise).
+type flatView[T grid.Scalar] struct {
+	*grid.Flat[T]
+	tr *grid.Traced[T]
+}
+
+// flatViewOf resolves a worker's view for the flat fast path: a plain
+// grid or a traced view under a separable layout. Any other view (and
+// a non-separable layout: Hilbert, HZ) resolves to a nil Flat and keeps
+// the interface path.
+func flatViewOf[T grid.Scalar](v any) flatView[T] {
+	switch g := v.(type) {
+	case *grid.Grid[T]:
+		if f, ok := g.Flat(); ok {
+			return flatView[T]{Flat: &f}
+		}
+	case *grid.Traced[T]:
+		if f, ok := g.Flat(); ok {
+			return flatView[T]{Flat: &f, tr: g}
+		}
+	}
+	return flatView[T]{}
 }
 
 // newRows returns an empty row cache for pencils of length n.
@@ -305,7 +338,16 @@ func newRows(side, n int) *rows {
 // layout and dtype. Taps outside the volume off the pencil axis are
 // dropped when the pencil's tap list is built; along the pencil they
 // are skipped only for the R voxels at either end.
-func pencilFlatOf[T grid.Scalar](k *kernel, cache *rows, fsrc, fdst *grid.Flat[T], axis parallel.Axis, b, c int) {
+//
+// On traced views the pencil reports what it really touches: each row
+// it gathers, element by element in gather order, as source reads, and
+// after the voxel loop the pencil's destination writes in pencil order
+// (each preceded by its raw center re-read, for the rare voxel that
+// needs one). Nothing else reaches a sink in between, so that is the
+// order the accesses happen in. Reads of the worker-private row cache
+// are not reported. An untraced pencil pays one nil check per gathered
+// row and one per pencil.
+func pencilFlatOf[T grid.Scalar](k *kernel, cache *rows, fsrc, fdst flatView[T], axis parallel.Axis, b, c int) {
 	r := k.opt.Radius
 	side := 2*r + 1
 	sa, sb, sc := onPencil(axis, fsrc.X, fsrc.Y, fsrc.Z)
@@ -321,6 +363,11 @@ func pencilFlatOf[T grid.Scalar](k *kernel, cache *rows, fsrc, fdst *grid.Flat[T
 			row, base := cache.data[s*n:s*n+n], sb[rb]+sc[rc]
 			for a, off := range sa {
 				row[a] = float64(fsrc.Data[off+base]) * k.invScale
+			}
+			if fsrc.tr != nil {
+				for _, off := range sa {
+					fsrc.tr.Report(off+base, false)
+				}
 			}
 		}
 	}
@@ -373,10 +420,33 @@ func pencilFlatOf[T grid.Scalar](k *kernel, cache *rows, fsrc, fdst *grid.Flat[T
 		}
 		if den == 0 { // only a non-finite center leaves the stencil weightless
 			fdst.Data[da[p]+dbase] = fsrc.Data[sa[p]+sb[b]+sc[c]]
+			if fsrc.tr != nil {
+				cache.raw = append(cache.raw, p)
+			}
 			continue
 		}
 		fdst.Data[da[p]+dbase] = grid.FromNorm[T](num/den, k.scale)
 	}
+	if fsrc.tr != nil || fdst.tr != nil {
+		reportPencil(cache, fsrc, fdst, sa, da, sb[b]+sc[c], dbase)
+	}
+}
+
+// reportPencil sends a traced pencil's voxel-loop accesses to the
+// sinks in the order the loop made them: per voxel, the raw center
+// re-read if cache.raw lists it, then the destination write.
+func reportPencil[T grid.Scalar](cache *rows, fsrc, fdst flatView[T], sa, da []int, sbase, dbase int) {
+	raw := cache.raw
+	for p := range sa {
+		if len(raw) > 0 && raw[0] == p {
+			fsrc.tr.Report(sa[p]+sbase, false)
+			raw = raw[1:]
+		}
+		if fdst.tr != nil {
+			fdst.tr.Report(da[p]+dbase, true)
+		}
+	}
+	cache.raw = cache.raw[:0]
 }
 
 // Apply runs the bilateral filter from src into dst with all workers
@@ -440,15 +510,15 @@ func ApplyViewsCtxOf[T grid.Scalar](ctx context.Context, srcs []grid.ReaderOf[T]
 	}
 	k := newKernel(o, grid.NormScale[T]())
 	// Resolve each worker's views to the flat fast path once, at setup:
-	// a plain *grid.Grid under a separable layout flattens to its raw
-	// buffer plus per-axis offset tables; traced views and non-separable
-	// layouts (Hilbert, HZ) resolve to nil and keep the interface path.
-	fsrcs := make([]*grid.Flat[T], o.Workers)
-	fdsts := make([]*grid.Flat[T], o.Workers)
+	// a plain or traced grid under a separable layout flattens to its
+	// raw buffer plus per-axis offset tables; other views and
+	// non-separable layouts (Hilbert, HZ) keep the interface path.
+	fsrcs := make([]flatView[T], o.Workers)
+	fdsts := make([]flatView[T], o.Workers)
 	if !o.NoFastPath {
 		for w := 0; w < o.Workers; w++ {
-			fsrcs[w] = grid.Flatten(srcs[w])
-			fdsts[w] = grid.FlattenWriter(dsts[w])
+			fsrcs[w] = flatViewOf[T](srcs[w])
+			fdsts[w] = flatViewOf[T](dsts[w])
 		}
 	}
 	pencils := parallel.PencilCount(nx, ny, nz, o.Axis)
@@ -457,7 +527,7 @@ func ApplyViewsCtxOf[T grid.Scalar](ctx context.Context, srcs []grid.ReaderOf[T]
 	caches := make([]*rows, o.Workers) // worker w alone touches caches[w]
 	pencil := func(w, p int) {
 		i, j, kk, length := parallel.PencilStart(nx, ny, nz, o.Axis, p)
-		if fsrc, fdst := fsrcs[w], fdsts[w]; fsrc != nil && fdst != nil {
+		if fsrc, fdst := fsrcs[w], fdsts[w]; fsrc.Flat != nil && fdst.Flat != nil {
 			if caches[w] == nil {
 				caches[w] = newRows(side, length)
 			}

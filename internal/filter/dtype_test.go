@@ -99,8 +99,9 @@ func TestBilateralDtypeTracksFloat32(t *testing.T) {
 }
 
 func TestBilateralTracedViewsPerDtype(t *testing.T) {
-	// Traced views must keep working for narrow dtypes and must stay on
-	// the interface path (every access observed).
+	// Traced views must keep working for narrow dtypes: a traced Z-order
+	// view takes the row-cached flat path and reports its accesses, one
+	// write per voxel.
 	l := core.NewZOrder(8, 8, 8)
 	src := volume.MRIPhantomOf[uint8](l, 3, 0.05)
 	dst := grid.NewOf[uint8](l)
@@ -116,7 +117,7 @@ func TestBilateralTracedViewsPerDtype(t *testing.T) {
 	if sink.Reads == 0 {
 		t.Error("traced reads not observed")
 	}
-	// And the traced (interface-path) result matches the plain run.
+	// And the traced result matches the plain run.
 	plain := grid.NewOf[uint8](l)
 	if err := ApplyCtxOf[uint8](context.Background(), src, plain, Options{Radius: 1, Workers: 1}); err != nil {
 		t.Fatal(err)

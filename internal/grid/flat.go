@@ -14,9 +14,11 @@ import "sfcmem/internal/core"
 // paper's equal-footing comparison between layouts survives the
 // devirtualization (DESIGN.md §7). The same holds across dtypes: the
 // index arithmetic is element-size independent, so narrow dtypes pay
-// the same index cost and reap the cache-line packing win. Traced
-// views are never flattened: the cache-simulation experiments must
-// observe every access through the interface path.
+// the same index cost and reap the cache-line packing win. Flatten
+// never flattens a traced view, so a kernel that does not report its
+// flat accesses stays on the observable interface path; a kernel that
+// does (the bilateral filter's row-cached path) flattens a traced view
+// through Traced.Flat and reports each access through Traced.Report.
 //
 // The fields are exported for the kernels' inner loops; treat them as
 // read-only except Data, which Set also writes through.
@@ -46,7 +48,8 @@ func (g *Grid[T]) Flat() (Flat[T], bool) {
 // Flatten returns a flat view when r is a plain *Grid with a separable
 // layout, and nil otherwise. Traced views (and any other Reader
 // implementation) intentionally return nil so every access they serve
-// stays observable on the interface path.
+// stays observable on the interface path; see Traced.Flat for the
+// reporting alternative.
 func Flatten[T Scalar](r ReaderOf[T]) *Flat[T] {
 	g, ok := r.(*Grid[T])
 	if !ok {

@@ -62,6 +62,19 @@ func (t *Traced[T]) Set(i, j, k int, v T) {
 // Dims returns the underlying grid's extents.
 func (t *Traced[T]) Dims() (nx, ny, nz int) { return t.g.Dims() }
 
+// Flat returns a flat view of the wrapped grid, or ok == false when its
+// layout is not separable. Accesses through the flat view bypass the
+// sink: a kernel that replays a traced view flat must report every
+// element it reads or writes itself, through Report, in the order it
+// touches them.
+func (t *Traced[T]) Flat() (Flat[T], bool) { return t.g.Flat() }
+
+// Report sends the access to buffer element idx to the sink, at the
+// address At or Set would report for the voxel stored there.
+func (t *Traced[T]) Report(idx int, write bool) {
+	t.sink.Access(t.base+uint64(idx)*t.elemSize, write)
+}
+
 // Grid returns the wrapped grid.
 func (t *Traced[T]) Grid() *Grid[T] { return t.g }
 

@@ -59,8 +59,8 @@ type Config struct {
 	// NoFastPath disables the kernels' flat-access fast path for
 	// wall-clock runs, forcing the generic interface path — the ablation
 	// that isolates what devirtualization contributes to the absolute
-	// numbers. Counter runs are unaffected (traced views never take the
-	// fast path).
+	// numbers. Counter runs always take the interface path, the paper's
+	// per-tap model, whatever this says.
 	NoFastPath bool `json:"no_fastpath,omitempty"`
 	// Radii maps the paper's row labels to stencil radii.
 	Radii []RadiusSpec `json:"radii"`

@@ -88,8 +88,10 @@ type CellRecord struct {
 
 // WriteCellsCSV writes rows as long-form CSV, one line per row: the
 // identifying columns, the measurements, then one column per simulated
-// counter that any row reports. An empty field is a column the row did
-// not measure. The reuse profile is left to the manifest.
+// counter that any row reports. An empty field is a column that does
+// not apply to the row (a bilateral row has no image or viewpoint, a
+// Fig 1 stride row no size) or that the row did not measure. The reuse
+// profile is left to the manifest.
 func WriteCellsCSV(w io.Writer, rows []CellRecord) error {
 	seen := make(map[string]bool)
 	for _, c := range rows {
@@ -116,9 +118,21 @@ func WriteCellsCSV(w io.Writer, rows []CellRecord) error {
 		}
 		return strconv.FormatUint(v, 10)
 	}
+	// Size, image and threads are never 0 where they apply; viewpoint 0
+	// is a render's first.
+	dim := func(v int) string {
+		if v == 0 {
+			return ""
+		}
+		return strconv.Itoa(v)
+	}
 	for _, c := range rows {
-		line := []string{c.Kernel, c.Strategy, c.Layout, c.Dtype, strconv.Itoa(c.Size), strconv.Itoa(c.Image),
-			c.Platform, c.Row, strconv.Itoa(c.View), strconv.Itoa(c.Threads),
+		view := ""
+		if c.Kernel == volrendKernel {
+			view = strconv.Itoa(c.View)
+		}
+		line := []string{c.Kernel, c.Strategy, c.Layout, c.Dtype, dim(c.Size), dim(c.Image),
+			c.Platform, c.Row, view, dim(c.Threads),
 			float(c.Runtime), count(c.Metric, c.Cache != nil), float(c.Imbalance)}
 		for _, k := range counters {
 			v, ok := c.Cache[k]

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -222,5 +223,48 @@ func TestStartFigureEmitsTimelineSpan(t *testing.T) {
 	b, _ := json.Marshal(snap)
 	if !strings.Contains(string(b), "fig9") {
 		t.Errorf("figures phase timer missing fig9: %s", b)
+	}
+}
+
+// TestCellsCSVInapplicableColumnsEmpty: a column that does not apply to
+// a row is an empty field, not 0 — a bilateral row has no image or
+// viewpoint, a Fig 1 stride row no size, viewpoint or threads — while
+// a render's viewpoint 0 is a real value.
+func TestCellsCSVInapplicableColumnsEmpty(t *testing.T) {
+	rows := []CellRecord{
+		{Kernel: bilatKernel, Strategy: "round-robin", Layout: "array", Dtype: "float32", Size: 32,
+			Platform: "host", Row: "r1 px xyz", Threads: 2, Runtime: 0.5},
+		{Kernel: volrendKernel, Strategy: "dynamic", Layout: "zorder", Dtype: "float32", Size: 32, Image: 16,
+			Platform: "ivy", View: 0, Threads: 2, Metric: 7, Cache: map[string]uint64{"mem.reads": 3}},
+		{Kernel: "stride", Layout: "zorder", Runtime: 0.1},
+		{Kernel: "stride-sweep", Strategy: "dynamic", Threads: 4, Runtime: 0.2, Imbalance: 1.5},
+	}
+	var buf bytes.Buffer
+	if err := WriteCellsCSV(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
+	lines, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lines) != 1+len(rows) {
+		t.Fatalf("%d lines, want a header and %d rows", len(lines), len(rows))
+	}
+	col := map[string]int{}
+	for i, name := range lines[0] {
+		col[name] = i
+	}
+	want := []map[string]string{
+		{"size": "32", "image": "", "row": "r1 px xyz", "view": "", "threads": "2", "metric": "", "mem.reads": ""},
+		{"size": "32", "image": "16", "row": "", "view": "0", "threads": "2", "metric": "7", "mem.reads": "3"},
+		{"size": "", "image": "", "row": "", "view": "", "threads": "", "runtime_s": "0.1"},
+		{"size": "", "image": "", "view": "", "threads": "4", "imbalance": "1.5"},
+	}
+	for i, w := range want {
+		for name, v := range w {
+			if got := lines[1+i][col[name]]; got != v {
+				t.Errorf("%s row: %s = %q, want %q", rows[i].Kernel, name, got, v)
+			}
+		}
 	}
 }

@@ -232,8 +232,10 @@ func (r *runner) replay(ctx context.Context, p point, row *CellRecord) error {
 // kernel runs p's kernel once over its input at p's dtype and returns
 // the elapsed time. With sink nil every worker reads the grid itself,
 // so wall-clock runs take the flat fast path unless Config.NoFastPath;
-// otherwise worker w reads through a traced view into sink(w). st, if
-// non-nil, receives the per-worker scheduling stats.
+// otherwise worker w reads through a traced view into sink(w), on the
+// interface path: the paper's per-tap model, which every figure's
+// counters are measured on. st, if non-nil, receives the per-worker
+// scheduling stats.
 func (r *runner) kernel(ctx context.Context, p point, sink func(w int) grid.Sink, st *parallel.Stats) (time.Duration, error) {
 	switch p.Dtype {
 	case grid.U8:
@@ -257,7 +259,7 @@ func kernelOf[T grid.Scalar](ctx context.Context, r *runner, p point, sink func(
 		}
 	}
 	obs := r.ins.Observer(fmt.Sprintf("%s %s %s %s", p.Platform, p.Kernel, p.Kind, p.where()))
-	noFast := r.cfg.NoFastPath && sink == nil
+	noFast := r.cfg.NoFastPath || sink != nil
 	if p.Kernel == volrendKernel {
 		cam := render.Orbit(p.View, r.cfg.Views, p.Size, p.Size, p.Size, p.Image, p.Image)
 		tf := render.DefaultTransferFunc()

@@ -60,8 +60,11 @@ type Options struct {
 	Observer parallel.Observer
 	// NoFastPath forces the generic interface sampling path even for
 	// plain grids with separable layouts, disabling the flat-access fast
-	// path. Used by ablation benches and cross-check tests; traced views
-	// always take the interface path regardless.
+	// path. Used by ablation benches and cross-check tests. Traced views
+	// always take the interface path regardless, which already replays
+	// the flat path's stream: SampleReader fetches the 8 corners in
+	// SampleFlat's order, so for the renderer the per-sample model and
+	// production issue the same accesses.
 	NoFastPath bool
 }
 

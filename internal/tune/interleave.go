@@ -61,7 +61,9 @@ type InterleaveConfig struct {
 	Kernel     Kernel // workload to replay; empty defaults to bilateral
 	Dtype      grid.Dtype
 	// Options configures the bilateral kernel; Options.Workers also
-	// sets the simulated thread count for both kernels.
+	// sets the simulated thread count for both kernels. The replay
+	// scores the stream production issues, the row-cached flat path's;
+	// Options.NoFastPath scores the paper's per-tap model instead.
 	Options filter.Options
 	// Render configures the volrend kernel (ignored for bilateral);
 	// its Workers field is overridden by Options.Workers.
@@ -142,6 +144,7 @@ func Interleave(ctx context.Context, cfg InterleaveConfig) (*InterleaveResult, e
 		return nil, fmt.Errorf("tune: extents %d×%d×%d must be positive", cfg.Nx, cfg.Ny, cfg.Nz)
 	}
 	base := core.RoundRobinSpec(cfg.Nx, cfg.Ny, cfg.Nz)
+	replay := newKernelRun(cfg).sim
 
 	var evals []SpecScore
 	memo := make(map[string]uint64, cfg.Population*(cfg.Generations+1))
@@ -156,7 +159,7 @@ func Interleave(ctx context.Context, cfg InterleaveConfig) (*InterleaveResult, e
 		if err != nil {
 			return 0, fmt.Errorf("tune: candidate %q: %w", spec, err)
 		}
-		s, err := simKernel(ctx, cfg, l)
+		s, err := replay(ctx, l)
 		if err != nil {
 			return 0, fmt.Errorf("tune: candidate %q: %w", spec, err)
 		}
@@ -171,7 +174,7 @@ func Interleave(ctx context.Context, cfg InterleaveConfig) (*InterleaveResult, e
 	var err error
 	if z := core.NewZOrder(cfg.Nx, cfg.Ny, cfg.Nz); z.Spec() == base {
 		zScore, err = evalSpec(base)
-	} else if zScore, err = simKernel(ctx, cfg, z); err != nil {
+	} else if zScore, err = replay(ctx, z); err != nil {
 		err = fmt.Errorf("tune: z-order baseline: %w", err)
 	}
 	if err != nil {
@@ -266,56 +269,99 @@ func Interleave(ctx context.Context, cfg InterleaveConfig) (*InterleaveResult, e
 	return finish(best.Spec)
 }
 
-// simKernel replays the configured kernel over a candidate layout
-// through the cache simulator and returns total simulated L1 misses.
-// The dataset depends only on shape, seed and dtype — never on the
-// layout — so candidates are compared on access order alone.
-func simKernel(ctx context.Context, cfg InterleaveConfig, l core.Layout) (uint64, error) {
+// kernelRun runs the configured kernel over a candidate layout, both
+// ways a search measures one: sim replays it through the cache
+// simulator and returns the total simulated L1 misses, wall times it
+// on real memory. Both relayout one proxy dataset, generated once in
+// array order: the dataset depends only on shape, seed and dtype —
+// never on the layout — so candidates are compared on access order
+// alone.
+type kernelRun struct {
+	sim  func(ctx context.Context, l core.Layout) (uint64, error)
+	wall func(l core.Layout) (time.Duration, error)
+}
+
+// newKernelRun builds cfg's kernelRun at cfg's dtype.
+func newKernelRun(cfg InterleaveConfig) kernelRun {
 	switch cfg.Dtype {
 	case grid.U8:
-		return simKernelOf[uint8](ctx, cfg, l)
+		return newKernelRunOf[uint8](cfg)
 	case grid.U16:
-		return simKernelOf[uint16](ctx, cfg, l)
+		return newKernelRunOf[uint16](cfg)
 	case grid.F64:
-		return simKernelOf[float64](ctx, cfg, l)
+		return newKernelRunOf[float64](cfg)
 	default:
-		return simKernelOf[float32](ctx, cfg, l)
+		return newKernelRunOf[float32](cfg)
 	}
 }
 
-func simKernelOf[T grid.Scalar](ctx context.Context, cfg InterleaveConfig, l core.Layout) (uint64, error) {
-	threads := cfg.Options.Workers
-	sys := cache.NewSystem(cfg.Platform, threads)
-	switch cfg.Kernel {
-	case KernelVolrend:
-		vol := volume.CombustionPlumeOf[T](l, cfg.Seed)
-		views := make([]grid.ReaderOf[T], threads)
-		for w := 0; w < threads; w++ {
-			views[w] = grid.NewTraced(vol, 0, sys.Front(w))
-		}
-		cam := render.Orbit(1, 8, cfg.Nx, cfg.Ny, cfg.Nz, cfg.ImgW, cfg.ImgH)
-		o := cfg.Render
-		o.Workers = threads
-		if _, err := render.RenderViewsCtxOf[T](ctx, views, cam, render.DefaultTransferFunc(), o); err != nil {
-			return 0, err
-		}
-	case KernelBilateral:
-		src := volume.MRIPhantomOf[T](l, cfg.Seed, 0.05)
-		nx, ny, nz := l.Dims()
-		dst := grid.NewOf[T](core.New(core.ArrayKind, nx, ny, nz)) // dst fixed across candidates
-		srcs := make([]grid.ReaderOf[T], threads)
-		dsts := make([]grid.WriterOf[T], threads)
-		for w := 0; w < threads; w++ {
-			srcs[w] = grid.NewTraced(src, 0, sys.Front(w))
-			dsts[w] = grid.NewTraced(dst, 1<<40, sys.Front(w))
-		}
-		if err := filter.ApplyViewsCtxOf[T](ctx, srcs, dsts, cfg.Options); err != nil {
-			return 0, err
-		}
-	default:
-		return 0, fmt.Errorf("tune: unknown kernel %q", cfg.Kernel)
+// proxyOf generates cfg's proxy dataset in array order: the combustion
+// plume for the renderer, the MRI phantom for the filter.
+func proxyOf[T grid.Scalar](cfg InterleaveConfig) *grid.Grid[T] {
+	a := core.NewArrayOrder(cfg.Nx, cfg.Ny, cfg.Nz)
+	if cfg.Kernel == KernelVolrend {
+		return volume.CombustionPlumeOf[T](a, cfg.Seed)
 	}
-	return l1Misses(sys.Report()), nil
+	return volume.MRIPhantomOf[T](a, cfg.Seed, 0.05)
+}
+
+func newKernelRunOf[T grid.Scalar](cfg InterleaveConfig) kernelRun {
+	data := proxyOf[T](cfg)
+	var dst *grid.Grid[T] // the filter's, in array order for every candidate
+	if cfg.Kernel == KernelBilateral {
+		dst = grid.NewOf[T](core.NewArrayOrder(cfg.Nx, cfg.Ny, cfg.Nz))
+	}
+	cam := render.Orbit(1, 8, cfg.Nx, cfg.Ny, cfg.Nz, cfg.ImgW, cfg.ImgH)
+	ro := cfg.Render
+	ro.Workers = cfg.Options.Workers
+	threads := cfg.Options.Workers
+	sim := func(ctx context.Context, l core.Layout) (uint64, error) {
+		src, err := data.Relayout(l)
+		if err != nil {
+			return 0, err
+		}
+		sys := cache.NewSystem(cfg.Platform, threads)
+		switch cfg.Kernel {
+		case KernelVolrend:
+			views := make([]grid.ReaderOf[T], threads)
+			for w := range views {
+				views[w] = grid.NewTraced(src, 0, sys.Front(w))
+			}
+			if _, err := render.RenderViewsCtxOf[T](ctx, views, cam, render.DefaultTransferFunc(), ro); err != nil {
+				return 0, err
+			}
+		case KernelBilateral:
+			srcs := make([]grid.ReaderOf[T], threads)
+			dsts := make([]grid.WriterOf[T], threads)
+			for w := range srcs {
+				srcs[w] = grid.NewTraced(src, 0, sys.Front(w))
+				dsts[w] = grid.NewTraced(dst, 1<<40, sys.Front(w))
+			}
+			if err := filter.ApplyViewsCtxOf[T](ctx, srcs, dsts, cfg.Options); err != nil {
+				return 0, err
+			}
+		default:
+			return 0, fmt.Errorf("tune: unknown kernel %q", cfg.Kernel)
+		}
+		return l1Misses(sys.Report()), nil
+	}
+	wall := func(l core.Layout) (time.Duration, error) {
+		src, err := data.Relayout(l)
+		if err != nil {
+			return 0, err
+		}
+		start := time.Now()
+		switch cfg.Kernel {
+		case KernelVolrend:
+			_, err = render.RenderCtxOf[T](context.Background(), src, cam, render.DefaultTransferFunc(), ro)
+		case KernelBilateral:
+			err = filter.ApplyCtxOf[T](context.Background(), src, dst, cfg.Options)
+		default:
+			return 0, fmt.Errorf("tune: unknown kernel %q", cfg.Kernel)
+		}
+		return time.Since(start), err
+	}
+	return kernelRun{sim: sim, wall: wall}
 }
 
 // l1Misses sums level-1 misses across all simulated threads. The
@@ -488,6 +534,7 @@ func Microbench(cfg InterleaveConfig, specs []string, reps int) (string, []Bench
 	if reps < 1 {
 		reps = 3
 	}
+	run := newKernelRun(cfg).wall
 	results := make([]BenchResult, 0, len(specs))
 	best, bestTime := "", time.Duration(0)
 	for _, spec := range specs {
@@ -497,7 +544,7 @@ func Microbench(cfg InterleaveConfig, specs []string, reps int) (string, []Bench
 		}
 		min := time.Duration(0)
 		for r := 0; r < reps; r++ {
-			d, err := runReal(cfg, l)
+			d, err := run(l)
 			if err != nil {
 				return "", nil, fmt.Errorf("tune: microbench %q: %w", spec, err)
 			}
@@ -511,41 +558,4 @@ func Microbench(cfg InterleaveConfig, specs []string, reps int) (string, []Bench
 		}
 	}
 	return best, results, nil
-}
-
-// runReal runs the configured kernel once over l without tracing and
-// returns the elapsed wall time.
-func runReal(cfg InterleaveConfig, l core.Layout) (time.Duration, error) {
-	switch cfg.Dtype {
-	case grid.U8:
-		return runRealOf[uint8](cfg, l)
-	case grid.U16:
-		return runRealOf[uint16](cfg, l)
-	case grid.F64:
-		return runRealOf[float64](cfg, l)
-	default:
-		return runRealOf[float32](cfg, l)
-	}
-}
-
-func runRealOf[T grid.Scalar](cfg InterleaveConfig, l core.Layout) (time.Duration, error) {
-	switch cfg.Kernel {
-	case KernelVolrend:
-		vol := volume.CombustionPlumeOf[T](l, cfg.Seed)
-		cam := render.Orbit(1, 8, cfg.Nx, cfg.Ny, cfg.Nz, cfg.ImgW, cfg.ImgH)
-		o := cfg.Render
-		o.Workers = cfg.Options.Workers
-		start := time.Now()
-		_, err := render.RenderCtxOf[T](context.Background(), vol, cam, render.DefaultTransferFunc(), o)
-		return time.Since(start), err
-	case KernelBilateral:
-		src := volume.MRIPhantomOf[T](l, cfg.Seed, 0.05)
-		nx, ny, nz := l.Dims()
-		dst := grid.NewOf[T](core.New(core.ArrayKind, nx, ny, nz))
-		start := time.Now()
-		err := filter.ApplyCtxOf[T](context.Background(), src, dst, cfg.Options)
-		return time.Since(start), err
-	default:
-		return 0, fmt.Errorf("tune: unknown kernel %q", cfg.Kernel)
-	}
 }

@@ -1,7 +1,9 @@
 package tune
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 	"strings"
@@ -12,6 +14,7 @@ import (
 	"sfcmem/internal/filter"
 	"sfcmem/internal/grid"
 	"sfcmem/internal/parallel"
+	"sfcmem/internal/volume"
 )
 
 func TestSweepTieBreakPrefersSmaller(t *testing.T) {
@@ -42,7 +45,8 @@ func TestSweepTieBreakPrefersSmaller(t *testing.T) {
 }
 
 // interleaveConfig is the small deterministic search CI's tune-smoke
-// job replays: 16³, radius-1 z-inner stencil, tiny population.
+// job replays: 16³, radius-1 z pencils with the z-inner stencil order,
+// tiny population.
 func interleaveConfig() InterleaveConfig {
 	return InterleaveConfig{
 		Nx: 16, Ny: 16, Nz: 16,
@@ -82,8 +86,9 @@ func TestInterleaveDeterministic(t *testing.T) {
 
 func TestInterleaveBeatsOrMatchesZOrder(t *testing.T) {
 	// The gate CI enforces: the tuned layout's simulated L1 misses may
-	// not exceed plain Z order's. The z-inner iteration order gives the
-	// search headroom over Z order's x-first interleave.
+	// not exceed plain Z order's. The z pencils give the search headroom
+	// over Z order's x-first interleave: the filter gathers its rows
+	// along z.
 	res, err := Interleave(context.Background(), interleaveConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -107,26 +112,25 @@ func TestInterleaveBeatsOrMatchesZOrder(t *testing.T) {
 // order baseline; the 16×8×4 box, whose Z order pads past the compact
 // spec, replays Z order separately.
 func TestInterleavePinned(t *testing.T) {
+	smoke := interleaveConfig()
+	smoke.Options.NoFastPath = true
 	volrend := interleaveConfig()
 	volrend.Kernel = KernelVolrend
 	volrend.Options.Workers = 1 // the renderer's dynamic schedule would vary per-thread streams
+	volrend.Options.NoFastPath = true
 	volrend.ImgW, volrend.ImgH = 32, 32
 	volrend.Population, volrend.Generations = 6, 2
 	box := interleaveConfig()
 	box.Nx, box.Ny, box.Nz = 16, 8, 4
 	box.Options.Workers = 1
+	box.Options.NoFastPath = true
 	churn := interleaveConfig()
 	churn.Nx, churn.Ny, churn.Nz = 32, 32, 32
 	churn.Options.Workers = 1
+	churn.Options.NoFastPath = true
 	churn.Population, churn.Generations = 4, 1
-	for _, c := range []struct {
-		name          string
-		cfg           InterleaveConfig
-		spec          string
-		score, zorder uint64
-		evals         string
-	}{
-		{"smoke", interleaveConfig(), "zzzzyxyyyxxx", 5568, 9008,
+	checkPinned(t, []pinnedSearch{
+		{"smoke", smoke, "zzzzyxyyyxxx", 5568, 9008,
 			"xyzxyzxyzxyz:9008 xxxxyyyyzzzz:15872 zzzzyyyyxxxx:5568 xyzxxxyyyzzz:9264 xyzxyzxxyyzz:9008 " +
 				"zyyzxxzzxyyx:8860 yzyzyxzxzxyx:8104 xzzzxxxyyzyy:6212 xzzzxxyzyyxy:6212 xzzzxyxyyzxy:6212 " +
 				"xzzyzyyyzxxx:6856 zzzzyxyyyxxx:5568 zzzyzyyxxxyx:6436 xzzzxxzyyyyx:6212 zzzzyyxxyxxy:5568 " +
@@ -144,7 +148,66 @@ func TestInterleavePinned(t *testing.T) {
 		{"churn", churn, "xyzzzzzyyyyxxxx", 63048, 78400,
 			"xyzxyzxyzxyzxyz:78400 xxxxxyyyyyzzzzz:764080 zzzzzyyyyyxxxxx:276100 xyzxxxxyyyyzzzz:78400 " +
 				"xyzzzzzyyyyxxxx:63048"},
-	} {
+	})
+}
+
+// serviceConfig is the search POST /volumes/{name}/tune runs for
+// perfbench's serve-churn workload: a 32³ float32 volume, the filter's
+// x pencils at r1, one simulated worker, population 4, one generation.
+func serviceConfig() InterleaveConfig {
+	cfg := interleaveConfig()
+	cfg.Nx, cfg.Ny, cfg.Nz = 32, 32, 32
+	cfg.Options = filter.Options{Radius: 1, Axis: parallel.AxisX, Workers: 1}
+	cfg.Population, cfg.Generations = 4, 1
+	return cfg
+}
+
+// TestInterleavePinnedProduction pins whole searches scored on the
+// filter's production stream, the row-cached flat path's: the smoke,
+// box and churn searches of TestInterleavePinned without NoFastPath,
+// and the service's x-pencil search.
+func TestInterleavePinnedProduction(t *testing.T) {
+	box := interleaveConfig()
+	box.Nx, box.Ny, box.Nz = 16, 8, 4
+	box.Options.Workers = 1
+	churn := interleaveConfig()
+	churn.Nx, churn.Ny, churn.Nz = 32, 32, 32
+	churn.Options.Workers = 1
+	churn.Population, churn.Generations = 4, 1
+	checkPinned(t, []pinnedSearch{
+		{"smoke", interleaveConfig(), "zzzzyxyyyxxx", 5568, 7424,
+			"xyzxyzxyzxyz:7424 xxxxyyyyzzzz:27648 zzzzyyyyxxxx:5568 xyzxxxyyyzzz:11480 xyzxyzxxyyzz:7424 " +
+				"zyyzxxzzxyyx:6912 yzyzyxzxzxyx:6912 xzzzxxxyyzyy:5890 xzzzxxyzyyxy:5890 xzzzxyxyyzxy:5890 " +
+				"xzzyzyyyzxxx:6436 zzzzyxyyyxxx:5568 zzzyzyyxxxyx:6016 xzzzxxzyyyyx:5890 zzzzyyxxyxxy:5568 " +
+				"yzzzyxzyyxxx:6016 zzxzyzyyyxxx:5792 xzzzxxxyzyyy:5890 zzxzyyyyxzxx:5792 zzzzyyxxyyxx:5568 " +
+				"yzzzzyxxyxxy:6016 xzzzyyyyxxzx:5792 zzxzyxyyyzxx:5792"},
+		{"box", box, "xxxxyyyzz", 64, 134,
+			"xyzxyzxyx:134 xxxxyyyzz:64 zzyyyxxxx:192 xyzxxxyyz:124 xyzxyzxxy:134 " +
+				"yxxxzyxyz:118 xzzxyyxxy:94 xyzxxyyzx:124 xzzxyxyxy:94 zxxxyyyxz:76 " +
+				"xxzzxxyyy:106 xxyxyyxzz:124 xxxxzyyyz:904 xzzxyxxyy:94 zxxyxxyyz:124 " +
+				"zxyxxyyxz:124 xxxxyzyzy:64 zxxxyxyyz:76 xzxxxyyyz:466 yxxxxyyzz:568 " +
+				"zxxzxyyyx:106 xzxxyzyxy:76"},
+		{"churn", churn, "zzzzzyyyyyxxxxx", 38784, 80896,
+			"xyzxyzxyzxyzxyz:80896 xxxxxyyyyyzzzzz:129024 zzzzzyyyyyxxxxx:38784 xyzxxxxyyyyzzzz:80896 zzxyzxyzxyzxyxy:44424"},
+		{"service", serviceConfig(), "xxxxxyyyyyzzzzz", 8064, 17904,
+			"xyzxyzxyzxyzxyz:17904 xxxxxyyyyyzzzzz:8064 zzzzzyyyyyxxxxx:98304 xyzxxxxyyyyzzzz:17184 xxxyzxyzxyzyzyz:11664"},
+	})
+}
+
+// pinnedSearch is one pinned search: its config, winner, winner's and
+// Z order's scores, and the evaluation log ("spec:score" in order).
+type pinnedSearch struct {
+	name          string
+	cfg           InterleaveConfig
+	spec          string
+	score, zorder uint64
+	evals         string
+}
+
+// checkPinned runs each search and compares it with its pin.
+func checkPinned(t *testing.T, searches []pinnedSearch) {
+	t.Helper()
+	for _, c := range searches {
 		res, err := Interleave(context.Background(), c.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -264,15 +327,11 @@ func TestMicrobenchSmoke(t *testing.T) {
 }
 
 // BenchmarkInterleaveChurn times one interleave search of the shape
-// perfbench's serve-churn workload submits through POST /tune: a 32³
-// float32 volume, bilateral r1 z-inner, one simulated worker on the
-// 1/32-scaled IvyBridge hierarchy, population 4, one generation. Its
-// cost is the cache simulator's replay of every candidate.
+// perfbench's serve-churn workload submits through POST /tune
+// (serviceConfig, on the 1/32-scaled IvyBridge hierarchy). Its cost is
+// the cache simulator's replay of every candidate.
 func BenchmarkInterleaveChurn(b *testing.B) {
-	cfg := interleaveConfig()
-	cfg.Nx, cfg.Ny, cfg.Nz = 32, 32, 32
-	cfg.Options.Workers = 1
-	cfg.Population, cfg.Generations = 4, 1
+	cfg := serviceConfig()
 	var res *InterleaveResult
 	for n := 0; n < b.N; n++ {
 		var err error
@@ -281,4 +340,55 @@ func BenchmarkInterleaveChurn(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(res.Evals)), "candidates")
+}
+
+// TestProxyRelayoutMatchesDirect: the search generates its proxy
+// dataset once in array order and relays it out per candidate. That
+// must give, bit for bit, the volume generated directly in the
+// candidate layout, for both kernels' datasets, every dtype, and the
+// Z order, row-major and brick-hybrid seeds — and for the tiled and
+// Z-bricked layouts TileSize and BrickSize relay their phantom into.
+func TestProxyRelayoutMatchesDirect(t *testing.T) {
+	const nx, ny, nz = 16, 8, 4
+	layouts := []core.Layout{core.NewTiled(nx, ny, nz, 4), core.NewZTiled(nx, ny, nz, 4)}
+	for _, spec := range []string{core.RoundRobinSpec(nx, ny, nz), "xxxxyyyzz", "xyzxxxyyz"} {
+		l, err := core.NewBitLayout(nx, ny, nz, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layouts = append(layouts, l)
+	}
+	for _, kernel := range []Kernel{KernelBilateral, KernelVolrend} {
+		cfg := InterleaveConfig{Nx: nx, Ny: ny, Nz: nz, Seed: 3, Kernel: kernel}
+		for _, l := range layouts {
+			checkProxyRelayout[uint8](t, cfg, l)
+			checkProxyRelayout[uint16](t, cfg, l)
+			checkProxyRelayout[float32](t, cfg, l)
+			checkProxyRelayout[float64](t, cfg, l)
+		}
+	}
+}
+
+func checkProxyRelayout[T grid.Scalar](t *testing.T, cfg InterleaveConfig, l core.Layout) {
+	t.Helper()
+	got, err := proxyOf[T](cfg).Relayout(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := volume.MRIPhantomOf[T](l, cfg.Seed, 0.05)
+	if cfg.Kernel == KernelVolrend {
+		want = volume.CombustionPlumeOf[T](l, cfg.Seed)
+	}
+	gb, err := binary.Append(nil, binary.LittleEndian, got.Data())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, err := binary.Append(nil, binary.LittleEndian, want.Data())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb, wb) {
+		t.Errorf("%s %v %s: relaid-out proxy differs from the directly generated volume",
+			cfg.Kernel, grid.DtypeFor[T](), l.Name())
+	}
 }

@@ -83,14 +83,25 @@ type FilterConfig struct {
 	Platform cache.Platform
 }
 
-// simFilter replays the bilateral filter over src's layout through the
-// platform and returns the paper metric.
-func simFilter(cfg FilterConfig, layout core.Layout) (uint64, error) {
+// phantom generates the sweep's MRI phantom once, in array order; each
+// candidate relays it out, so every candidate filters the same samples.
+func (cfg FilterConfig) phantom() *grid.Grid[float32] {
+	return volume.MRIPhantom(core.NewArrayOrder(cfg.Size, cfg.Size, cfg.Size), cfg.Seed, 0.05)
+}
+
+// simFilter replays the bilateral filter over data relaid out in
+// layout through the platform and returns the paper metric. The replay
+// is the paper's per-tap model (Options.NoFastPath), the stream Fig
+// 8b's tile and brick scores are measured on.
+func simFilter(cfg FilterConfig, data *grid.Grid[float32], layout core.Layout) (uint64, error) {
 	threads := cfg.Options.Workers
 	if threads == 0 {
 		threads = 1
 	}
-	src := volume.MRIPhantom(layout, cfg.Seed, 0.05)
+	src, err := data.Relayout(layout)
+	if err != nil {
+		return 0, err
+	}
 	nx, ny, nz := layout.Dims()
 	dstLayout := core.New(core.ArrayKind, nx, ny, nz) // dst layout held fixed across candidates
 	dst := grid.New(dstLayout)
@@ -101,7 +112,9 @@ func simFilter(cfg FilterConfig, layout core.Layout) (uint64, error) {
 		srcs[w] = grid.NewTraced(src, 0, sys.Front(w))
 		dsts[w] = grid.NewTraced(dst, 1<<40, sys.Front(w))
 	}
-	if err := filter.ApplyViews(srcs, dsts, cfg.Options); err != nil {
+	o := cfg.Options
+	o.NoFastPath = true
+	if err := filter.ApplyViews(srcs, dsts, o); err != nil {
 		return 0, err
 	}
 	return sys.Report().PaperMetric(), nil
@@ -131,8 +144,9 @@ func TileSize(cfg FilterConfig, candidates []int) (best int, results []Result, e
 	if len(valid) == 0 && len(rejected) > 0 {
 		return 0, nil, rejectedErr("tile-edge", rejected)
 	}
+	data := cfg.phantom()
 	return Sweep(valid, func(tile int) (float64, error) {
-		m, err := simFilter(cfg, core.NewTiled(cfg.Size, cfg.Size, cfg.Size, tile))
+		m, err := simFilter(cfg, data, core.NewTiled(cfg.Size, cfg.Size, cfg.Size, tile))
 		return float64(m), err
 	})
 }
@@ -161,8 +175,9 @@ func BrickSize(cfg FilterConfig, candidates []int) (best int, results []Result, 
 	if len(valid) == 0 && len(rejected) > 0 {
 		return 0, nil, rejectedErr("brick-edge", rejected)
 	}
+	data := cfg.phantom()
 	return Sweep(valid, func(brick int) (float64, error) {
-		m, err := simFilter(cfg, core.NewZTiled(cfg.Size, cfg.Size, cfg.Size, brick))
+		m, err := simFilter(cfg, data, core.NewZTiled(cfg.Size, cfg.Size, cfg.Size, brick))
 		return float64(m), err
 	})
 }
